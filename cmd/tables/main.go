@@ -86,6 +86,9 @@ func main() {
 	flag.Parse()
 
 	scale := workload.Scale{Name: "custom", Factor: *factor}
+	if err := scale.Validate(); err != nil {
+		log.Fatalf("-scale: %v", err)
+	}
 	all := !*micro && !*analysis && !*sweep && !*mp && *table == 0
 	kc := mpKernel(*cpus, *parallelSim)
 	configs := table4Configs(*configsFlag)

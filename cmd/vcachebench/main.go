@@ -11,7 +11,7 @@
 //     simulator's throughput);
 //   - the kernel-build × F cell a second time with the fast paths
 //     disabled (the word-at-a-time reference pipeline), giving the
-//     speedup the bulk zero/copy/DMA paths and the micro-TLB probe buy;
+//     speedup the bulk zero/copy/DMA paths buy;
 //   - the warm-boot leg: time-to-first-measured-cycle for kernel-build
 //     × F, cold (kernel construction plus workload setup) versus warm
 //     (forking a frozen post-setup machine snapshot, the copy-on-write

@@ -126,8 +126,9 @@ func main() {
 		return
 	}
 
-	if *factor <= 0 {
-		fail(fmt.Errorf("-scale must be > 0, got %g", *factor))
+	scale := workload.Scale{Name: "custom", Factor: *factor}
+	if err := scale.Validate(); err != nil {
+		fail(fmt.Errorf("-scale: %w", err))
 	}
 	if *cpus < 1 {
 		fail(fmt.Errorf("-cpus must be >= 1, got %d", *cpus))
@@ -160,7 +161,7 @@ func main() {
 	r, recorder, ph, err := harness.ExecTimedPool(context.Background(), harness.Spec{
 		Workload:  w,
 		Config:    cfg,
-		Scale:     workload.Scale{Name: "custom", Factor: *factor},
+		Scale:     scale,
 		Kernel:    &kc,
 		TraceN:    *traceN,
 		RecordOps: *record != "",

@@ -1,6 +1,6 @@
 // Identity proof for the simulator's hot-path optimizations: with the
 // oracle disabled (the benchmarking configuration, where the bulk
-// zero/copy/DMA paths and the micro-TLB probe all engage) a run must
+// zero/copy/DMA paths all engage) a run must
 // produce a Result identical — field for field, including every cycle
 // and every counter — to the same run forced through the word-at-a-time
 // reference pipeline. Together with the golden sweep tests (which run
@@ -72,8 +72,8 @@ func TestFastPathsObservationIdentical(t *testing.T) {
 }
 
 // TestFastPathsMatchOracleRun: the oracle-checked run (which forces the
-// bulk guards to the slow path but keeps the micro-TLB and clock changes
-// live) must agree with the oracle-off fast run on everything except the
+// bulk guards to the slow path but keeps the TLB index, the shift
+// geometry and the clock changes live) must agree with the oracle-off fast run on everything except the
 // oracle's own counters. This ties the benchmark configuration back to
 // the checked configuration the tables are generated under.
 func TestFastPathsMatchOracleRun(t *testing.T) {

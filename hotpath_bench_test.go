@@ -30,7 +30,7 @@ func benchHotPath(b *testing.B, label string, fast bool) {
 }
 
 // BenchmarkHotPathFast is the production configuration: bulk zero/copy
-// and DMA paths plus the micro-TLB probe.
+// and DMA paths on.
 func BenchmarkHotPathFast(b *testing.B) {
 	for _, label := range []string{"A", "F"} {
 		b.Run(label, func(b *testing.B) { benchHotPath(b, label, true) })

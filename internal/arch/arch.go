@@ -9,7 +9,10 @@
 // pages align if and only if they select the same cache page.
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // VA is a virtual address. Virtual addresses are interpreted per address
 // space; the cache index function uses only the VA bits (as on PA-RISC,
@@ -151,17 +154,22 @@ func (g Geometry) DCachePages() uint64 { return g.DCacheSize / g.PageSize }
 // ICachePages is the number of cache pages in the instruction cache.
 func (g Geometry) ICachePages() uint64 { return g.ICacheSize / g.PageSize }
 
+// pageShift is log2(PageSize). The page-number conversions below shift
+// instead of dividing; they rely on PageSize being a power of two, which
+// Validate enforces (machine.New and mem.New both call it).
+func (g Geometry) pageShift() int { return bits.TrailingZeros64(g.PageSize) }
+
 // PageOf returns the virtual page number containing va.
-func (g Geometry) PageOf(va VA) VPN { return VPN(uint64(va) / g.PageSize) }
+func (g Geometry) PageOf(va VA) VPN { return VPN(uint64(va) >> g.pageShift()) }
 
 // FrameOf returns the physical frame number containing pa.
-func (g Geometry) FrameOf(pa PA) PFN { return PFN(uint64(pa) / g.PageSize) }
+func (g Geometry) FrameOf(pa PA) PFN { return PFN(uint64(pa) >> g.pageShift()) }
 
 // PageBase returns the first virtual address of page vpn.
-func (g Geometry) PageBase(vpn VPN) VA { return VA(uint64(vpn) * g.PageSize) }
+func (g Geometry) PageBase(vpn VPN) VA { return VA(uint64(vpn) << g.pageShift()) }
 
 // FrameBase returns the first physical address of frame pfn.
-func (g Geometry) FrameBase(pfn PFN) PA { return PA(uint64(pfn) * g.PageSize) }
+func (g Geometry) FrameBase(pfn PFN) PA { return PA(uint64(pfn) << g.pageShift()) }
 
 // PageOffset returns the offset of va within its page.
 func (g Geometry) PageOffset(va VA) uint64 { return uint64(va) & (g.PageSize - 1) }

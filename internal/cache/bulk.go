@@ -37,7 +37,7 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 	wpl := c.geom.WordsPerLine()
 	t := c.clock.Timing()
 	for w := uint64(1); w < words; {
-		lineStart := w - w%wpl
+		lineStart := w &^ (wpl - 1)
 		end := lineStart + wpl
 		if end > words {
 			end = words
@@ -46,15 +46,16 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 		wordPA := pa + arch.PA(w*arch.WordSize)
 		si := c.setIndex(va+arch.VA(w*arch.WordSize), wordPA)
 		tag := c.lineTag(wordPA)
-		ln := c.lookup(si, tag)
-		if ln == nil {
+		i := c.lookup(si, tag)
+		if i < 0 {
 			// One miss (the line's first word), then hits: identical to
 			// the per-word loop, where the fill makes the rest hit.
 			c.stats.Misses++
 			c.stats.Hits += n - 1
-			ln = c.victim(si)
+			i = c.victim(si)
+			ln := &c.lines[i]
 			if ln.valid && ln.dirty {
-				c.mem.WriteLine(ln.tag, ln.data)
+				c.mem.WriteLine(ln.tag, c.words(i))
 				c.stats.WriteBacks++
 				c.clock.Charge(sim.CatAccess, t.WriteBack)
 			}
@@ -63,7 +64,7 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 				// would have brought in. (Unreachable for a full page —
 				// word 0 keeps the first line resident — kept for
 				// exactness on any caller.)
-				c.mem.ReadLine(tag, ln.data)
+				c.mem.ReadLine(tag, c.words(i))
 			}
 			// For a full line the fill data is dead — every word is
 			// about to be overwritten — so the memory read is skipped;
@@ -77,10 +78,9 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 		}
 		c.stats.Writes += n
 		c.tick += n
+		ln := &c.lines[i]
 		ln.lru = c.tick
-		for i := w - lineStart; i < end-lineStart; i++ {
-			ln.data[i] = 0
-		}
+		clear(c.words(i)[w-lineStart : end-lineStart])
 		ln.dirty = true
 		c.clock.Charge(sim.CatAccess, t.CacheHit*n)
 		w = end
@@ -96,7 +96,7 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 	wpl := c.geom.WordsPerLine()
 	t := c.clock.Timing()
 	for w := uint64(1); w < words; {
-		lineStart := w - w%wpl
+		lineStart := w &^ (wpl - 1)
 		end := lineStart + wpl
 		if end > words {
 			end = words
@@ -108,46 +108,38 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 		off := arch.PA(w * arch.WordSize)
 		ssi := c.setIndex(sva+arch.VA(off), spa+off)
 		stag := c.lineTag(spa + off)
-		sln := c.lookup(ssi, stag)
-		if sln == nil {
+		src := c.lookup(ssi, stag)
+		if src < 0 {
 			c.stats.Misses++
 			c.stats.Hits += n - 1
-			sln = c.victim(ssi)
-			if sln.valid && sln.dirty {
-				c.mem.WriteLine(sln.tag, sln.data)
-				c.stats.WriteBacks++
-				c.clock.Charge(sim.CatAccess, t.WriteBack)
-			}
-			c.mem.ReadLine(stag, sln.data)
-			sln.valid = true
-			sln.dirty = false
-			sln.tag = stag
-			c.clock.Charge(sim.CatAccess, t.CacheMissFill)
+			src = c.victim(ssi)
+			c.fill(src, stag)
 		} else {
 			c.stats.Hits += n
 		}
 		c.stats.Reads += n
 		c.tick += n
-		sln.lru = c.tick
+		c.lines[src].lru = c.tick
 		c.clock.Charge(sim.CatAccess, t.CacheHit*n)
 
 		// Destination line: n writes of the just-read source words.
-		// Disjoint sets mean this cannot evict the source line, so sln
+		// Disjoint sets mean this cannot evict the source line, so src
 		// stays valid across the copy below.
 		dsi := c.setIndex(dva+arch.VA(off), dpa+off)
 		dtag := c.lineTag(dpa + off)
-		dln := c.lookup(dsi, dtag)
-		if dln == nil {
+		dst := c.lookup(dsi, dtag)
+		if dst < 0 {
 			c.stats.Misses++
 			c.stats.Hits += n - 1
-			dln = c.victim(dsi)
+			dst = c.victim(dsi)
+			dln := &c.lines[dst]
 			if dln.valid && dln.dirty {
-				c.mem.WriteLine(dln.tag, dln.data)
+				c.mem.WriteLine(dln.tag, c.words(dst))
 				c.stats.WriteBacks++
 				c.clock.Charge(sim.CatAccess, t.WriteBack)
 			}
 			if w != lineStart {
-				c.mem.ReadLine(dtag, dln.data)
+				c.mem.ReadLine(dtag, c.words(dst))
 			}
 			dln.valid = true
 			dln.dirty = false
@@ -158,9 +150,9 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 		}
 		c.stats.Writes += n
 		c.tick += n
-		dln.lru = c.tick
-		copy(dln.data[w-lineStart:end-lineStart], sln.data[w-lineStart:end-lineStart])
-		dln.dirty = true
+		c.lines[dst].lru = c.tick
+		copy(c.words(dst)[w-lineStart:end-lineStart], c.words(src)[w-lineStart:end-lineStart])
+		c.lines[dst].dirty = true
 		c.clock.Charge(sim.CatAccess, t.CacheHit*n)
 		w = end
 	}

@@ -22,6 +22,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"vcache/internal/arch"
 	"vcache/internal/mem"
@@ -96,20 +98,29 @@ type line struct {
 	valid bool
 	dirty bool
 	tag   arch.PA // line-aligned physical address
-	data  []uint64
 	lru   uint64
 }
 
 // Cache is a simulated cache. It is not safe for concurrent use.
+//
+// Lines are stored flat: way w of set s is line s*ways+w, and line i's
+// words are data[i<<wordShift:][:words per line]. Every size is a power
+// of two (arch.Geometry.Validate and New enforce it), so set selection,
+// tags and frame tests are shifts and masks.
 type Cache struct {
-	cfg   Config
-	geom  arch.Geometry
-	mem   *mem.Memory
-	clock *sim.Clock
-	sets  [][]line // sets[setIndex][way]
-	nsets uint64
-	tick  uint64
-	stats Stats
+	cfg       Config
+	geom      arch.Geometry
+	mem       *mem.Memory
+	clock     *sim.Clock
+	lines     []line
+	data      []uint64
+	ways      int
+	nsets     uint64
+	lineShift uint // log2(LineSize)
+	pageShift uint // log2(PageSize)
+	wordShift uint // log2(words per line)
+	tick      uint64
+	stats     Stats
 }
 
 // New builds a cache backed by memory m, charging cycles to clock.
@@ -126,17 +137,22 @@ func New(cfg Config, m *mem.Memory, clock *sim.Clock) (*Cache, error) {
 	if total%uint64(cfg.Ways) != 0 {
 		return nil, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, total, cfg.Ways)
 	}
-	nsets := total / uint64(cfg.Ways)
-	c := &Cache{cfg: cfg, geom: geom, mem: m, clock: clock, nsets: nsets}
-	c.sets = make([][]line, nsets)
-	for i := range c.sets {
-		ways := make([]line, cfg.Ways)
-		for w := range ways {
-			ways[w].data = make([]uint64, geom.WordsPerLine())
-		}
-		c.sets[i] = ways
+	if total < uint64(cfg.Ways) {
+		return nil, fmt.Errorf("cache %s: %d lines cannot fill %d ways", cfg.Name, total, cfg.Ways)
 	}
-	return c, nil
+	return &Cache{
+		cfg:       cfg,
+		geom:      geom,
+		mem:       m,
+		clock:     clock,
+		lines:     make([]line, total),
+		data:      make([]uint64, total*geom.WordsPerLine()),
+		ways:      cfg.Ways,
+		nsets:     total / uint64(cfg.Ways),
+		lineShift: uint(bits.TrailingZeros64(geom.LineSize)),
+		pageShift: uint(bits.TrailingZeros64(geom.PageSize)),
+		wordShift: uint(bits.TrailingZeros64(geom.WordsPerLine())),
+	}, nil
 }
 
 // Clone returns an independent copy of the cache wired to a forked
@@ -147,20 +163,8 @@ func (c *Cache) Clone(m *mem.Memory, clock *sim.Clock) *Cache {
 	c2 := *c
 	c2.mem = m
 	c2.clock = clock
-	wpl := c.geom.WordsPerLine()
-	backing := make([]uint64, uint64(len(c.sets))*uint64(c.cfg.Ways)*wpl)
-	c2.sets = make([][]line, len(c.sets))
-	for si := range c.sets {
-		ways := make([]line, len(c.sets[si]))
-		copy(ways, c.sets[si])
-		for w := range ways {
-			data := backing[:wpl:wpl]
-			backing = backing[wpl:]
-			copy(data, c.sets[si][w].data)
-			ways[w].data = data
-		}
-		c2.sets[si] = ways
-	}
+	c2.lines = slices.Clone(c.lines)
+	c2.data = slices.Clone(c.data)
 	return &c2
 }
 
@@ -172,60 +176,70 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // CachePages returns the number of page-sized slices of this cache
 // (i.e. the number of cache colors for page-granularity management).
-func (c *Cache) CachePages() uint64 { return c.cfg.Size / (c.geom.PageSize * uint64(c.cfg.Ways)) }
+func (c *Cache) CachePages() uint64 { return c.nsets >> (c.pageShift - c.lineShift) }
 
 // setIndex picks the set for an access at (va, pa).
 func (c *Cache) setIndex(va arch.VA, pa arch.PA) uint64 {
-	switch c.cfg.Indexing {
-	case VirtualIndex:
-		return (uint64(va) / c.geom.LineSize) % c.nsets
-	default:
-		return (uint64(pa) / c.geom.LineSize) % c.nsets
+	if c.cfg.Indexing == VirtualIndex {
+		return (uint64(va) >> c.lineShift) & (c.nsets - 1)
 	}
+	return (uint64(pa) >> c.lineShift) & (c.nsets - 1)
 }
 
 func (c *Cache) lineTag(pa arch.PA) arch.PA {
 	return pa &^ arch.PA(c.geom.LineSize-1)
 }
 
-// lookup returns the way holding pa's line in set si, or nil.
-func (c *Cache) lookup(si uint64, tag arch.PA) *line {
-	set := c.sets[si]
-	for w := range set {
-		if set[w].valid && set[w].tag == tag {
-			return &set[w]
-		}
-	}
-	return nil
+// words returns line i's data.
+func (c *Cache) words(i int) []uint64 {
+	lo := i << c.wordShift
+	return c.data[lo : lo+1<<c.wordShift]
 }
 
-// victim picks the replacement way in set si: an invalid way if any,
+// word returns the index in data of pa's word, held by line i.
+func (c *Cache) word(i int, pa arch.PA) int {
+	return i<<c.wordShift + int((uint64(pa)&(c.geom.LineSize-1))/arch.WordSize)
+}
+
+// lookup returns the line holding tag in set si, or -1.
+func (c *Cache) lookup(si uint64, tag arch.PA) int {
+	lo := int(si) * c.ways
+	for i := lo; i < lo+c.ways; i++ {
+		if c.lines[i].valid && c.lines[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// victim picks the replacement line in set si: an invalid way if any,
 // otherwise the least recently used.
-func (c *Cache) victim(si uint64) *line {
-	set := c.sets[si]
-	var lruWay *line
-	for w := range set {
-		if !set[w].valid {
-			return &set[w]
+func (c *Cache) victim(si uint64) int {
+	lo := int(si) * c.ways
+	v := lo
+	for i := lo; i < lo+c.ways; i++ {
+		if !c.lines[i].valid {
+			return i
 		}
-		if lruWay == nil || set[w].lru < lruWay.lru {
-			lruWay = &set[w]
+		if c.lines[i].lru < c.lines[v].lru {
+			v = i
 		}
 	}
-	return lruWay
+	return v
 }
 
-// fill loads the line containing pa into way ln, writing back the victim
+// fill loads the line tagged tag into line i, writing back the victim
 // if it is dirty. This write-back is where a stale dirty line can clobber
 // newer data in memory — the hazard the consistency algorithm must prevent
 // from ever being observed.
-func (c *Cache) fill(ln *line, tag arch.PA) {
+func (c *Cache) fill(i int, tag arch.PA) {
+	ln := &c.lines[i]
 	if ln.valid && ln.dirty {
-		c.mem.WriteLine(ln.tag, ln.data)
+		c.mem.WriteLine(ln.tag, c.words(i))
 		c.stats.WriteBacks++
 		c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
 	}
-	c.mem.ReadLine(tag, ln.data)
+	c.mem.ReadLine(tag, c.words(i))
 	ln.valid = true
 	ln.dirty = false
 	ln.tag = tag
@@ -248,21 +262,18 @@ func (c *Cache) Read(va arch.VA, pa arch.PA) (uint64, AccessInfo) {
 	si := c.setIndex(va, pa)
 	tag := c.lineTag(pa)
 	info := AccessInfo{}
-	ln := c.lookup(si, tag)
-	if ln == nil {
+	i := c.lookup(si, tag)
+	if i < 0 {
 		c.stats.Misses++
-		ln = c.victim(si)
-		if ln.valid && ln.dirty {
-			info.WroteBack = true
-		}
-		c.fill(ln, tag)
+		i = c.victim(si)
+		info.WroteBack = c.lines[i].valid && c.lines[i].dirty
+		c.fill(i, tag)
 	} else {
 		c.stats.Hits++
 		info.Hit = true
 	}
-	ln.lru = c.tick
-	off := (uint64(pa) - uint64(tag)) / arch.WordSize
-	return ln.data[off], info
+	c.lines[i].lru = c.tick
+	return c.data[c.word(i, pa)], info
 }
 
 // Write performs a CPU store of v at (va, pa).
@@ -276,27 +287,24 @@ func (c *Cache) Write(va arch.VA, pa arch.PA, v uint64) AccessInfo {
 	si := c.setIndex(va, pa)
 	tag := c.lineTag(pa)
 	info := AccessInfo{}
-	ln := c.lookup(si, tag)
-	if ln == nil {
+	i := c.lookup(si, tag)
+	if i < 0 {
 		c.stats.Misses++
-		ln = c.victim(si)
-		if ln.valid && ln.dirty {
-			info.WroteBack = true
-		}
-		c.fill(ln, tag)
+		i = c.victim(si)
+		info.WroteBack = c.lines[i].valid && c.lines[i].dirty
+		c.fill(i, tag)
 	} else {
 		c.stats.Hits++
 		info.Hit = true
 	}
-	ln.lru = c.tick
-	off := (uint64(pa) - uint64(tag)) / arch.WordSize
-	ln.data[off] = v
+	c.lines[i].lru = c.tick
+	c.data[c.word(i, pa)] = v
 	if c.cfg.Policy == WriteThrough {
 		c.mem.WriteWord(pa, v)
 		c.stats.WriteBacks++
 		c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
 	} else {
-		ln.dirty = true
+		c.lines[i].dirty = true
 	}
 	return info
 }
@@ -308,9 +316,10 @@ func (c *Cache) FlushLine(va arch.VA, pa arch.PA) bool {
 	si := c.setIndex(va, pa)
 	tag := c.lineTag(pa)
 	t := c.clock.Timing()
-	if ln := c.lookup(si, tag); ln != nil {
+	if i := c.lookup(si, tag); i >= 0 {
+		ln := &c.lines[i]
 		if ln.dirty {
-			c.mem.WriteLine(ln.tag, ln.data)
+			c.mem.WriteLine(ln.tag, c.words(i))
 			c.stats.WriteBacks++
 		}
 		ln.valid = false
@@ -328,9 +337,9 @@ func (c *Cache) PurgeLine(va arch.VA, pa arch.PA) bool {
 	si := c.setIndex(va, pa)
 	tag := c.lineTag(pa)
 	t := c.clock.Timing()
-	if ln := c.lookup(si, tag); ln != nil {
-		ln.valid = false
-		ln.dirty = false
+	if i := c.lookup(si, tag); i >= 0 {
+		c.lines[i].valid = false
+		c.lines[i].dirty = false
 		c.clock.Charge(sim.CatPurge, t.LinePurgeHit)
 		return true
 	}
@@ -345,11 +354,11 @@ func (c *Cache) PurgeLine(va arch.VA, pa arch.PA) bool {
 // physical address, so cp is ignored and the frame's own color is used.
 func (c *Cache) pageSets(cp arch.CachePage, f arch.PFN) (lo, hi uint64) {
 	if c.cfg.Indexing == PhysicalIndex {
-		cp = arch.CachePage(uint64(f) % c.CachePages())
+		cp = arch.CachePage(uint64(f) & (c.CachePages() - 1))
 	}
-	linesPerPage := c.geom.LinesPerPage()
-	lo = uint64(cp) * linesPerPage
-	hi = lo + linesPerPage
+	pageLines := c.pageShift - c.lineShift
+	lo = uint64(cp) << pageLines
+	hi = lo + 1<<pageLines
 	if hi > c.nsets {
 		panic(fmt.Sprintf("cache %s: cache page %d out of range", c.cfg.Name, cp))
 	}
@@ -358,7 +367,7 @@ func (c *Cache) pageSets(cp arch.CachePage, f arch.PFN) (lo, hi uint64) {
 
 // frameHolds reports whether tag lies within frame f.
 func (c *Cache) frameHolds(f arch.PFN, tag arch.PA) bool {
-	return c.geom.FrameOf(tag) == f
+	return uint64(tag)>>c.pageShift == uint64(f)
 }
 
 // FlushPage removes from cache page cp every line belonging to physical
@@ -385,11 +394,9 @@ func (c *Cache) PurgePage(cp arch.CachePage, f arch.PFN) {
 // "Initially, at power up, all cache lines for all virtual addresses are
 // in the empty state (the cache can be purged to ensure this)").
 func (c *Cache) PurgeAll() {
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			c.sets[si][w].valid = false
-			c.sets[si][w].dirty = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
+		c.lines[i].dirty = false
 	}
 }
 
@@ -400,15 +407,10 @@ func (c *Cache) PurgeAll() {
 // whether any such copy is dirty.
 func (c *Cache) Present(pa arch.PA) (present, dirty bool) {
 	tag := c.lineTag(pa)
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			ln := &c.sets[si][w]
-			if ln.valid && ln.tag == tag {
-				present = true
-				if ln.dirty {
-					dirty = true
-				}
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid && ln.tag == tag {
+			present = true
+			dirty = dirty || ln.dirty
 		}
 	}
 	return present, dirty
@@ -419,14 +421,11 @@ func (c *Cache) Present(pa arch.PA) (present, dirty bool) {
 // lost in either order — the alias hazard of Section 2.2.
 func (c *Cache) CopiesOf(pa arch.PA) (copies, dirty int) {
 	tag := c.lineTag(pa)
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			ln := &c.sets[si][w]
-			if ln.valid && ln.tag == tag {
-				copies++
-				if ln.dirty {
-					dirty++
-				}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid && ln.tag == tag {
+			copies++
+			if ln.dirty {
+				dirty++
 			}
 		}
 	}
@@ -435,12 +434,9 @@ func (c *Cache) CopiesOf(pa arch.PA) (copies, dirty int) {
 
 // DirtyInFrame reports whether any valid dirty line of frame f is cached.
 func (c *Cache) DirtyInFrame(f arch.PFN) bool {
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			ln := &c.sets[si][w]
-			if ln.valid && ln.dirty && c.frameHolds(f, ln.tag) {
-				return true
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid && ln.dirty && c.frameHolds(f, ln.tag) {
+			return true
 		}
 	}
 	return false
@@ -459,10 +455,10 @@ func (c *Cache) DirtyInFrame(f arch.PFN) bool {
 // cache holds the line dirty, it is written back to memory (and kept,
 // now clean) so the reader's fill observes current data.
 func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
-	if ln := c.lookup(si, tag); ln != nil && ln.dirty {
-		c.mem.WriteLine(ln.tag, ln.data)
+	if i := c.lookup(si, tag); i >= 0 && c.lines[i].dirty {
+		c.mem.WriteLine(tag, c.words(i))
 		c.stats.WriteBacks++
-		ln.dirty = false
+		c.lines[i].dirty = false
 	}
 }
 
@@ -470,13 +466,13 @@ func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
 // copy this cache holds is removed (written back first if dirty) so the
 // writer gains exclusive ownership.
 func (c *Cache) SnoopInvalidate(si uint64, tag arch.PA) {
-	if ln := c.lookup(si, tag); ln != nil {
-		if ln.dirty {
-			c.mem.WriteLine(ln.tag, ln.data)
+	if i := c.lookup(si, tag); i >= 0 {
+		if c.lines[i].dirty {
+			c.mem.WriteLine(tag, c.words(i))
 			c.stats.WriteBacks++
 		}
-		ln.valid = false
-		ln.dirty = false
+		c.lines[i].valid = false
+		c.lines[i].dirty = false
 	}
 }
 

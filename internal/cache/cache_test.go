@@ -8,7 +8,7 @@ import (
 	"vcache/internal/sim"
 )
 
-func testRig(t *testing.T, cfg Config) (*Cache, *mem.Memory, *sim.Clock) {
+func testRig(t testing.TB, cfg Config) (*Cache, *mem.Memory, *sim.Clock) {
 	t.Helper()
 	geom := arch.HP720()
 	clock := sim.NewClock(sim.HP720Timing())

@@ -74,13 +74,12 @@ func (c *Cache) FlushPageStage(cp arch.CachePage, f arch.PFN, st *Staged) {
 	st.cat = sim.CatFlush
 	lo, hi := c.pageSets(cp, f)
 	for si := lo; si < hi; si++ {
-		set := c.sets[si]
 		hit := false
-		for w := range set {
-			ln := &set[w]
+		for i := int(si) * c.ways; i < int(si+1)*c.ways; i++ {
+			ln := &c.lines[i]
 			if ln.valid && c.frameHolds(f, ln.tag) {
 				if ln.dirty {
-					st.lines = append(st.lines, stagedLine{tag: ln.tag, data: ln.data})
+					st.lines = append(st.lines, stagedLine{tag: ln.tag, data: c.words(i)})
 					c.stats.WriteBacks++
 				}
 				ln.valid = false
@@ -104,14 +103,11 @@ func (c *Cache) PurgePageStage(cp arch.CachePage, f arch.PFN, st *Staged) {
 	t := c.clock.Timing()
 	st.cat = sim.CatPurge
 	if c.cfg.ConstantPagePurge {
-		for si, hi := c.pageSets(cp, f); si < hi; si++ {
-			set := c.sets[si]
-			for w := range set {
-				ln := &set[w]
-				if ln.valid && c.frameHolds(f, ln.tag) {
-					ln.valid = false
-					ln.dirty = false
-				}
+		lo, hi := c.pageSets(cp, f)
+		for i := int(lo) * c.ways; i < int(hi)*c.ways; i++ {
+			if ln := &c.lines[i]; ln.valid && c.frameHolds(f, ln.tag) {
+				ln.valid = false
+				ln.dirty = false
 			}
 		}
 		st.cycles += t.ICachePagePurge
@@ -119,10 +115,9 @@ func (c *Cache) PurgePageStage(cp arch.CachePage, f arch.PFN, st *Staged) {
 	}
 	lo, hi := c.pageSets(cp, f)
 	for si := lo; si < hi; si++ {
-		set := c.sets[si]
 		hit := false
-		for w := range set {
-			ln := &set[w]
+		for i := int(si) * c.ways; i < int(si+1)*c.ways; i++ {
+			ln := &c.lines[i]
 			if ln.valid && c.frameHolds(f, ln.tag) {
 				ln.valid = false
 				ln.dirty = false

@@ -20,6 +20,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"vcache/internal/core"
@@ -42,6 +43,20 @@ type Scale struct {
 	// Factor multiplies the workload's intrinsic sizes (file counts,
 	// compile counts, loop iterations). 1.0 is full scale.
 	Factor float64
+}
+
+// maxFactor bounds Scale.Factor so that N cannot overflow: any base up
+// to math.MaxInt32 times 2^31 stays below 2^62.
+const maxFactor = 1 << 31
+
+// Validate reports an error unless Factor is finite, positive, and small
+// enough that N cannot overflow. Every surface that accepts a scale from
+// outside (CLI flags, service requests) checks it before running.
+func (s Scale) Validate() error {
+	if math.IsNaN(s.Factor) || s.Factor <= 0 || s.Factor > maxFactor {
+		return fmt.Errorf("scale must be a finite number in (0, %d], got %g", maxFactor, s.Factor)
+	}
+	return nil
 }
 
 // N scales an intrinsic workload size, never below 1.

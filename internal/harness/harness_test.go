@@ -3,6 +3,7 @@ package harness_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -251,5 +252,24 @@ func TestScaleN(t *testing.T) {
 	}
 	if n := (harness.Scale{Factor: 1.0}).N(100); n != 100 {
 		t.Errorf("full scale N = %d, want 100", n)
+	}
+}
+
+// TestScaleValidate: non-finite, non-positive and overflowing factors are
+// rejected; ordinary ones pass, and the largest accepted one keeps N from
+// overflowing for a base as large as math.MaxInt32.
+func TestScaleValidate(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e300, 1 << 32} {
+		if err := (harness.Scale{Factor: f}).Validate(); err == nil {
+			t.Errorf("Validate accepted factor %g", f)
+		}
+	}
+	for _, f := range []float64{0.001, 0.05, 1, 1e6, 1 << 31} {
+		if err := (harness.Scale{Factor: f}).Validate(); err != nil {
+			t.Errorf("Validate rejected factor %g: %v", f, err)
+		}
+	}
+	if n := (harness.Scale{Factor: 1 << 31}).N(math.MaxInt32); n <= 0 {
+		t.Errorf("largest accepted factor overflowed N: %d", n)
 	}
 }

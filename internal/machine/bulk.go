@@ -137,8 +137,8 @@ func (m *Machine) BulkCopyPage(space arch.SpaceID, sbase, dbase arch.VA) (uint64
 	if !sok || !dok || se.Uncached || de.Uncached {
 		return 1, nil
 	}
-	colors := cpu.DCache.CachePages()
-	if (uint64(sbase)/m.Geom.PageSize)%colors == (uint64(dbase)/m.Geom.PageSize)%colors {
+	colorMask := cpu.DCache.CachePages() - 1
+	if uint64(svpn)&colorMask == uint64(dvpn)&colorMask {
 		return 1, nil
 	}
 	words := m.Geom.WordsPerPage()

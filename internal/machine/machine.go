@@ -118,17 +118,6 @@ type CPU struct {
 	DCache *cache.Cache
 	ICache *cache.Cache
 	TLB    *tlb.TLB
-
-	// lastSpace/lastVPN/lastOK are the CPU's one-entry micro-TLB: the
-	// page of the most recent successful translation. A matching access
-	// probes the TLB with Touch (bookkeeping-identical to a Lookup hit)
-	// instead of the full map path. The key is only a hint — Touch
-	// re-verifies residency, so a stale hint costs one probe and is
-	// never a correctness problem, and the hint never needs explicit
-	// invalidation.
-	lastSpace arch.SpaceID
-	lastVPN   arch.VPN
-	lastOK    bool
 }
 
 // Machine is the simulated hardware. It is not safe for concurrent use;
@@ -163,19 +152,23 @@ type Machine struct {
 	// errors instead of livelock.
 	maxRetries int
 
-	// noFast disables the micro-TLB probe and the bulk page paths, for
-	// benchmarking the overhead they remove and for identity tests that
-	// pit the fast paths against the word-at-a-time reference.
+	// noFast disables the bulk page and DMA paths, for benchmarking the
+	// overhead they remove and for identity tests that pit the fast
+	// paths against the word-at-a-time reference.
 	noFast bool
 
-	// noBulk disables only the bulk page data paths, leaving the
-	// micro-TLB probe on. Set for consistency backends that have not
+	// noBulk disables only the bulk page data paths, leaving the DMA
+	// word-range moves on. Set for consistency backends that have not
 	// proven the bulk identity (Config.DisableBulkData).
 	noBulk bool
 
 	// parallel runs broadcast maintenance stages on one goroutine per
 	// CPU (Config.ParallelBroadcast with CPUs > 1).
 	parallel bool
+
+	// staged is the serial broadcast's reusable stage buffer, empty
+	// between operations, so page flushes and purges do not allocate.
+	staged cache.Staged
 }
 
 // Config sizes a machine.
@@ -197,13 +190,14 @@ type Config struct {
 	ICachePerLinePurge bool
 	WithOracle         bool
 	Timing             sim.Timing
-	// DisableFastPaths forces every access through the word-at-a-time
-	// reference pipeline (no micro-TLB probe, no bulk zero/copy/DMA
-	// paths). The fast paths are observation-identical, so this exists
-	// only for benchmarking them and for the identity tests proving it.
+	// DisableFastPaths forces every page zero, page copy and DMA
+	// transfer through the word-at-a-time reference pipeline (no bulk
+	// zero/copy/DMA paths). The fast paths are observation-identical, so
+	// this exists only for benchmarking them and for the identity tests
+	// proving it.
 	DisableFastPaths bool
 	// DisableBulkData disables only the bulk page zero/copy paths,
-	// keeping the micro-TLB probe. kernel.New sets it for any
+	// keeping the DMA word-range moves. kernel.New sets it for any
 	// consistency backend whose Backend.BulkEligible() is false — the
 	// guard that makes "ineligible backend" mean "provably on the exact
 	// slow path" rather than "hopefully unaffected".
@@ -310,9 +304,10 @@ func (m *Machine) Clone() *Machine {
 	m2.walker = nil
 	m2.handler = nil
 	m2.tracer = nil
+	m2.staged = cache.Staged{} // never share the buffer's backing array
 	m2.cpus = make([]CPU, len(m.cpus))
 	for i := range m.cpus {
-		c := m.cpus[i] // keeps the micro-TLB hint fields
+		c := m.cpus[i]
 		c.DCache = c.DCache.Clone(m2.Mem, m2.Clock)
 		c.ICache = c.ICache.Clone(m2.Mem, m2.Clock)
 		c.TLB = c.TLB.Clone(m2.Clock)
@@ -421,18 +416,19 @@ func (m *Machine) snoopInvalidate(va arch.VA, pa arch.PA) {
 
 // broadcast runs one staged maintenance operation on every CPU's cache
 // (pick selects data or instruction cache). The serial form stages and
-// applies per CPU in index order — exactly the old per-CPU loop. The
-// parallel form (Config.ParallelBroadcast) stages concurrently, one
-// goroutine per CPU, then applies serially in CPU index order after the
-// barrier; cache.Staged's invariants make the two forms byte-identical,
-// so ParallelBroadcast never appears in a result or a snapshot key's
-// meaningful state.
-func (m *Machine) broadcast(pick func(*CPU) *cache.Cache, stage func(*cache.Cache, *cache.Staged)) {
+// applies per CPU in index order — exactly the old per-CPU loop — through
+// the machine's reusable stage buffer. The parallel form
+// (Config.ParallelBroadcast) stages concurrently, one goroutine per CPU,
+// then applies serially in CPU index order after the barrier;
+// cache.Staged's invariants make the two forms byte-identical, so
+// ParallelBroadcast never appears in a result or a snapshot key's
+// meaningful state. pick and stage are static functions and the page
+// arguments travel separately, so the serial form allocates nothing.
+func (m *Machine) broadcast(pick func(*CPU) *cache.Cache, stage func(*cache.Cache, arch.CachePage, arch.PFN, *cache.Staged), cp arch.CachePage, f arch.PFN) {
 	if !m.parallel {
-		var st cache.Staged
 		for i := range m.cpus {
-			stage(pick(&m.cpus[i]), &st)
-			st.Apply(m.Mem, m.Clock)
+			stage(pick(&m.cpus[i]), cp, f, &m.staged)
+			m.staged.Apply(m.Mem, m.Clock)
 		}
 		return
 	}
@@ -442,7 +438,7 @@ func (m *Machine) broadcast(pick func(*CPU) *cache.Cache, stage func(*cache.Cach
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			stage(pick(&m.cpus[i]), &staged[i])
+			stage(pick(&m.cpus[i]), cp, f, &staged[i])
 		}(i)
 	}
 	wg.Wait()
@@ -456,28 +452,22 @@ func icacheOf(c *CPU) *cache.Cache { return c.ICache }
 
 // FlushDPage flushes frame f's lines from data-cache page cp on every CPU.
 func (m *Machine) FlushDPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(dcacheOf, func(c *cache.Cache, st *cache.Staged) {
-		c.FlushPageStage(cp, f, st)
-	})
+	m.broadcast(dcacheOf, (*cache.Cache).FlushPageStage, cp, f)
 }
 
 // PurgeDPage purges frame f's lines from data-cache page cp on every CPU.
 func (m *Machine) PurgeDPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(dcacheOf, func(c *cache.Cache, st *cache.Staged) {
-		c.PurgePageStage(cp, f, st)
-	})
+	m.broadcast(dcacheOf, (*cache.Cache).PurgePageStage, cp, f)
 }
 
 // PurgeIPage purges frame f's lines from instruction-cache page cp on
 // every CPU.
 func (m *Machine) PurgeIPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(icacheOf, func(c *cache.Cache, st *cache.Staged) {
-		c.PurgePageStage(cp, f, st)
-	})
+	m.broadcast(icacheOf, (*cache.Cache).PurgePageStage, cp, f)
 }
 
 // InvalidateTLB drops (space, vpn) from every CPU's TLB. Kept serial
-// even under ParallelBroadcast: the per-TLB work is a map delete,
+// even under ParallelBroadcast: the per-TLB work is an index delete,
 // far below the grain where a goroutine pays for itself, and it touches
 // no shared state to stage.
 func (m *Machine) InvalidateTLB(space arch.SpaceID, vpn arch.VPN) {
@@ -508,22 +498,7 @@ func (m *Machine) translate(space arch.SpaceID, va arch.VA, acc Access) (arch.PA
 	for try := 0; try <= m.maxRetries; try++ {
 		// Re-resolve the CPU each retry: the fault handler may context
 		// switch.
-		cpu := m.cpu()
-		var e tlb.Entry
-		ok := false
-		// Micro-TLB: when this CPU's last translation was for the same
-		// page, probe the TLB with Touch — bookkeeping-identical to a
-		// Lookup hit — skipping the map lookup that straight-line page
-		// loops would otherwise pay on every access. A failed probe
-		// (entry since evicted or shot down) falls through to the full
-		// Lookup, whose miss handling is then identical to the path
-		// without the probe.
-		if try == 0 && !m.noFast && cpu.lastOK && cpu.lastSpace == space && cpu.lastVPN == vpn {
-			e, ok = cpu.TLB.Touch(space, vpn)
-		}
-		if !ok {
-			e, ok = cpu.TLB.Lookup(space, vpn, m.walker)
-		}
+		e, ok := m.cpu().TLB.Lookup(space, vpn, m.walker)
 		var kind FaultKind
 		switch {
 		case !ok:
@@ -535,7 +510,6 @@ func (m *Machine) translate(space arch.SpaceID, va arch.VA, acc Access) (arch.PA
 		case acc == AccessWrite && e.NeedModTrap:
 			kind = FaultModify
 		default:
-			cpu.lastSpace, cpu.lastVPN, cpu.lastOK = space, vpn, true
 			return m.Geom.Translate(va, e.PFN), e.Uncached, nil
 		}
 		f := Fault{Space: space, VA: va, Access: acc, Kind: kind}

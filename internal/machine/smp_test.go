@@ -267,3 +267,29 @@ func TestSetCurrentCPUPanicsOutOfRange(t *testing.T) {
 		t.Errorf("CurrentCPU = %d, want 1", m.CurrentCPU())
 	}
 }
+
+// TestSerialBroadcastAllocationFree: the serial broadcast's flush and
+// purges reuse the machine's stage buffer and pass static functions, so
+// once warmed up a page flush with dirty lines and both purges allocate
+// nothing, on one CPU and on several.
+func TestSerialBroadcastAllocationFree(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		m, _ := newSMP(t, cpus)
+		va := m.Geom.PageBase(2)
+		pa := m.Geom.FrameBase(2)
+		allocs := testing.AllocsPerRun(20, func() {
+			for off := uint64(0); off < m.Geom.PageSize; off += m.Geom.LineSize {
+				m.DCache.Write(va+arch.VA(off), pa+arch.PA(off), off)
+			}
+			m.FlushDPage(m.Geom.DCachePageOf(va), 2)
+			m.PurgeDPage(m.Geom.DCachePageOf(va), 2)
+			m.PurgeIPage(m.Geom.ICachePageOf(va), 2)
+		})
+		if allocs != 0 {
+			t.Errorf("%d CPUs: %v allocations per flush+purge round, want 0", cpus, allocs)
+		}
+		if m.Mem.ReadWord(pa+arch.PA(m.Geom.LineSize)) != m.Geom.LineSize {
+			t.Errorf("%d CPUs: flush did not write the dirty lines back", cpus)
+		}
+	}
+}

@@ -150,3 +150,52 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 	m.ReadWord(arch.PA(2 * m.geom.PageSize))
 }
+
+// TestUnwrittenPagesReadZero: a page is allocated on its first write.
+// Until then every read path returns zeros, the page does not count as
+// shared, and a fork's first write to it starts from zeros too.
+func TestUnwrittenPagesReadZero(t *testing.T) {
+	m := testMem(t, 4)
+	wpp := m.geom.WordsPerPage()
+	m.WriteWord(arch.PA(2*m.geom.PageSize+8), 5)
+	if got := m.ReadWord(arch.PA(m.geom.PageSize)); got != 0 {
+		t.Fatalf("unwritten word reads %d", got)
+	}
+	line := []uint64{9, 9, 9, 9}
+	m.ReadLine(arch.PA(m.geom.PageSize+32), line)
+	for i, v := range line {
+		if v != 0 {
+			t.Fatalf("unwritten line word %d reads %d", i, v)
+		}
+	}
+	// Frames 1 (unwritten) and 2 (written) in one transfer.
+	words := make([]uint64, 2*wpp)
+	for i := range words {
+		words[i] = 9
+	}
+	m.ReadWords(arch.PA(m.geom.PageSize), words)
+	for i, v := range words {
+		want := uint64(0)
+		if uint64(i) == wpp+1 {
+			want = 5
+		}
+		if v != want {
+			t.Fatalf("transfer word %d reads %d, want %d", i, v, want)
+		}
+	}
+	m.Freeze()
+	if got := m.SharedPages(); got != 0 {
+		t.Fatalf("frozen image reports %d shared pages", got)
+	}
+	c := m.Fork()
+	if got := c.SharedPages(); got != 1 {
+		t.Fatalf("fork shares %d pages, want only the written one", got)
+	}
+	c.WriteWord(arch.PA(3*m.geom.PageSize), 7)
+	if c.ReadWord(arch.PA(3*m.geom.PageSize)) != 7 || c.ReadWord(arch.PA(3*m.geom.PageSize+8)) != 0 {
+		t.Fatal("fork's first write to an unwritten page did not start from zeros")
+	}
+	if m.ReadWord(arch.PA(3*m.geom.PageSize)) != 0 {
+		t.Fatal("fork write reached the frozen image")
+	}
+}

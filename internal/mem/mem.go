@@ -12,7 +12,8 @@
 // page between parent and child and the first write to a shared page
 // privatizes just that page. A forked machine therefore costs O(dirtied
 // pages), not O(memory) — the mechanism behind kernel snapshots and the
-// harness's warm-boot path.
+// harness's warm-boot path. A page is allocated on its first write and
+// reads as zero until then, so a machine costs O(written pages) to boot.
 //
 // The allocator supports two modes mirroring the paper's Section 5.1
 // discussion: a single free list (frames come back in effectively random
@@ -35,11 +36,12 @@ type Memory struct {
 	wshift uint // log2(words per page)
 	wmask  uint64
 
-	// pages holds one word slice per physical frame. owned[i] reports
-	// whether this Memory may write pages[i] in place; a page inherited
-	// from a Fork is shared (owned=false) until the first write copies
-	// it. frozen marks a snapshot image: Fork leaves a frozen parent
-	// untouched, so any number of forks may be taken concurrently.
+	// pages holds one word slice per physical frame, nil until the
+	// frame's first write. owned[i] reports whether this Memory may write
+	// pages[i] in place; a page inherited from a Fork is shared
+	// (owned=false) until the first write copies it. frozen marks a
+	// snapshot image: Fork leaves a frozen parent untouched, so any
+	// number of forks may be taken concurrently.
 	pages  [][]uint64
 	owned  []bool
 	frozen bool
@@ -54,23 +56,14 @@ func New(geom arch.Geometry, frames int) (*Memory, error) {
 		return nil, fmt.Errorf("mem: frame count must be positive, got %d", frames)
 	}
 	wpp := geom.WordsPerPage()
-	m := &Memory{
+	return &Memory{
 		geom:   geom,
 		nwords: uint64(frames) * wpp,
 		wshift: uint(bits.TrailingZeros64(wpp)),
 		wmask:  wpp - 1,
 		pages:  make([][]uint64, frames),
 		owned:  make([]bool, frames),
-	}
-	// One backing allocation, carved into per-frame pages: a fresh
-	// (never forked) memory is as contiguous as the old flat layout.
-	backing := make([]uint64, m.nwords)
-	for i := range m.pages {
-		m.pages[i] = backing[:wpp:wpp]
-		backing = backing[wpp:]
-		m.owned[i] = true
-	}
-	return m, nil
+	}, nil
 }
 
 // Frames returns the number of physical frames.
@@ -88,14 +81,14 @@ func (m *Memory) wordIndex(pa arch.PA) uint64 {
 }
 
 // privatize makes page pg writable by this Memory, copying it first if
-// it is still shared with a fork parent or sibling.
+// it is still shared with a fork parent or sibling, or allocating it
+// zeroed on its first write.
 func (m *Memory) privatize(pg uint64) {
 	if m.owned[pg] {
 		return
 	}
-	shared := m.pages[pg]
-	private := make([]uint64, len(shared))
-	copy(private, shared)
+	private := make([]uint64, m.wmask+1)
+	copy(private, m.pages[pg])
 	m.pages[pg] = private
 	m.owned[pg] = true
 }
@@ -128,13 +121,13 @@ func (m *Memory) Fork() *Memory {
 // must not write a frozen memory (the snapshot kernel is never run).
 func (m *Memory) Freeze() { m.frozen = true }
 
-// SharedPages reports how many pages are still shared with a fork
-// parent or sibling (not privately owned) — the complement of the fork's
-// copy-on-write cost so far.
+// SharedPages reports how many written pages are still shared with a
+// fork parent or sibling (not privately owned) — the complement of the
+// fork's copy-on-write cost so far.
 func (m *Memory) SharedPages() int {
 	n := 0
-	for _, o := range m.owned {
-		if !o {
+	for i, o := range m.owned {
+		if !o && m.pages[i] != nil {
 			n++
 		}
 	}
@@ -147,7 +140,10 @@ func (m *Memory) Bytes() int64 { return int64(m.nwords) * arch.WordSize }
 // ReadWord returns the word at physical address pa (word-aligned).
 func (m *Memory) ReadWord(pa arch.PA) uint64 {
 	idx := m.wordIndex(pa)
-	return m.pages[idx>>m.wshift][idx&m.wmask]
+	if pg := m.pages[idx>>m.wshift]; pg != nil {
+		return pg[idx&m.wmask]
+	}
+	return 0
 }
 
 // WriteWord stores v at physical address pa (word-aligned).
@@ -164,7 +160,11 @@ func (m *Memory) WriteWord(pa arch.PA, v uint64) {
 func (m *Memory) ReadLine(pa arch.PA, dst []uint64) {
 	idx := m.wordIndex(pa)
 	off := idx & m.wmask
-	copy(dst, m.pages[idx>>m.wshift][off:off+uint64(len(dst))])
+	if pg := m.pages[idx>>m.wshift]; pg != nil {
+		copy(dst, pg[off:off+uint64(len(dst))])
+	} else {
+		clear(dst)
+	}
 }
 
 // WriteLine stores the cache line src starting at physical address pa.
@@ -183,11 +183,15 @@ func (m *Memory) ReadWords(pa arch.PA, dst []uint64) {
 	idx := m.wordIndex(pa)
 	for len(dst) > 0 {
 		pg, off := idx>>m.wshift, idx&m.wmask
-		n := uint64(len(m.pages[pg])) - off
+		n := m.wmask + 1 - off
 		if n > uint64(len(dst)) {
 			n = uint64(len(dst))
 		}
-		copy(dst[:n], m.pages[pg][off:off+n])
+		if page := m.pages[pg]; page != nil {
+			copy(dst[:n], page[off:off+n])
+		} else {
+			clear(dst[:n])
+		}
 		dst = dst[n:]
 		idx += n
 		if len(dst) > 0 && idx >= m.nwords {
@@ -202,7 +206,7 @@ func (m *Memory) WriteWords(pa arch.PA, src []uint64) {
 	for len(src) > 0 {
 		pg, off := idx>>m.wshift, idx&m.wmask
 		m.privatize(pg)
-		n := uint64(len(m.pages[pg])) - off
+		n := m.wmask + 1 - off
 		if n > uint64(len(src)) {
 			n = uint64(len(src))
 		}

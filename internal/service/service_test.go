@@ -343,6 +343,22 @@ func TestInvalidRequests(t *testing.T) {
 	}
 }
 
+// TestHugeScaleRejectedWithoutCap: with no MaxScale configured, a scale
+// that would overflow the workload sizes is still a 400 JSON error, not
+// a run.
+func TestHugeScaleRejectedWithoutCap(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Shutdown(context.Background())
+
+	status, _, body := postRun(t, srv, RunRequest{Workload: "kernel-build", Config: "F", Scale: 1e300})
+	var e httpError
+	if status != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "scale") {
+		t.Fatalf("scale 1e300: status %d body %s, want 400 with a scale error", status, body)
+	}
+}
+
 // waitFor polls cond for up to 30s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"vcache/internal/harness"
@@ -125,8 +124,8 @@ func Resolve(req RunRequest) (*Resolved, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
-		return nil, fmt.Errorf("scale must be a positive number, got %v", req.Scale)
+	if err := (workload.Scale{Factor: scale}).Validate(); err != nil {
+		return nil, err
 	}
 	cpus := req.CPUs
 	if cpus == 0 {

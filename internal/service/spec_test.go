@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,9 @@ func TestResolveValidation(t *testing.T) {
 		{"missing config", RunRequest{Workload: "kernel-build"}, "missing config"},
 		{"unknown config", RunRequest{Workload: "kernel-build", Config: "Z"}, "unknown config"},
 		{"negative scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: -0.5}, "scale"},
+		{"NaN scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: math.NaN()}, "scale"},
+		{"infinite scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: math.Inf(1)}, "scale"},
+		{"overflowing scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: 1e300}, "scale"},
 		{"bad cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: -1}, "cpus"},
 		{"bad frames", RunRequest{Workload: "kernel-build", Config: "F", Frames: -4}, "frames"},
 		{"bad timeout", RunRequest{Workload: "kernel-build", Config: "F", TimeoutMS: -1}, "timeout_ms"},

@@ -75,8 +75,10 @@ func NewClock(t Timing) *Clock {
 	return &Clock{timing: t}
 }
 
-// Timing returns the profile the clock was built with.
-func (c *Clock) Timing() Timing { return c.timing }
+// Timing returns the profile the clock was built with. It is a pointer
+// so the per-access charges read one field instead of copying the whole
+// profile; callers must not modify it.
+func (c *Clock) Timing() *Timing { return &c.timing }
 
 // Charge adds n cycles in the given category.
 func (c *Clock) Charge(cat Category, n uint64) {

@@ -10,6 +10,9 @@
 package tlb
 
 import (
+	"math/bits"
+	"slices"
+
 	"vcache/internal/arch"
 	"vcache/internal/sim"
 )
@@ -41,13 +44,9 @@ type Walker interface {
 	Walk(space arch.SpaceID, vpn arch.VPN) (Entry, bool)
 }
 
-type key struct {
+type slot struct {
 	space arch.SpaceID
 	vpn   arch.VPN
-}
-
-type slot struct {
-	key   key
 	entry Entry
 	valid bool
 	lru   uint64
@@ -64,14 +63,20 @@ type Stats struct {
 // TLB is a fully associative, LRU-replaced translation cache.
 // It is not safe for concurrent use.
 //
-// A one-entry last-translation cache (last/lastValid) fronts the map:
-// straight-line page loops hit the same slot on every access, so the
-// common case skips the map lookup entirely. The fast path is pure
-// mechanism — hits through it perform exactly the bookkeeping (tick,
-// stats, LRU stamp) of a map hit.
+// The valid slots are found through an open-addressed hash table
+// (index): a power-of-two array of at least twice as many cells as
+// slots, probed linearly from a multiplicative hash of (space, vpn).
+// Each cell holds a slot number plus one, 0 meaning empty; deletion
+// shifts the rest of the probe run back, so the table never holds
+// tombstones. A one-entry last-translation cache (last/lastValid)
+// fronts the table: straight-line page loops hit the same slot on every
+// access. Both are pure mechanism — replacement still scans slots by
+// LRU stamp, and every hit does the same bookkeeping (tick, stats, LRU
+// stamp) however it was found.
 type TLB struct {
 	slots []slot
-	index map[key]int
+	index []int32
+	shift uint // 64 - log2(len(index)): the hash keeps the top bits
 	clock *sim.Clock
 	tick  uint64
 	stats Stats
@@ -88,9 +93,11 @@ func New(entries int, clock *sim.Clock) *TLB {
 	if entries <= 0 {
 		entries = 96 // the PA7000's combined TLB size class
 	}
+	logCells := bits.Len(uint(2*entries - 1)) // 2^logCells >= 2*entries
 	return &TLB{
 		slots: make([]slot, entries),
-		index: make(map[key]int, entries),
+		index: make([]int32, 1<<logCells),
+		shift: uint(64 - logCells),
 		clock: clock,
 	}
 }
@@ -105,27 +112,47 @@ func (t *TLB) Stats() Stats { return t.stats }
 func (t *TLB) Clone(clock *sim.Clock) *TLB {
 	t2 := *t
 	t2.clock = clock
-	t2.slots = append([]slot(nil), t.slots...)
-	t2.index = make(map[key]int, len(t.index))
-	for k, i := range t.index {
-		t2.index[k] = i
-	}
+	t2.slots = slices.Clone(t.slots)
+	t2.index = slices.Clone(t.index)
 	return &t2
+}
+
+// home is the index cell where (space, vpn)'s probe run starts.
+func (t *TLB) home(space arch.SpaceID, vpn arch.VPN) int {
+	return int(((uint64(vpn) ^ uint64(space)<<40) * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns the slot holding (space, vpn), or -1. The index is at
+// most half full, so every probe run ends at an empty cell.
+func (t *TLB) find(space arch.SpaceID, vpn arch.VPN) int {
+	mask := len(t.index) - 1
+	for h := t.home(space, vpn); ; h = (h + 1) & mask {
+		c := t.index[h]
+		if c == 0 {
+			return -1
+		}
+		if s := &t.slots[c-1]; s.vpn == vpn && s.space == space {
+			return int(c - 1)
+		}
+	}
+}
+
+// resident returns the slot holding (space, vpn), or -1, trying the
+// last-translation cache before the index.
+func (t *TLB) resident(space arch.SpaceID, vpn arch.VPN) int {
+	if t.lastValid {
+		if s := &t.slots[t.last]; s.valid && s.vpn == vpn && s.space == space {
+			return t.last
+		}
+	}
+	return t.find(space, vpn)
 }
 
 // Lookup translates (space, vpn), walking the page tables via w on a
 // miss. ok=false means no translation exists.
 func (t *TLB) Lookup(space arch.SpaceID, vpn arch.VPN, w Walker) (Entry, bool) {
 	t.tick++
-	k := key{space, vpn}
-	if t.lastValid {
-		if s := &t.slots[t.last]; s.valid && s.key == k {
-			t.stats.Hits++
-			s.lru = t.tick
-			return s.entry, true
-		}
-	}
-	if i, hit := t.index[k]; hit {
+	if i := t.resident(space, vpn); i >= 0 {
 		t.stats.Hits++
 		t.slots[i].lru = t.tick
 		t.last, t.lastValid = i, true
@@ -137,31 +164,8 @@ func (t *TLB) Lookup(space arch.SpaceID, vpn arch.VPN, w Walker) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	t.insert(k, e)
+	t.insert(space, vpn, e)
 	return e, true
-}
-
-// Touch is the micro-TLB probe: if (space, vpn) is resident it performs
-// the exact bookkeeping of a Lookup hit (tick, hit count, LRU stamp) and
-// returns the entry; if not it does nothing and reports ok=false, and
-// the caller must fall back to a full Lookup (whose miss bookkeeping
-// then matches the slow path exactly). No page-table walk ever happens
-// here, so the referenced bit is untouched — just like a hardware hit.
-func (t *TLB) Touch(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
-	k := key{space, vpn}
-	var i int
-	if t.lastValid && t.slots[t.last].valid && t.slots[t.last].key == k {
-		i = t.last
-	} else if j, hit := t.index[k]; hit {
-		i = j
-	} else {
-		return Entry{}, false
-	}
-	t.tick++
-	t.stats.Hits++
-	t.slots[i].lru = t.tick
-	t.last, t.lastValid = i, true
-	return t.slots[i].entry, true
 }
 
 // Peek reports the resident translation for (space, vpn) without any
@@ -170,7 +174,7 @@ func (t *TLB) Touch(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
 // the first word's full access has refilled the TLB; the accesses they
 // then model in bulk go through TouchRepeat, which does the accounting.
 func (t *TLB) Peek(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
-	if i, ok := t.index[key{space, vpn}]; ok {
+	if i := t.find(space, vpn); i >= 0 {
 		return t.slots[i].entry, true
 	}
 	return Entry{}, false
@@ -188,13 +192,8 @@ func (t *TLB) TouchRepeat(space arch.SpaceID, vpn arch.VPN, n uint64) bool {
 	if n == 0 {
 		return true
 	}
-	k := key{space, vpn}
-	var i int
-	if t.lastValid && t.slots[t.last].valid && t.slots[t.last].key == k {
-		i = t.last
-	} else if j, hit := t.index[k]; hit {
-		i = j
-	} else {
+	i := t.resident(space, vpn)
+	if i < 0 {
 		return false
 	}
 	t.tick += n
@@ -204,7 +203,7 @@ func (t *TLB) TouchRepeat(space arch.SpaceID, vpn arch.VPN, n uint64) bool {
 	return true
 }
 
-func (t *TLB) insert(k key, e Entry) {
+func (t *TLB) insert(space arch.SpaceID, vpn arch.VPN, e Entry) {
 	victim := 0
 	for i := range t.slots {
 		if !t.slots[i].valid {
@@ -216,25 +215,54 @@ func (t *TLB) insert(k key, e Entry) {
 		}
 	}
 	t.stats.Evictions++
-	delete(t.index, t.slots[victim].key)
+	t.unindex(victim)
 place:
-	t.slots[victim] = slot{key: k, entry: e, valid: true, lru: t.tick}
-	t.index[k] = victim
+	t.slots[victim] = slot{space: space, vpn: vpn, entry: e, valid: true, lru: t.tick}
+	mask := len(t.index) - 1
+	h := t.home(space, vpn)
+	for t.index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	t.index[h] = int32(victim + 1)
 	t.last, t.lastValid = victim, true
+}
+
+// unindex removes valid slot i from the index by backward shift: each
+// later cell of the probe run moves into the hole when the hole lies
+// between that cell's home and the cell itself, so every remaining
+// entry stays reachable from its home without tombstones.
+func (t *TLB) unindex(i int) {
+	mask := len(t.index) - 1
+	hole := t.home(t.slots[i].space, t.slots[i].vpn)
+	for t.index[hole] != int32(i+1) {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		s := &t.slots[t.index[j]-1]
+		if (j-t.home(s.space, s.vpn))&mask >= (j-hole)&mask {
+			t.index[hole] = t.index[j]
+			hole = j
+		}
+	}
+	t.index[hole] = 0
+}
+
+// drop invalidates valid slot i.
+func (t *TLB) drop(i int) {
+	t.unindex(i)
+	t.slots[i].valid = false
+	if t.last == i {
+		t.lastValid = false
+	}
 }
 
 // InvalidatePage drops any cached translation for (space, vpn). The pmap
 // layer must call this whenever it changes that page's mapping,
 // protection, or modify-trap state.
 func (t *TLB) InvalidatePage(space arch.SpaceID, vpn arch.VPN) {
-	k := key{space, vpn}
-	if i, ok := t.index[k]; ok {
+	if i := t.find(space, vpn); i >= 0 {
 		t.stats.Shootdowns++
-		t.slots[i].valid = false
-		delete(t.index, k)
-		if t.last == i {
-			t.lastValid = false
-		}
+		t.drop(i)
 	}
 }
 
@@ -246,12 +274,8 @@ func (t *TLB) InvalidatePage(space arch.SpaceID, vpn arch.VPN) {
 func (t *TLB) InvalidateSpace(space arch.SpaceID) {
 	t.stats.Shootdowns++
 	for i := range t.slots {
-		if t.slots[i].valid && t.slots[i].key.space == space {
-			t.slots[i].valid = false
-			delete(t.index, t.slots[i].key)
-			if t.last == i {
-				t.lastValid = false
-			}
+		if t.slots[i].valid && t.slots[i].space == space {
+			t.drop(i)
 		}
 	}
 }
@@ -262,6 +286,6 @@ func (t *TLB) InvalidateAll() {
 	for i := range t.slots {
 		t.slots[i].valid = false
 	}
-	t.index = make(map[key]int, len(t.slots))
+	clear(t.index)
 	t.lastValid = false
 }
