@@ -40,13 +40,14 @@ func BenchmarkRead(b *testing.B) {
 	})
 }
 
-// BenchmarkFlushPage times a page flush: "clean" flushes a page with no
-// line of the frame resident (the scan alone), "dirty" first dirties
-// every line of the page with one store each, so each iteration also
-// pays those stores and the page's write-backs.
+// BenchmarkFlushPage times a page flush: "absent" flushes a page with no
+// line of the frame resident (the residency count answers without a
+// scan), "dirty" first dirties every line of the page with one store
+// each, so each iteration also pays those stores and the page's
+// write-backs.
 func BenchmarkFlushPage(b *testing.B) {
 	geom := arch.HP720()
-	b.Run("clean", func(b *testing.B) {
+	b.Run("absent", func(b *testing.B) {
 		c, _, _ := testRig(b, Config{Name: "d"})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -64,4 +65,50 @@ func BenchmarkFlushPage(b *testing.B) {
 			c.FlushPage(3, 3)
 		}
 	})
+}
+
+// BenchmarkPurgePage times a page purge: "absent" purges a frame with no
+// resident line, "one-line" first reads one line of the frame into the
+// purged page, and "full" first reads every line of the page, so those
+// iterations also pay the reads (all misses).
+func BenchmarkPurgePage(b *testing.B) {
+	geom := arch.HP720()
+	base := geom.FrameBase(3)
+	for _, tc := range []struct {
+		name  string
+		lines uint64
+	}{{"absent", 0}, {"one-line", 1}, {"full", geom.PageSize / geom.LineSize}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, _, _ := testRig(b, Config{Name: "d"})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for l := uint64(0); l < tc.lines; l++ {
+					off := l * geom.LineSize
+					v, _ := c.Read(arch.VA(base)+arch.VA(off), base+arch.PA(off))
+					sink += v
+				}
+				c.PurgePage(3, 3)
+			}
+		})
+	}
+}
+
+// BenchmarkSnoop times a peer's read snoop: "absent" snoops a line of a
+// frame the cache holds nothing of (the residency filter answers),
+// "resident" snoops a clean line the cache holds, so the set lookup runs.
+func BenchmarkSnoop(b *testing.B) {
+	c, _, _ := testRig(b, Config{Name: "d"})
+	c.Read(0x100, 0x100)
+	si, held := c.AccessIndex(0x100, 0x100), c.Tag(0x100)
+	absent := held + arch.PA(arch.HP720().PageSize)
+	for _, tc := range []struct {
+		name string
+		tag  arch.PA
+	}{{"absent", absent}, {"resident", held}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.SnoopRead(si, tc.tag)
+			}
+		})
+	}
 }

@@ -53,26 +53,13 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 			c.stats.Misses++
 			c.stats.Hits += n - 1
 			i = c.victim(si)
-			ln := &c.lines[i]
-			if ln.valid && ln.dirty {
-				c.mem.WriteLine(ln.tag, c.words(i))
-				c.stats.WriteBacks++
-				c.clock.Charge(sim.CatAccess, t.WriteBack)
-			}
-			if w != lineStart {
-				// Partial line: preserve the words the per-word fill
-				// would have brought in. (Unreachable for a full page —
-				// word 0 keeps the first line resident — kept for
-				// exactness on any caller.)
-				c.mem.ReadLine(tag, c.words(i))
-			}
 			// For a full line the fill data is dead — every word is
 			// about to be overwritten — so the memory read is skipped;
-			// its cycle charge is not.
-			ln.valid = true
-			ln.dirty = false
-			ln.tag = tag
-			c.clock.Charge(sim.CatAccess, t.CacheMissFill)
+			// its cycle charge is not. A partial line keeps the words the
+			// per-word fill would have brought in. (Unreachable for a full
+			// page — word 0 keeps the first line resident — kept for
+			// exactness on any caller.)
+			c.fill(i, tag, w != lineStart)
 		} else {
 			c.stats.Hits += n
 		}
@@ -113,7 +100,7 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 			c.stats.Misses++
 			c.stats.Hits += n - 1
 			src = c.victim(ssi)
-			c.fill(src, stag)
+			c.fill(src, stag, true)
 		} else {
 			c.stats.Hits += n
 		}
@@ -132,19 +119,7 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 			c.stats.Misses++
 			c.stats.Hits += n - 1
 			dst = c.victim(dsi)
-			dln := &c.lines[dst]
-			if dln.valid && dln.dirty {
-				c.mem.WriteLine(dln.tag, c.words(dst))
-				c.stats.WriteBacks++
-				c.clock.Charge(sim.CatAccess, t.WriteBack)
-			}
-			if w != lineStart {
-				c.mem.ReadLine(dtag, c.words(dst))
-			}
-			dln.valid = true
-			dln.dirty = false
-			dln.tag = dtag
-			c.clock.Charge(sim.CatAccess, t.CacheMissFill)
+			c.fill(dst, dtag, w != lineStart)
 		} else {
 			c.stats.Hits += n
 		}

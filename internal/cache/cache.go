@@ -107,6 +107,11 @@ type line struct {
 // words are data[i<<wordShift:][:words per line]. Every size is a power
 // of two (arch.Geometry.Validate and New enforce it), so set selection,
 // tags and frame tests are shifts and masks.
+//
+// resident[f] counts the valid lines of physical frame f — the reverse
+// index a page flush or purge, and a peer snoop, consult before scanning
+// (a frame with no resident line needs no scan at all). fill is the only
+// place a line becomes valid; every invalidation decrements the count.
 type Cache struct {
 	cfg       Config
 	geom      arch.Geometry
@@ -114,6 +119,7 @@ type Cache struct {
 	clock     *sim.Clock
 	lines     []line
 	data      []uint64
+	resident  []uint32
 	ways      int
 	nsets     uint64
 	lineShift uint // log2(LineSize)
@@ -140,6 +146,12 @@ func New(cfg Config, m *mem.Memory, clock *sim.Clock) (*Cache, error) {
 	if total < uint64(cfg.Ways) {
 		return nil, fmt.Errorf("cache %s: %d lines cannot fill %d ways", cfg.Name, total, cfg.Ways)
 	}
+	// Page-granular maintenance works on cache pages: a way must span at
+	// least one page, or the cache has no whole page to color by.
+	if way := cfg.Size / uint64(cfg.Ways); way < geom.PageSize {
+		return nil, fmt.Errorf("cache %s: %d ways leave %d-byte ways, smaller than a %d-byte page",
+			cfg.Name, cfg.Ways, way, geom.PageSize)
+	}
 	return &Cache{
 		cfg:       cfg,
 		geom:      geom,
@@ -147,6 +159,7 @@ func New(cfg Config, m *mem.Memory, clock *sim.Clock) (*Cache, error) {
 		clock:     clock,
 		lines:     make([]line, total),
 		data:      make([]uint64, total*geom.WordsPerLine()),
+		resident:  make([]uint32, m.Frames()),
 		ways:      cfg.Ways,
 		nsets:     total / uint64(cfg.Ways),
 		lineShift: uint(bits.TrailingZeros64(geom.LineSize)),
@@ -157,14 +170,16 @@ func New(cfg Config, m *mem.Memory, clock *sim.Clock) (*Cache, error) {
 
 // Clone returns an independent copy of the cache wired to a forked
 // memory and clock (snapshot/fork support). Every line — valid bits,
-// dirty bits, physical tags, data, LRU stamps — is copied, so the fork
-// resumes with exactly the stale-data hazards the original had.
+// dirty bits, physical tags, data, LRU stamps — and the residency counts
+// are copied, so the fork resumes with exactly the stale-data hazards
+// the original had.
 func (c *Cache) Clone(m *mem.Memory, clock *sim.Clock) *Cache {
 	c2 := *c
 	c2.mem = m
 	c2.clock = clock
 	c2.lines = slices.Clone(c.lines)
 	c2.data = slices.Clone(c.data)
+	c2.resident = slices.Clone(c.resident)
 	return &c2
 }
 
@@ -189,6 +204,11 @@ func (c *Cache) setIndex(va arch.VA, pa arch.PA) uint64 {
 func (c *Cache) lineTag(pa arch.PA) arch.PA {
 	return pa &^ arch.PA(c.geom.LineSize-1)
 }
+
+// frameOf returns the physical frame a line tag lies in. (The mask,
+// a no-op on any valid shift, spares the compiler's shift-range fixup
+// on the fill path.)
+func (c *Cache) frameOf(tag arch.PA) uint64 { return uint64(tag) >> (c.pageShift & 63) }
 
 // words returns line i's data.
 func (c *Cache) words(i int) []uint64 {
@@ -228,21 +248,29 @@ func (c *Cache) victim(si uint64) int {
 	return v
 }
 
-// fill loads the line tagged tag into line i, writing back the victim
-// if it is dirty. This write-back is where a stale dirty line can clobber
-// newer data in memory — the hazard the consistency algorithm must prevent
-// from ever being observed.
-func (c *Cache) fill(i int, tag arch.PA) {
+// fill installs the line tagged tag in line i, writing back the victim
+// if it is dirty, and charges the miss fill. This write-back is where a
+// stale dirty line can clobber newer data in memory — the hazard the
+// consistency algorithm must prevent from ever being observed. The fill
+// data is read from memory only when load is set: a bulk store that
+// overwrites the whole line skips the dead read (but not its charge).
+func (c *Cache) fill(i int, tag arch.PA, load bool) {
 	ln := &c.lines[i]
-	if ln.valid && ln.dirty {
-		c.mem.WriteLine(ln.tag, c.words(i))
-		c.stats.WriteBacks++
-		c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
+	if ln.valid {
+		if ln.dirty {
+			c.mem.WriteLine(ln.tag, c.words(i))
+			c.stats.WriteBacks++
+			c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
+		}
+		c.resident[c.frameOf(ln.tag)]--
 	}
-	c.mem.ReadLine(tag, c.words(i))
+	c.resident[c.frameOf(tag)]++
 	ln.valid = true
 	ln.dirty = false
 	ln.tag = tag
+	if load {
+		c.mem.ReadLine(tag, c.words(i))
+	}
 	c.clock.Charge(sim.CatAccess, c.clock.Timing().CacheMissFill)
 }
 
@@ -267,7 +295,7 @@ func (c *Cache) Read(va arch.VA, pa arch.PA) (uint64, AccessInfo) {
 		c.stats.Misses++
 		i = c.victim(si)
 		info.WroteBack = c.lines[i].valid && c.lines[i].dirty
-		c.fill(i, tag)
+		c.fill(i, tag, true)
 	} else {
 		c.stats.Hits++
 		info.Hit = true
@@ -292,7 +320,7 @@ func (c *Cache) Write(va arch.VA, pa arch.PA, v uint64) AccessInfo {
 		c.stats.Misses++
 		i = c.victim(si)
 		info.WroteBack = c.lines[i].valid && c.lines[i].dirty
-		c.fill(i, tag)
+		c.fill(i, tag, true)
 	} else {
 		c.stats.Hits++
 		info.Hit = true
@@ -324,6 +352,7 @@ func (c *Cache) FlushLine(va arch.VA, pa arch.PA) bool {
 		}
 		ln.valid = false
 		ln.dirty = false
+		c.resident[c.frameOf(tag)]--
 		c.clock.Charge(sim.CatFlush, t.LineFlushHit)
 		return true
 	}
@@ -340,6 +369,7 @@ func (c *Cache) PurgeLine(va arch.VA, pa arch.PA) bool {
 	if i := c.lookup(si, tag); i >= 0 {
 		c.lines[i].valid = false
 		c.lines[i].dirty = false
+		c.resident[c.frameOf(tag)]--
 		c.clock.Charge(sim.CatPurge, t.LinePurgeHit)
 		return true
 	}
@@ -367,7 +397,36 @@ func (c *Cache) pageSets(cp arch.CachePage, f arch.PFN) (lo, hi uint64) {
 
 // frameHolds reports whether tag lies within frame f.
 func (c *Cache) frameHolds(f arch.PFN, tag arch.PA) bool {
-	return uint64(tag)>>c.pageShift == uint64(f)
+	return c.frameOf(tag) == uint64(f)
+}
+
+// dropFrame invalidates every line of frame f in sets [lo, hi), staging
+// each dirty one for write-back into st unless st is nil (a purge), and
+// returns how many lines it dropped. A frame has at most one line per
+// set of a cache page — the set fixes the line's offset within the page
+// — so the count is also the number of sets that hit. The scan returns
+// at once when the frame has no resident line and stops as soon as it
+// has found them all; staged write-backs stay in ascending set order.
+func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, st *Staged) uint64 {
+	left := c.resident[f]
+	if left == 0 {
+		return 0
+	}
+	hits := uint32(0)
+	for i := int(lo) * c.ways; i < int(hi)*c.ways && hits < left; i++ {
+		ln := &c.lines[i]
+		if ln.valid && c.frameHolds(f, ln.tag) {
+			if st != nil && ln.dirty {
+				st.lines = append(st.lines, stagedLine{tag: ln.tag, data: c.words(i)})
+				c.stats.WriteBacks++
+			}
+			ln.valid = false
+			ln.dirty = false
+			hits++
+		}
+	}
+	c.resident[f] -= hits
+	return uint64(hits)
 }
 
 // FlushPage removes from cache page cp every line belonging to physical
@@ -398,6 +457,7 @@ func (c *Cache) PurgeAll() {
 		c.lines[i].valid = false
 		c.lines[i].dirty = false
 	}
+	clear(c.resident)
 }
 
 // Inspection helpers (used by the oracle, invariant checks, and tests;
@@ -453,8 +513,17 @@ func (c *Cache) DirtyInFrame(f arch.PFN) bool {
 
 // SnoopRead services a peer CPU's read of (setIndex si, tag): if this
 // cache holds the line dirty, it is written back to memory (and kept,
-// now clean) so the reader's fill observes current data.
+// now clean) so the reader's fill observes current data. A cache holding
+// no line of the tag's frame answers without a lookup — an exact snoop
+// filter, since the residency count is never stale — and the check is
+// small enough to inline into the machine's broadcast loop.
 func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
+	if c.resident[c.frameOf(tag)] != 0 {
+		c.snoopRead(si, tag)
+	}
+}
+
+func (c *Cache) snoopRead(si uint64, tag arch.PA) {
 	if i := c.lookup(si, tag); i >= 0 && c.lines[i].dirty {
 		c.mem.WriteLine(tag, c.words(i))
 		c.stats.WriteBacks++
@@ -464,8 +533,14 @@ func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
 
 // SnoopInvalidate services a peer CPU's write of (setIndex si, tag): any
 // copy this cache holds is removed (written back first if dirty) so the
-// writer gains exclusive ownership.
+// writer gains exclusive ownership. Filtered like SnoopRead.
 func (c *Cache) SnoopInvalidate(si uint64, tag arch.PA) {
+	if c.resident[c.frameOf(tag)] != 0 {
+		c.snoopInvalidate(si, tag)
+	}
+}
+
+func (c *Cache) snoopInvalidate(si uint64, tag arch.PA) {
 	if i := c.lookup(si, tag); i >= 0 {
 		if c.lines[i].dirty {
 			c.mem.WriteLine(tag, c.words(i))
@@ -473,6 +548,7 @@ func (c *Cache) SnoopInvalidate(si uint64, tag arch.PA) {
 		}
 		c.lines[i].valid = false
 		c.lines[i].dirty = false
+		c.resident[c.frameOf(tag)]--
 	}
 }
 

@@ -270,6 +270,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Name: "x", Size: geom.DCacheSize, Ways: 3}, m, clock); err == nil {
 		t.Error("ways not dividing line count accepted")
 	}
+	if _, err := New(Config{Name: "x", Size: geom.DCacheSize, Ways: 128}, m, clock); err == nil {
+		t.Error("ways smaller than a page accepted")
+	}
 }
 
 // TestCacheMatchesMemoryModel is the hardware-level property test: under

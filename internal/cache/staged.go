@@ -19,9 +19,10 @@ import (
 // applying the staged effects serially in CPU index order is
 // byte-identical to the serial per-CPU loop:
 //
-//   - staging reads and writes only the cache's own lines and counters,
-//     and neither flush nor purge ever *reads* memory, so concurrent
-//     stages cannot observe each other;
+//   - staging reads and writes only the cache's own lines and counters
+//     (its stats and its per-frame residency counts), and neither flush
+//     nor purge ever *reads* memory, so concurrent stages cannot observe
+//     each other;
 //   - within one broadcast every staged write-back targets a distinct
 //     line address (a frame's line maps to exactly one set of a cache
 //     page, and hardware snooping keeps at most one dirty copy of any
@@ -67,32 +68,15 @@ func (st *Staged) Apply(m *mem.Memory, clock *sim.Clock) {
 // FlushPageStage is the private half of FlushPage: it invalidates frame
 // f's lines in cache page cp and counts stats exactly as FlushPage
 // does, but defers the dirty write-backs and the CatFlush cycle charges
-// into st.
+// into st. Each set of the page is charged a hit or a miss, so the total
+// follows from the number of lines dropped without visiting every set.
 func (c *Cache) FlushPageStage(cp arch.CachePage, f arch.PFN, st *Staged) {
 	c.stats.PageFlushes++
 	t := c.clock.Timing()
 	st.cat = sim.CatFlush
 	lo, hi := c.pageSets(cp, f)
-	for si := lo; si < hi; si++ {
-		hit := false
-		for i := int(si) * c.ways; i < int(si+1)*c.ways; i++ {
-			ln := &c.lines[i]
-			if ln.valid && c.frameHolds(f, ln.tag) {
-				if ln.dirty {
-					st.lines = append(st.lines, stagedLine{tag: ln.tag, data: c.words(i)})
-					c.stats.WriteBacks++
-				}
-				ln.valid = false
-				ln.dirty = false
-				hit = true
-			}
-		}
-		if hit {
-			st.cycles += t.LineFlushHit
-		} else {
-			st.cycles += t.LineFlushMiss
-		}
-	}
+	hits := c.dropFrame(lo, hi, f, st)
+	st.cycles += hits*t.LineFlushHit + (hi-lo-hits)*t.LineFlushMiss
 }
 
 // PurgePageStage is the private half of PurgePage: invalidation without
@@ -102,32 +86,11 @@ func (c *Cache) PurgePageStage(cp arch.CachePage, f arch.PFN, st *Staged) {
 	c.stats.PagePurges++
 	t := c.clock.Timing()
 	st.cat = sim.CatPurge
+	lo, hi := c.pageSets(cp, f)
+	hits := c.dropFrame(lo, hi, f, nil)
 	if c.cfg.ConstantPagePurge {
-		lo, hi := c.pageSets(cp, f)
-		for i := int(lo) * c.ways; i < int(hi)*c.ways; i++ {
-			if ln := &c.lines[i]; ln.valid && c.frameHolds(f, ln.tag) {
-				ln.valid = false
-				ln.dirty = false
-			}
-		}
 		st.cycles += t.ICachePagePurge
 		return
 	}
-	lo, hi := c.pageSets(cp, f)
-	for si := lo; si < hi; si++ {
-		hit := false
-		for i := int(si) * c.ways; i < int(si+1)*c.ways; i++ {
-			ln := &c.lines[i]
-			if ln.valid && c.frameHolds(f, ln.tag) {
-				ln.valid = false
-				ln.dirty = false
-				hit = true
-			}
-		}
-		if hit {
-			st.cycles += t.LinePurgeHit
-		} else {
-			st.cycles += t.LinePurgeMiss
-		}
-	}
+	st.cycles += hits*t.LinePurgeHit + (hi-lo-hits)*t.LinePurgeMiss
 }

@@ -303,3 +303,26 @@ func TestFetchUsesICache(t *testing.T) {
 		t.Error("fetch populated the data cache")
 	}
 }
+
+// TestWaysSmallerThanPageIsAnError: a D- or I-cache associativity that
+// leaves each way smaller than a page is rejected by New with an error.
+func TestWaysSmallerThanPageIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		dWays int
+		iWays int
+	}{
+		{"dcache-128-ways", 128, 1},
+		{"dcache-8192-ways", 8192, 1},
+		{"icache-64-ways", 1, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Frames = 64
+			cfg.DCacheWays, cfg.ICacheWays = tc.dWays, tc.iWays
+			if _, err := New(cfg); err == nil {
+				t.Fatal("New accepted ways smaller than a page")
+			}
+		})
+	}
+}

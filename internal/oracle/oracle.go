@@ -20,6 +20,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"vcache/internal/arch"
 )
@@ -64,7 +65,12 @@ func (v Violation) String() string {
 // all checking (used by the benchmark harness, where checking every word
 // would dominate runtime).
 type Oracle struct {
-	shadow     []uint64
+	// chunks holds the shadow in page-sized slices, each allocated on
+	// its first RecordWrite; a nil chunk reads as zero, like an unwritten
+	// page of mem.Memory. A machine that writes a few pages therefore
+	// pays, and its Clone copies, only those pages.
+	chunks     [][]uint64
+	words      uint64
 	violations []Violation
 	checks     uint64
 	// FailFast, when set, is invoked on the first violation (tests use
@@ -72,17 +78,44 @@ type Oracle struct {
 	FailFast func(Violation)
 }
 
+// chunkShift is log2 of the words per shadow chunk: 512 words, one
+// 4 KiB page of the HP 720.
+const (
+	chunkShift = 9
+	chunkMask  = 1<<chunkShift - 1
+)
+
 // New returns an oracle shadowing a memory of the given word count.
 func New(words int) *Oracle {
-	return &Oracle{shadow: make([]uint64, words)}
+	return &Oracle{
+		chunks: make([][]uint64, (words+chunkMask)>>chunkShift),
+		words:  uint64(words),
+	}
 }
 
 func (o *Oracle) idx(pa arch.PA) uint64 {
 	i := uint64(pa) / arch.WordSize
-	if i >= uint64(len(o.shadow)) {
-		panic(fmt.Sprintf("oracle: PA %#x out of range", uint64(pa)))
+	if i >= o.words {
+		panic(rangeError(pa))
 	}
 	return i
+}
+
+// rangeError is the panic value for an address outside the shadow. It
+// formats only when printed, which keeps idx — and with it RecordWrite,
+// called on every store — within the compiler's inlining budget.
+type rangeError arch.PA
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("oracle: PA %#x out of range", uint64(e))
+}
+
+// at returns the logically current value of word i.
+func (o *Oracle) at(i uint64) uint64 {
+	if ch := o.chunks[i>>chunkShift]; ch != nil {
+		return ch[i&chunkMask]
+	}
+	return 0
 }
 
 // RecordWrite notes that a write of v to pa became the logically current
@@ -91,7 +124,13 @@ func (o *Oracle) RecordWrite(pa arch.PA, v uint64) {
 	if o == nil {
 		return
 	}
-	o.shadow[o.idx(pa)] = v
+	i := o.idx(pa)
+	ch := o.chunks[i>>chunkShift]
+	if ch == nil {
+		ch = make([]uint64, chunkMask+1)
+		o.chunks[i>>chunkShift] = ch
+	}
+	ch[i&chunkMask] = v
 }
 
 // Observe checks a value delivered by the memory system to a consumer.
@@ -100,7 +139,7 @@ func (o *Oracle) Observe(c Consumer, pa arch.PA, got uint64) {
 		return
 	}
 	o.checks++
-	want := o.shadow[o.idx(pa)]
+	want := o.at(o.idx(pa))
 	if got != want {
 		v := Violation{Consumer: c, PA: pa, Got: got, Want: want}
 		o.violations = append(o.violations, v)
@@ -111,15 +150,22 @@ func (o *Oracle) Observe(c Consumer, pa arch.PA, got uint64) {
 }
 
 // Clone returns an independent copy of the oracle (snapshot/fork
-// support). A nil oracle clones to nil. FailFast is deliberately not
-// carried over: it is a test hook bound to the run that installed it,
-// not part of the machine image.
+// support); only written chunks are copied. A nil oracle clones to nil.
+// FailFast is deliberately not carried over: it is a test hook bound to
+// the run that installed it, not part of the machine image.
 func (o *Oracle) Clone() *Oracle {
 	if o == nil {
 		return nil
 	}
+	chunks := make([][]uint64, len(o.chunks))
+	for i, ch := range o.chunks {
+		if ch != nil {
+			chunks[i] = slices.Clone(ch)
+		}
+	}
 	return &Oracle{
-		shadow:     append([]uint64(nil), o.shadow...),
+		chunks:     chunks,
+		words:      o.words,
 		violations: append([]Violation(nil), o.violations...),
 		checks:     o.checks,
 	}
@@ -147,5 +193,5 @@ func (o *Oracle) Expected(pa arch.PA) uint64 {
 	if o == nil {
 		return 0
 	}
-	return o.shadow[o.idx(pa)]
+	return o.at(o.idx(pa))
 }

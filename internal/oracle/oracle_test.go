@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"strings"
 	"testing"
 
 	"vcache/internal/arch"
@@ -81,9 +82,49 @@ func TestNilOracleIsSafe(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	o := New(1)
 	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+		r := recover()
+		if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "PA 0x40 out of range") {
+			t.Errorf("panic value %v, want an out-of-range error", r)
 		}
 	}()
 	o.RecordWrite(arch.PA(64), 1)
+}
+
+// TestShadowChunksAllocatedOnWrite: an unwritten word reads as zero, a
+// write allocates only its own chunk, and a clone copies only written
+// chunks and shares none of them with the original.
+func TestShadowChunksAllocatedOnWrite(t *testing.T) {
+	const chunks = 4
+	o := New(chunks << chunkShift)
+	if v := o.Expected(arch.PA(3 << chunkShift * arch.WordSize)); v != 0 {
+		t.Fatalf("unwritten word reads %d, want 0", v)
+	}
+	pa := arch.PA((2<<chunkShift + 7) * arch.WordSize)
+	o.RecordWrite(pa, 9)
+	written := func(o *Oracle) (n int) {
+		for _, ch := range o.chunks {
+			if ch != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := written(o); n != 1 {
+		t.Fatalf("%d chunks allocated after one write, want 1", n)
+	}
+
+	c := o.Clone()
+	if n := written(c); n != 1 || c.Expected(pa) != 9 {
+		t.Fatalf("clone has %d chunks and reads %d, want 1 and 9", n, c.Expected(pa))
+	}
+	c.RecordWrite(pa, 10)
+	c.RecordWrite(0, 11)
+	if o.Expected(pa) != 9 || o.Expected(0) != 0 || written(o) != 1 {
+		t.Error("writes to the clone reached the original")
+	}
+	c.Observe(CPURead, pa, 10)
+	c.Observe(CPURead, 0, 11)
+	if len(c.Violations()) != 0 {
+		t.Errorf("clone flagged its own writes: %v", c.Violations())
+	}
 }

@@ -30,35 +30,8 @@ type AliasMicroResult struct {
 // same process (aligned or not) and performs `writes` stores alternating
 // between them.
 func RunAliasMicro(cfg policy.Config, writes int, aligned bool) (AliasMicroResult, error) {
-	k, err := kernel.New(kernel.DefaultConfig(cfg))
+	k, space, va, err := aliasSetup(cfg, aligned)
 	if err != nil {
-		return AliasMicroResult{}, err
-	}
-	p, err := k.Spawn(nil, 0, 4)
-	if err != nil {
-		return AliasMicroResult{}, err
-	}
-	geom := k.Geometry()
-	obj := k.VM.NewObject()
-
-	base := arch.VPN(0x40000) // color 0
-	second := base + arch.VPN(geom.DCachePages())
-	if !aligned {
-		second = base + arch.VPN(geom.DCachePages()) + 1 // color 1
-	}
-	r1, err := k.VM.MapObject(p.Space, obj, 0, 1, base, arch.NoCachePage, arch.ProtReadWrite, false, vm.KindShared)
-	if err != nil {
-		return AliasMicroResult{}, err
-	}
-	r2, err := k.VM.MapObject(p.Space, obj, 0, 1, second, arch.NoCachePage, arch.ProtReadWrite, false, vm.KindShared)
-	if err != nil {
-		return AliasMicroResult{}, err
-	}
-	va1 := geom.PageBase(r1.Start)
-	va2 := geom.PageBase(r2.Start)
-
-	// Touch once so the timed loop measures steady state.
-	if err := k.M.Write(p.Space.ID, va1, 1); err != nil {
 		return AliasMicroResult{}, err
 	}
 	k.M.Clock.Reset()
@@ -66,20 +39,15 @@ func RunAliasMicro(cfg policy.Config, writes int, aligned bool) (AliasMicroResul
 	k.PM.ResetStats()
 
 	for i := 0; i < writes; i++ {
-		va := va1
-		if i&1 == 1 {
-			va = va2
-		}
-		if err := k.M.Write(p.Space.ID, va, uint64(i)); err != nil {
+		if err := k.M.Write(space, va[i&1], uint64(i)); err != nil {
 			return AliasMicroResult{}, fmt.Errorf("alias write %d: %w", i, err)
 		}
 	}
 	// Read back through both addresses; the oracle verifies freshness.
-	if _, err := k.M.Read(p.Space.ID, va1); err != nil {
-		return AliasMicroResult{}, err
-	}
-	if _, err := k.M.Read(p.Space.ID, va2); err != nil {
-		return AliasMicroResult{}, err
+	for _, a := range va {
+		if _, err := k.M.Read(space, a); err != nil {
+			return AliasMicroResult{}, err
+		}
 	}
 	if v := k.M.Oracle.Violations(); len(v) != 0 {
 		return AliasMicroResult{}, fmt.Errorf("alias micro: stale transfer: %v", v[0])
@@ -96,4 +64,38 @@ func RunAliasMicro(cfg policy.Config, writes int, aligned bool) (AliasMicroResul
 		DFlushes: ps.DFlushPages,
 		DPurges:  ps.DPurgePages,
 	}, nil
+}
+
+// aliasSetup boots a system under cfg and maps one physical page at two
+// virtual addresses of one process — of the same cache color when
+// aligned, one color apart otherwise — touched once through the first so
+// a timed loop measures steady state.
+func aliasSetup(cfg policy.Config, aligned bool) (k *kernel.Kernel, space arch.SpaceID, va [2]arch.VA, err error) {
+	k, err = kernel.New(kernel.DefaultConfig(cfg))
+	if err != nil {
+		return nil, 0, va, err
+	}
+	p, err := k.Spawn(nil, 0, 4)
+	if err != nil {
+		return nil, 0, va, err
+	}
+	geom := k.Geometry()
+	obj := k.VM.NewObject()
+
+	base := arch.VPN(0x40000) // color 0
+	second := base + arch.VPN(geom.DCachePages())
+	if !aligned {
+		second = base + arch.VPN(geom.DCachePages()) + 1 // color 1
+	}
+	for i, vpn := range []arch.VPN{base, second} {
+		r, err := k.VM.MapObject(p.Space, obj, 0, 1, vpn, arch.NoCachePage, arch.ProtReadWrite, false, vm.KindShared)
+		if err != nil {
+			return nil, 0, va, err
+		}
+		va[i] = geom.PageBase(r.Start)
+	}
+	if err := k.M.Write(p.Space.ID, va[0], 1); err != nil {
+		return nil, 0, va, err
+	}
+	return k, p.Space.ID, va, nil
 }

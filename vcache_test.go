@@ -3,6 +3,8 @@ package vcache
 import (
 	"strings"
 	"testing"
+
+	"vcache/internal/kernel"
 )
 
 func TestPolicyLookup(t *testing.T) {
@@ -116,5 +118,30 @@ func TestWithCPUsOption(t *testing.T) {
 	}
 	if r.OracleViolations != 0 {
 		t.Fatalf("%d stale transfers on 3 CPUs", r.OracleViolations)
+	}
+}
+
+// TestWaysSmallerThanPageIsAnError: an associativity that leaves each
+// way smaller than a page leaves the cache no whole page to color by;
+// building such a system must fail with an error, not panic.
+func TestWaysSmallerThanPageIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"dcache-128-ways", WithDCacheWays(128)},
+		{"dcache-8192-ways", WithDCacheWays(8192)},
+		{"icache-64-ways", func(c *kernel.Config) { c.Machine.ICacheWays = 64 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NewSystem panicked: %v", r)
+				}
+			}()
+			if _, err := NewSystem(PolicyNew(), tc.opt); err == nil {
+				t.Fatal("NewSystem accepted ways smaller than a page")
+			}
+		})
 	}
 }
