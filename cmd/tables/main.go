@@ -17,7 +17,6 @@
 //	tables -sweep        # the parameter sweeps (memory size, purge cost)
 //	tables -mp           # the multiprocessor table (1/2/4 CPUs × A–F)
 //	tables -cpus 4       # run the standard tables on a 4-CPU machine
-//	tables -parallel-sim # broadcast ops use one goroutine per simulated CPU
 //	tables -configs F,RLT,HYB  # restrict Table 4 to these configuration rows
 //	tables -scale 0.3    # scale the workloads down for a quick look
 //	tables -j 8          # run up to 8 simulations in parallel
@@ -36,6 +35,7 @@ import (
 
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/replay"
 	"vcache/internal/report"
@@ -53,18 +53,15 @@ const (
 )
 
 // mpKernel builds the kernel override for an N-CPU run (nil when the
-// default uniprocessor serial-simulator configuration applies, keeping
-// the default output byte-identical to earlier versions).
-func mpKernel(cpus int, parallel bool) *kernel.Config {
-	if cpus <= 1 && !parallel {
+// default uniprocessor configuration applies, keeping the default
+// output byte-identical to earlier versions).
+func mpKernel(cpus int) *kernel.Config {
+	if cpus <= 1 {
 		return nil
 	}
 	kc := kernel.DefaultConfig(policy.New())
 	kc.Machine.CPUs = cpus
-	kc.Machine.ParallelBroadcast = parallel
-	if cpus > 1 {
-		kc.Sched = kernel.SchedConfig{Quantum: mpQuantum, Seed: mpSeed}
-	}
+	kc.Sched = kernel.SchedConfig{Quantum: mpQuantum, Seed: mpSeed}
 	return &kc
 }
 
@@ -77,7 +74,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "print only the parameter sweeps (memory size, purge cost)")
 	mp := flag.Bool("mp", false, "print only the multiprocessor table (1/2/4 CPUs × A–F)")
 	cpus := flag.Int("cpus", 1, "simulated CPU count for the standard tables (>1 adds deterministic preemption)")
-	parallelSim := flag.Bool("parallel-sim", false, "run broadcast cache ops on one goroutine per simulated CPU (byte-identical results)")
 	configsFlag := flag.String("configs", "", "comma-separated configuration labels for Table 4 rows (default: A-F plus the peer backends; valid: "+policy.Labels()+")")
 	factor := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full)")
 	writes := flag.Int("writes", 200000, "alias microbenchmark write count")
@@ -89,8 +85,11 @@ func main() {
 	if err := scale.Validate(); err != nil {
 		log.Fatalf("-scale: %v", err)
 	}
+	if *cpus < 1 || *cpus > machine.MaxCPUs {
+		log.Fatalf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus)
+	}
 	all := !*micro && !*analysis && !*sweep && !*mp && *table == 0
-	kc := mpKernel(*cpus, *parallelSim)
+	kc := mpKernel(*cpus)
 	configs := table4Configs(*configsFlag)
 
 	// Ctrl-C cancels the in-flight plan: running simulations stop at
@@ -118,7 +117,7 @@ func main() {
 	}
 
 	if *mp {
-		fmt.Print(tableMP(ctx, runner, scale, *parallelSim))
+		fmt.Print(tableMP(ctx, runner, scale))
 		return
 	}
 
@@ -231,12 +230,12 @@ func table5(ctx context.Context, r *harness.Runner, kc *kernel.Config) string {
 // process- and sharing-intensive benchmark) under every configuration
 // A–F at 1, 2 and 4 simulated CPUs, with deterministic quantum
 // preemption migrating processes between CPUs on the MP rows.
-func tableMP(ctx context.Context, r *harness.Runner, scale workload.Scale, parallel bool) string {
+func tableMP(ctx context.Context, r *harness.Runner, scale workload.Scale) string {
 	w := workload.KernelBuild()
 	cpuCounts := []int{1, 2, 4}
 	var plan harness.Plan
 	for _, n := range cpuCounts {
-		kc := mpKernel(n, parallel)
+		kc := mpKernel(n)
 		for _, cfg := range policy.Configs() {
 			plan = append(plan, harness.Spec{
 				Name:     fmt.Sprintf("%s/%s/%dcpu", w.Name, cfg.Label, n),

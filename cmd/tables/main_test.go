@@ -38,3 +38,24 @@ func TestBadScaleIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestBadCPUsIsAnError: a -cpus outside [1, machine.MaxCPUs] exits 1
+// with the -cpus error vcachesim gives, instead of silently printing
+// uniprocessor tables or exhausting host memory.
+func TestBadCPUsIsAnError(t *testing.T) {
+	for _, cpus := range []string{"0", "-3", "65"} {
+		cmd := exec.Command(os.Args[0], "-cpus", cpus, "-table", "4", "-scale", "0.01")
+		cmd.Env = append(os.Environ(), "TABLES_AS_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("-cpus %s: exit %v, want status 1", cpus, err)
+			continue
+		}
+		if len(out) != 0 || !strings.Contains(stderr.String(), "-cpus must be between 1 and 64, got "+cpus) {
+			t.Errorf("-cpus %s: stdout %q stderr %q, want only a -cpus error", cpus, out, stderr.String())
+		}
+	}
+}

@@ -78,8 +78,7 @@ type Report struct {
 	// forking a pooled snapshot.
 	WarmBoot WarmBoot `json:"warm_boot_kernel_build_f"`
 	// MP is kernel-build × F on a 4-CPU machine with deterministic
-	// quantum preemption and the parallel broadcast simulator — the
-	// multiprocessor leg of the trajectory.
+	// quantum preemption — the multiprocessor leg of the trajectory.
 	MP Entry `json:"kernel_build_f_4cpu"`
 }
 
@@ -214,15 +213,13 @@ func measure(w harness.Workload, cfg policy.Config, scale workload.Scale, reps i
 
 // measureMP times the multiprocessor leg: kernel-build × F on 4 CPUs
 // with deterministic quantum preemption (quantum 50k cycles, seed 1 —
-// the same parameters cmd/tables uses) and the parallel broadcast
-// simulator, oracle off, best of reps.
+// the same parameters cmd/tables uses), oracle off, best of reps.
 func measureMP(scale workload.Scale, reps int) Entry {
 	w := workload.KernelBuild()
 	cfg := mustConfig("F")
 	kc := kernel.DefaultConfig(cfg)
 	kc.Machine.WithOracle = false
 	kc.Machine.CPUs = 4
-	kc.Machine.ParallelBroadcast = true
 	kc.Sched = kernel.SchedConfig{Quantum: 50000, Seed: 1}
 	spec := harness.Spec{Workload: w, Config: cfg, Scale: scale, Kernel: &kc}
 	var best Entry

@@ -28,11 +28,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"vcache/internal/cluster"
 	"vcache/internal/service"
 )
 
@@ -51,11 +49,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof/* and /metrics on this address (empty = disabled)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	enableReplay := flag.Bool("enable-replay", false, "open the /replay endpoint: POST a recorded trace export to re-execute it")
-	shardID := flag.String("shard-id", "", "name this daemon as one cluster shard: /run and /batch responses carry it in X-Vcache-Shard")
-	peers := flag.String("peers", "", "comma-separated backend base URLs; when set, this daemon serves as a cluster coordinator over them (its own service is the fallback executor)")
-	replicas := flag.Int("replicas", 0, "coordinator: shards serving each hot key (0 = default 2)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "coordinator: duplicate a forwarded request still unanswered after this long (0 = default 100ms)")
-	retries := flag.Int("retries", 0, "coordinator: extra forward attempts after the first (0 = default 2)")
 	quiet := flag.Bool("quiet", false, "suppress the structured per-request log")
 	selftest := flag.Bool("selftest", false, "start an in-process daemon, hammer it with the load generator, and exit")
 	requests := flag.Int("requests", 200, "selftest: total requests")
@@ -83,31 +76,8 @@ func main() {
 		MaxScale:       *maxScale,
 		MaxBatch:       *maxBatch,
 		EnableReplay:   *enableReplay,
-		ShardID:        *shardID,
 		Log:            logW,
 	})
-
-	// With -peers, the daemon fronts the fleet as a coordinator: the
-	// public handler routes across the peers, and the local service
-	// above becomes the fallback executor of last resort.
-	handler := http.Handler(nil)
-	if *peers != "" {
-		coord, err := cluster.New(cluster.Config{
-			Peers:      strings.Split(*peers, ","),
-			Replicas:   *replicas,
-			HedgeAfter: *hedgeAfter,
-			Retries:    *retries,
-			Local:      svc,
-			Log:        logW,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = coord.Handler()
-		log.Printf("coordinating %d shards", len(strings.Split(*peers, ",")))
-	} else {
-		handler = svc.Handler()
-	}
 
 	// The debug surface lives on its own listener so pprof handlers are
 	// never reachable through the public serving address.
@@ -134,7 +104,7 @@ func main() {
 		return
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -54,6 +54,7 @@ import (
 	"vcache/internal/core"
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/replay"
 	"vcache/internal/sim"
@@ -75,7 +76,6 @@ func main() {
 	cpus := flag.Int("cpus", 1, "processor count (Section 3.3 multiprocessor mode)")
 	quantum := flag.Uint64("quantum", 50000, "preemption quantum in cycles for -cpus > 1 (0 = pin processes to their spawn CPUs)")
 	schedSeed := flag.Uint64("sched-seed", 1, "seed for the deterministic preemption scheduler's CPU choice")
-	parallelSim := flag.Bool("parallel-sim", false, "run broadcast cache ops on one goroutine per simulated CPU (byte-identical results)")
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON")
 	record := flag.String("record", "", "record the run's operations and write the replayable trace export to this file")
 	replayFile := flag.String("replay", "", "re-execute a recorded trace export, verify closure, and print its result")
@@ -130,8 +130,8 @@ func main() {
 	if err := scale.Validate(); err != nil {
 		fail(fmt.Errorf("-scale: %w", err))
 	}
-	if *cpus < 1 {
-		fail(fmt.Errorf("-cpus must be >= 1, got %d", *cpus))
+	if *cpus < 1 || *cpus > machine.MaxCPUs {
+		fail(fmt.Errorf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus))
 	}
 	cfg, err := policy.ByLabel(*cfgName)
 	if err != nil {
@@ -143,7 +143,6 @@ func main() {
 	}
 	kc := kernel.DefaultConfig(cfg)
 	kc.Machine.CPUs = *cpus
-	kc.Machine.ParallelBroadcast = *parallelSim
 	if *cpus > 1 && *quantum > 0 {
 		// Deterministic quantum preemption: processes migrate between
 		// CPUs during the measured phase (recorded as "sched" ops when

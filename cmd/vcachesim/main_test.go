@@ -40,3 +40,24 @@ func TestBadScaleIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestBadCPUsIsAnError: a -cpus outside [1, machine.MaxCPUs] exits 1
+// with a JSON -cpus error before any simulation state is built.
+func TestBadCPUsIsAnError(t *testing.T) {
+	for _, cpus := range []string{"0", "-3", "65"} {
+		cmd := exec.Command(os.Args[0], "-cpus", cpus, "-scale", "0.01", "-json")
+		cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("-cpus %s: exit %v, want status 1", cpus, err)
+			continue
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(out, &body); err != nil || body.Error != "-cpus must be between 1 and 64, got "+cpus {
+			t.Errorf("-cpus %s: stdout %q is not the JSON -cpus error", cpus, out)
+		}
+	}
+}

@@ -400,14 +400,14 @@ func (c *Cache) frameHolds(f arch.PFN, tag arch.PA) bool {
 	return c.frameOf(tag) == uint64(f)
 }
 
-// dropFrame invalidates every line of frame f in sets [lo, hi), staging
-// each dirty one for write-back into st unless st is nil (a purge), and
-// returns how many lines it dropped. A frame has at most one line per
-// set of a cache page — the set fixes the line's offset within the page
-// — so the count is also the number of sets that hit. The scan returns
-// at once when the frame has no resident line and stops as soon as it
-// has found them all; staged write-backs stay in ascending set order.
-func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, st *Staged) uint64 {
+// dropFrame invalidates every line of frame f in sets [lo, hi), writing
+// each dirty one back to memory when flush is set, and returns how many
+// lines it dropped. A frame has at most one line per set of a cache page
+// — the set fixes the line's offset within the page — so the count is
+// also the number of sets that hit. The scan returns at once when the
+// frame has no resident line and stops as soon as it has found them all;
+// write-backs go out in ascending set order.
+func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, flush bool) uint64 {
 	left := c.resident[f]
 	if left == 0 {
 		return 0
@@ -416,8 +416,8 @@ func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, st *Staged) uint64 {
 	for i := int(lo) * c.ways; i < int(hi)*c.ways && hits < left; i++ {
 		ln := &c.lines[i]
 		if ln.valid && c.frameHolds(f, ln.tag) {
-			if st != nil && ln.dirty {
-				st.lines = append(st.lines, stagedLine{tag: ln.tag, data: c.words(i)})
+			if flush && ln.dirty {
+				c.mem.WriteLine(ln.tag, c.words(i))
 				c.stats.WriteBacks++
 			}
 			ln.valid = false
@@ -431,22 +431,29 @@ func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, st *Staged) uint64 {
 
 // FlushPage removes from cache page cp every line belonging to physical
 // frame f, writing dirty lines back. This is the page-granularity flush
-// the pmap layer uses (the set of lines a virtual page maps onto).
-// It is the stage-then-apply form of the staged implementation (see
-// staged.go): the shared-state effects land immediately instead of
-// being deferred across a broadcast barrier.
+// the pmap layer uses (the set of lines a virtual page maps onto). Each
+// set of the page is charged a hit or a miss, so the total follows from
+// the number of lines dropped without visiting every set.
 func (c *Cache) FlushPage(cp arch.CachePage, f arch.PFN) {
-	var st Staged
-	c.FlushPageStage(cp, f, &st)
-	st.Apply(c.mem, c.clock)
+	c.stats.PageFlushes++
+	t := c.clock.Timing()
+	lo, hi := c.pageSets(cp, f)
+	hits := c.dropFrame(lo, hi, f, true)
+	c.clock.Charge(sim.CatFlush, hits*t.LineFlushHit+(hi-lo-hits)*t.LineFlushMiss)
 }
 
 // PurgePage removes from cache page cp every line belonging to physical
 // frame f without writing anything back.
 func (c *Cache) PurgePage(cp arch.CachePage, f arch.PFN) {
-	var st Staged
-	c.PurgePageStage(cp, f, &st)
-	st.Apply(c.mem, c.clock)
+	c.stats.PagePurges++
+	t := c.clock.Timing()
+	lo, hi := c.pageSets(cp, f)
+	hits := c.dropFrame(lo, hi, f, false)
+	if c.cfg.ConstantPagePurge {
+		c.clock.Charge(sim.CatPurge, t.ICachePagePurge)
+		return
+	}
+	c.clock.Charge(sim.CatPurge, hits*t.LinePurgeHit+(hi-lo-hits)*t.LinePurgeMiss)
 }
 
 // PurgeAll empties the whole cache without write-back (power-up state:

@@ -15,10 +15,9 @@ import (
 // holds, and never read the counts, so they are the specification the
 // O(resident) page operations and the snoop filter must reproduce.
 
-func refFlushPageStage(c *Cache, cp arch.CachePage, f arch.PFN, st *Staged) {
+func refFlushPage(c *Cache, cp arch.CachePage, f arch.PFN) {
 	c.stats.PageFlushes++
 	t := c.clock.Timing()
-	st.cat = sim.CatFlush
 	lo, hi := c.pageSets(cp, f)
 	for si := lo; si < hi; si++ {
 		hit := false
@@ -26,7 +25,7 @@ func refFlushPageStage(c *Cache, cp arch.CachePage, f arch.PFN, st *Staged) {
 			ln := &c.lines[i]
 			if ln.valid && c.frameHolds(f, ln.tag) {
 				if ln.dirty {
-					st.lines = append(st.lines, stagedLine{tag: ln.tag, data: c.words(i)})
+					c.mem.WriteLine(ln.tag, c.words(i))
 					c.stats.WriteBacks++
 				}
 				ln.valid = false
@@ -35,17 +34,16 @@ func refFlushPageStage(c *Cache, cp arch.CachePage, f arch.PFN, st *Staged) {
 			}
 		}
 		if hit {
-			st.cycles += t.LineFlushHit
+			c.clock.Charge(sim.CatFlush, t.LineFlushHit)
 		} else {
-			st.cycles += t.LineFlushMiss
+			c.clock.Charge(sim.CatFlush, t.LineFlushMiss)
 		}
 	}
 }
 
-func refPurgePageStage(c *Cache, cp arch.CachePage, f arch.PFN, st *Staged) {
+func refPurgePage(c *Cache, cp arch.CachePage, f arch.PFN) {
 	c.stats.PagePurges++
 	t := c.clock.Timing()
-	st.cat = sim.CatPurge
 	lo, hi := c.pageSets(cp, f)
 	if c.cfg.ConstantPagePurge {
 		for i := int(lo) * c.ways; i < int(hi)*c.ways; i++ {
@@ -54,7 +52,7 @@ func refPurgePageStage(c *Cache, cp arch.CachePage, f arch.PFN, st *Staged) {
 				ln.dirty = false
 			}
 		}
-		st.cycles += t.ICachePagePurge
+		c.clock.Charge(sim.CatPurge, t.ICachePagePurge)
 		return
 	}
 	for si := lo; si < hi; si++ {
@@ -68,9 +66,9 @@ func refPurgePageStage(c *Cache, cp arch.CachePage, f arch.PFN, st *Staged) {
 			}
 		}
 		if hit {
-			st.cycles += t.LinePurgeHit
+			c.clock.Charge(sim.CatPurge, t.LinePurgeHit)
 		} else {
-			st.cycles += t.LinePurgeMiss
+			c.clock.Charge(sim.CatPurge, t.LinePurgeMiss)
 		}
 	}
 }
@@ -137,8 +135,8 @@ func (r residencyRig) clone() residencyRig {
 // full-scan loops above through the same seeded random sequence of every
 // operation that installs or drops a line, cloning both partway. After
 // every operation the counts must equal a full recount, and the two
-// caches must agree on lines, data, stats, per-category cycles, staged
-// write-back order and the memory image.
+// caches must agree on lines, data, stats, per-category cycles and the
+// memory image.
 func TestResidencyMatchesFullScan(t *testing.T) {
 	geom := arch.HP720()
 	flavors := []Config{
@@ -194,18 +192,6 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 	pickPage := func() (arch.VA, arch.PA) {
 		return arch.VA(uint64(rnd.Intn(4*colors)) * geom.PageSize), geom.FrameBase(frames[rnd.Intn(len(frames))])
 	}
-	compareStaged := func(step int, a, b *Staged) {
-		t.Helper()
-		if a.cat != b.cat || a.cycles != b.cycles || len(a.lines) != len(b.lines) {
-			t.Fatalf("op %d: staged (cat %v, %d cycles, %d lines), reference (cat %v, %d cycles, %d lines)",
-				step, a.cat, a.cycles, len(a.lines), b.cat, b.cycles, len(b.lines))
-		}
-		for i := range a.lines {
-			if a.lines[i].tag != b.lines[i].tag || !slices.Equal(a.lines[i].data, b.lines[i].data) {
-				t.Fatalf("op %d: staged write-back %d is %#x, reference %#x", step, i, a.lines[i].tag, b.lines[i].tag)
-			}
-		}
-	}
 	check := func(step int, op string) {
 		t.Helper()
 		if n := recount(got.c); !slices.Equal(got.c.resident, n) {
@@ -240,7 +226,6 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 	}
 
 	var orig residencyRig
-	var gst, wst Staged
 	for step := 0; step < ops; step++ {
 		if step == ops/2 {
 			orig = got
@@ -276,19 +261,13 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 		case k == 8:
 			op = "flush-page"
 			cp, f := arch.CachePage(rnd.Intn(colors)), frames[rnd.Intn(len(frames))]
-			got.c.FlushPageStage(cp, f, &gst)
-			refFlushPageStage(want.c, cp, f, &wst)
-			compareStaged(step, &gst, &wst)
-			gst.Apply(got.m, got.clock)
-			wst.Apply(want.m, want.clock)
+			got.c.FlushPage(cp, f)
+			refFlushPage(want.c, cp, f)
 		case k == 9:
 			op = "purge-page"
 			cp, f := arch.CachePage(rnd.Intn(colors)), frames[rnd.Intn(len(frames))]
-			got.c.PurgePageStage(cp, f, &gst)
-			refPurgePageStage(want.c, cp, f, &wst)
-			compareStaged(step, &gst, &wst)
-			gst.Apply(got.m, got.clock)
-			wst.Apply(want.m, want.clock)
+			got.c.PurgePage(cp, f)
+			refPurgePage(want.c, cp, f)
 		case k == 10:
 			op = "snoop-read"
 			va, pa := pick()

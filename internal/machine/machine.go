@@ -18,7 +18,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"vcache/internal/arch"
 	"vcache/internal/cache"
@@ -161,14 +160,6 @@ type Machine struct {
 	// word-range moves on. Set for consistency backends that have not
 	// proven the bulk identity (Config.DisableBulkData).
 	noBulk bool
-
-	// parallel runs broadcast maintenance stages on one goroutine per
-	// CPU (Config.ParallelBroadcast with CPUs > 1).
-	parallel bool
-
-	// staged is the serial broadcast's reusable stage buffer, empty
-	// between operations, so page flushes and purges do not allocate.
-	staged cache.Staged
 }
 
 // Config sizes a machine.
@@ -202,13 +193,6 @@ type Config struct {
 	// guard that makes "ineligible backend" mean "provably on the exact
 	// slow path" rather than "hopefully unaffected".
 	DisableBulkData bool
-	// ParallelBroadcast runs the per-CPU halves of the broadcast
-	// maintenance operations (FlushDPage, PurgeDPage, PurgeIPage) on one
-	// goroutine per CPU, with the shared-state effects staged and applied
-	// serially in CPU index order after a barrier. Byte-identical to the
-	// serial loop (see cache.Staged); exists so multi-CPU simulations can
-	// use real host parallelism without giving up determinism.
-	ParallelBroadcast bool
 }
 
 // DefaultConfig returns an HP 720-shaped machine with the oracle enabled.
@@ -226,10 +210,35 @@ func DefaultConfig() Config {
 	}
 }
 
+// Size limits of a simulated machine. Every way a size reaches the
+// simulator — flags, /run requests, replay programs — ends in New, and
+// past these limits a run exhausts host memory before it produces a
+// result: building a kernel costs about 0.7 MB per CPU (caches and TLB)
+// and about 195 MB at MaxFrames.
+const (
+	MaxCPUs   = 64
+	MaxFrames = 1 << 20
+)
+
+// CheckSize rejects a processor or frame count outside the size limits.
+// Zero passes for both: it stands for the default size.
+func CheckSize(cpus, frames int) error {
+	if cpus < 0 || cpus > MaxCPUs {
+		return fmt.Errorf("cpus must be between 1 and %d, got %d", MaxCPUs, cpus)
+	}
+	if frames < 0 || frames > MaxFrames {
+		return fmt.Errorf("frames must be between 0 and %d, got %d", MaxFrames, frames)
+	}
+	return nil
+}
+
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
+	}
+	if err := CheckSize(cfg.CPUs, cfg.Frames); err != nil {
+		return nil, fmt.Errorf("machine: %w", err)
 	}
 	clock := sim.NewClock(cfg.Timing)
 	pm, err := mem.New(cfg.Geometry, cfg.Frames)
@@ -242,7 +251,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.ICacheWays == 0 {
 		cfg.ICacheWays = 1
 	}
-	if cfg.CPUs <= 0 {
+	if cfg.CPUs == 0 {
 		cfg.CPUs = 1
 	}
 	m := &Machine{
@@ -252,7 +261,6 @@ func New(cfg Config) (*Machine, error) {
 		maxRetries: 16,
 		noFast:     cfg.DisableFastPaths,
 		noBulk:     cfg.DisableBulkData,
-		parallel:   cfg.ParallelBroadcast && cfg.CPUs > 1,
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		dc, err := cache.New(cache.Config{
@@ -304,7 +312,6 @@ func (m *Machine) Clone() *Machine {
 	m2.walker = nil
 	m2.handler = nil
 	m2.tracer = nil
-	m2.staged = cache.Staged{} // never share the buffer's backing array
 	m2.cpus = make([]CPU, len(m.cpus))
 	for i := range m.cpus {
 		c := m.cpus[i]
@@ -414,62 +421,29 @@ func (m *Machine) snoopInvalidate(va arch.VA, pa arch.PA) {
 // shootdowns a multiprocessor kernel performs; on one CPU they reduce to
 // the plain operations).
 
-// broadcast runs one staged maintenance operation on every CPU's cache
-// (pick selects data or instruction cache). The serial form stages and
-// applies per CPU in index order — exactly the old per-CPU loop — through
-// the machine's reusable stage buffer. The parallel form
-// (Config.ParallelBroadcast) stages concurrently, one goroutine per CPU,
-// then applies serially in CPU index order after the barrier;
-// cache.Staged's invariants make the two forms byte-identical, so
-// ParallelBroadcast never appears in a result or a snapshot key's
-// meaningful state. pick and stage are static functions and the page
-// arguments travel separately, so the serial form allocates nothing.
-func (m *Machine) broadcast(pick func(*CPU) *cache.Cache, stage func(*cache.Cache, arch.CachePage, arch.PFN, *cache.Staged), cp arch.CachePage, f arch.PFN) {
-	if !m.parallel {
-		for i := range m.cpus {
-			stage(pick(&m.cpus[i]), cp, f, &m.staged)
-			m.staged.Apply(m.Mem, m.Clock)
-		}
-		return
-	}
-	staged := make([]cache.Staged, len(m.cpus))
-	var wg sync.WaitGroup
-	for i := range m.cpus {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			stage(pick(&m.cpus[i]), cp, f, &staged[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range m.cpus {
-		staged[i].Apply(m.Mem, m.Clock)
-	}
-}
-
-func dcacheOf(c *CPU) *cache.Cache { return c.DCache }
-func icacheOf(c *CPU) *cache.Cache { return c.ICache }
-
 // FlushDPage flushes frame f's lines from data-cache page cp on every CPU.
 func (m *Machine) FlushDPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(dcacheOf, (*cache.Cache).FlushPageStage, cp, f)
+	for i := range m.cpus {
+		m.cpus[i].DCache.FlushPage(cp, f)
+	}
 }
 
 // PurgeDPage purges frame f's lines from data-cache page cp on every CPU.
 func (m *Machine) PurgeDPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(dcacheOf, (*cache.Cache).PurgePageStage, cp, f)
+	for i := range m.cpus {
+		m.cpus[i].DCache.PurgePage(cp, f)
+	}
 }
 
 // PurgeIPage purges frame f's lines from instruction-cache page cp on
 // every CPU.
 func (m *Machine) PurgeIPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(icacheOf, (*cache.Cache).PurgePageStage, cp, f)
+	for i := range m.cpus {
+		m.cpus[i].ICache.PurgePage(cp, f)
+	}
 }
 
-// InvalidateTLB drops (space, vpn) from every CPU's TLB. Kept serial
-// even under ParallelBroadcast: the per-TLB work is an index delete,
-// far below the grain where a goroutine pays for itself, and it touches
-// no shared state to stage.
+// InvalidateTLB drops (space, vpn) from every CPU's TLB.
 func (m *Machine) InvalidateTLB(space arch.SpaceID, vpn arch.VPN) {
 	for i := range m.cpus {
 		m.cpus[i].TLB.InvalidatePage(space, vpn)

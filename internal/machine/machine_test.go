@@ -326,3 +326,32 @@ func TestWaysSmallerThanPageIsAnError(t *testing.T) {
 		})
 	}
 }
+
+// TestNewRejectsOversizedMachine: a processor or frame count past the
+// size limits is an error from New, returned before any cache, TLB or
+// memory is allocated, and CheckSize draws the same line.
+func TestNewRejectsOversizedMachine(t *testing.T) {
+	for _, tc := range []struct{ cpus, frames int }{
+		{MaxCPUs + 1, 64},
+		{1 << 30, 64},
+		{-1, 64},
+		{1, MaxFrames + 1},
+		{1, 1 << 40},
+		{1, -4},
+	} {
+		cfg := DefaultConfig()
+		cfg.CPUs, cfg.Frames = tc.cpus, tc.frames
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(cpus %d, frames %d) succeeded, want a size error", tc.cpus, tc.frames)
+		}
+		if CheckSize(tc.cpus, tc.frames) == nil {
+			t.Errorf("CheckSize(%d, %d) = nil, want an error", tc.cpus, tc.frames)
+		}
+	}
+	if err := CheckSize(MaxCPUs, MaxFrames); err != nil {
+		t.Errorf("CheckSize at the limits: %v", err)
+	}
+	if err := CheckSize(0, 0); err != nil {
+		t.Errorf("CheckSize of the defaults: %v", err)
+	}
+}

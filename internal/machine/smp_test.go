@@ -268,8 +268,8 @@ func TestSetCurrentCPUPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestSerialBroadcastAllocationFree: the serial broadcast's flush and
-// purges reuse the machine's stage buffer and pass static functions, so
+// TestSerialBroadcastAllocationFree: the broadcast flush and purges are
+// plain per-CPU loops that write dirty lines straight back to memory, so
 // once warmed up a page flush with dirty lines and both purges allocate
 // nothing, on one CPU and on several.
 func TestSerialBroadcastAllocationFree(t *testing.T) {

@@ -1,0 +1,51 @@
+package replay
+
+import (
+	"encoding/json"
+	"testing"
+
+	"vcache/internal/machine"
+	"vcache/internal/trace"
+)
+
+// FuzzReplaySpec feeds arbitrary bytes through the /replay and
+// vcachesim -replay path short of simulation: JSON decoding into a
+// trace.Export, then Parse and Spec. Any input must yield an error or a
+// replayable spec, never a panic, and an accepted spec's machine must
+// lie within the size limits.
+func FuzzReplaySpec(f *testing.F) {
+	ops := `"events":[{"seq":1,"cycles":0,"kind":"op","frame":0,"note":"sync"}]`
+	for _, origin := range []string{
+		`{"workload":"kernel-build","config":"F","scale":"custom","factor":0.1,"cpus":2,"frames":2048}`,
+		`{"workload":"x","config":"HYB","cpus":64,"frames":1048576}`,
+		`{"workload":"x","config":"F","cpus":65}`,
+		`{"workload":"x","config":"F","cpus":100000}`,
+		`{"workload":"x","config":"F","cpus":-1}`,
+		`{"workload":"x","config":"F","frames":1048577}`,
+		`{"workload":"x","config":"F","frames":100000000}`,
+		`{"workload":"x","config":"F","frames":-4}`,
+		`{"workload":"x","config":"ZZZ"}`,
+	} {
+		f.Add([]byte(`{"origin":` + origin + `,"retained":1,` + ops + `}`))
+	}
+	f.Add([]byte(`{"retained":1,` + ops + `}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ex trace.Export
+		if err := json.Unmarshal(data, &ex); err != nil {
+			return
+		}
+		pr, err := Parse(ex)
+		if err != nil {
+			return
+		}
+		spec, err := pr.Spec()
+		if err != nil {
+			return
+		}
+		mc := spec.Kernel.Machine
+		if mc.CPUs < 1 || mc.CPUs > machine.MaxCPUs || mc.Frames < 0 || mc.Frames > machine.MaxFrames {
+			t.Fatalf("Spec accepted a machine of %d CPUs, %d frames\ninput: %s", mc.CPUs, mc.Frames, data)
+		}
+	})
+}

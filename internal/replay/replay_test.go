@@ -289,3 +289,41 @@ func TestParseRejectsUnknownConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecRejectsBadOriginSize: an origin machine past the size limits,
+// or with a negative size, is an error from Spec — before any
+// simulation state exists — instead of an allocation that exhausts the
+// host or a silent replay at the default size. Sizes within the limits
+// carry over to the replay's kernel.
+func TestSpecRejectsBadOriginSize(t *testing.T) {
+	ev := []trace.Event{{Kind: trace.EvOp, Note: "sync"}}
+	for _, o := range []trace.Origin{
+		{CPUs: 65},
+		{CPUs: 100000},
+		{CPUs: -1},
+		{Frames: 1<<20 + 1},
+		{Frames: 100000000},
+		{Frames: -4},
+	} {
+		o.Workload, o.Config = "x", "F"
+		pr, err := Parse(trace.Export{Origin: &o, Events: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.Spec(); err == nil {
+			t.Errorf("Spec accepted origin cpus %d, frames %d", o.CPUs, o.Frames)
+		}
+	}
+	o := trace.Origin{Workload: "x", Config: "F", CPUs: 2, Frames: 2048}
+	pr, err := Parse(trace.Export{Origin: &o, Events: ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := pr.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Kernel.Machine.CPUs != 2 || spec.Kernel.Machine.Frames != 2048 {
+		t.Errorf("replay machine %d CPUs, %d frames; want 2, 2048", spec.Kernel.Machine.CPUs, spec.Kernel.Machine.Frames)
+	}
+}

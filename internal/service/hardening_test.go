@@ -84,48 +84,6 @@ func TestReadOnlyEndpointMethods(t *testing.T) {
 	}
 }
 
-// TestShardMarkingAndForwardedAccounting: a daemon configured with a
-// ShardID stamps every /run response with it, and counts requests that
-// carry a coordinator's forwarded marker — without the marker the
-// forwarded counter must not move.
-func TestShardMarkingAndForwardedAccounting(t *testing.T) {
-	svc := New(Config{ShardID: "s7"})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	defer svc.Shutdown(context.Background())
-
-	body, _ := json.Marshal(RunRequest{Workload: "kernel-build", Config: "F", Scale: 0.05})
-	resp, err := srv.Client().Post(srv.URL+"/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(ShardHeader); got != "s7" {
-		t.Fatalf("direct request: %s = %q, want %q", ShardHeader, got, "s7")
-	}
-	if got := svc.Metrics().ForwardedRequests; got != 0 {
-		t.Fatalf("direct request counted as forwarded: %d", got)
-	}
-
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/run", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, "vcachectl")
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := svc.Metrics().ForwardedRequests; got != 1 {
-		t.Fatalf("forwarded request count = %d, want 1", got)
-	}
-	if !strings.Contains(metricsText(t, srv), "vcached_forwarded_requests_total 1") {
-		t.Fatal("/metrics does not expose vcached_forwarded_requests_total")
-	}
-}
-
 // TestBatchClientDisconnectMidFeed: cancelling the request context while
 // a batch is mid-flight must settle cleanly — the worker pool drains,
 // every element ends with a result or an error, no goroutine leaks, and

@@ -55,21 +55,8 @@ func writeJSONError(w http.ResponseWriter, status int, format string, args ...an
 	_ = json.NewEncoder(w).Encode(httpError{Error: fmt.Sprintf(format, args...)})
 }
 
-// Headers the clustered serving path speaks: a coordinator
-// (internal/cluster) marks relayed requests with ForwardedHeader so
-// shards can account forwarded traffic apart from direct traffic, and a
-// shard configured with Config.ShardID stamps its responses with
-// ShardHeader so results stay attributable across the fleet.
-const (
-	ForwardedHeader = "X-Vcache-Forwarded"
-	ShardHeader     = "X-Vcache-Shard"
-)
-
-// StatusOf maps a Submit error onto an HTTP status. It is exported for
-// the cluster coordinator, whose local-fallback path runs Submit
-// directly and must report failures with the same statuses a shard
-// would.
-func StatusOf(err error) int {
+// statusOf maps a Submit error onto an HTTP status.
+func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests // 429
@@ -87,7 +74,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST a RunRequest to /run")
 		return
 	}
-	s.markShard(w, r)
 	start := time.Now()
 	var req RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -123,7 +109,6 @@ func (s *Service) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST a trace export to /replay")
 		return
 	}
-	s.markShard(w, r)
 	if !s.cfg.EnableReplay {
 		writeJSONError(w, http.StatusNotFound, "replay is not enabled on this daemon (Config.EnableReplay)")
 		return
@@ -160,7 +145,7 @@ func (s *Service) handleReplay(w http.ResponseWriter, r *http.Request) {
 	ph := &phaseLog{}
 	ph.fill(runPhases)
 	if err != nil {
-		status := StatusOf(err)
+		status := statusOf(err)
 		s.logRequest("/replay", status, outcome, res, req, err.Error(), time.Since(start), ph)
 		writeJSONError(w, status, "%s", err.Error())
 		return
@@ -237,21 +222,9 @@ func (s *Service) serveOne(ctx context.Context, req RunRequest) served {
 	body, outcome, runPhases, err := s.submit(ctx, res)
 	ph.fill(runPhases)
 	if err != nil {
-		return served{outcome: outcome, res: res, status: StatusOf(err), errMsg: err.Error(), phases: ph}
+		return served{outcome: outcome, res: res, status: statusOf(err), errMsg: err.Error(), phases: ph}
 	}
 	return served{body: body, outcome: outcome, res: res, status: http.StatusOK, phases: ph}
-}
-
-// markShard stamps the response with this daemon's shard identity and
-// accounts coordinator-relayed requests — the shard-aware half of the
-// cluster protocol (see internal/cluster).
-func (s *Service) markShard(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.ShardID != "" {
-		w.Header().Set(ShardHeader, s.cfg.ShardID)
-	}
-	if r.Header.Get(ForwardedHeader) != "" {
-		s.m.inc(&s.m.forwarded)
-	}
 }
 
 // BatchRequest submits a whole plan of runs in one call.
@@ -277,7 +250,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "POST a BatchRequest to /batch")
 		return
 	}
-	s.markShard(w, r)
 	start := time.Now()
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -138,72 +138,6 @@ func (g LoadGen) Run() (LoadReport, error) {
 	return rep, nil
 }
 
-// DrivePlan posts every element of plan to url's /run concurrently and
-// returns the response bodies and X-Vcache-Outcome values in plan
-// order. It is the cluster-identity driver: run results are
-// deterministic, so two topologies (one vcached vs a sharded fleet
-// behind a coordinator) serving the same plan must return byte-identical
-// bodies element-wise, whatever order the concurrent posts complete in.
-// The first failing element (in plan order, so the choice is
-// deterministic) is returned as the error.
-func DrivePlan(client *http.Client, url string, plan []RunRequest, concurrency int) (bodies [][]byte, outcomes []string, err error) {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
-	}
-	if concurrency <= 0 {
-		concurrency = 8
-	}
-	if concurrency > len(plan) {
-		concurrency = len(plan)
-	}
-	bodies = make([][]byte, len(plan))
-	outcomes = make([]string, len(plan))
-	errs := make([]error, len(plan))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				b, err := json.Marshal(plan[i])
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				resp, err := client.Post(url+"/run", "application/json", bytes.NewReader(b))
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-					continue
-				}
-				bodies[i] = body
-				outcomes[i] = resp.Header.Get("X-Vcache-Outcome")
-			}
-		}()
-	}
-	for i := range plan {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			return bodies, outcomes, fmt.Errorf("plan element %d: %w", i, e)
-		}
-	}
-	return bodies, outcomes, nil
-}
-
 // post submits one request and returns its X-Vcache-Outcome.
 func (g LoadGen) post(client *http.Client, req RunRequest) (string, error) {
 	body, err := json.Marshal(req)

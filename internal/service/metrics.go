@@ -57,7 +57,6 @@ type metrics struct {
 	rejectedQueue    uint64 // 429s: admission queue full
 	rejectedDraining uint64 // 503s: refused because the service is draining
 	timeouts         uint64 // 504s: request deadline expired while waiting
-	forwarded        uint64 // requests relayed to this shard by a cluster coordinator
 
 	// latency is the aggregate run-latency histogram; bySpec carries one
 	// histogram per workload×config label pair, so a slow configuration
@@ -114,7 +113,6 @@ type Snapshot struct {
 	RejectedQueue     uint64
 	RejectedDraining  uint64
 	Timeouts          uint64
-	ForwardedRequests uint64
 	QueueDepth        int64
 	RunsInflight      int64
 }
@@ -170,7 +168,6 @@ func (m *metrics) render(b *strings.Builder, s Snapshot) {
 	counter("rejected_queue_full_total", s.RejectedQueue)
 	counter("rejected_draining_total", s.RejectedDraining)
 	counter("request_timeouts_total", s.Timeouts)
-	counter("forwarded_requests_total", s.ForwardedRequests)
 	fmt.Fprintf(b, "vcached_queue_depth %d\n", s.QueueDepth)
 	fmt.Fprintf(b, "vcached_runs_inflight %d\n", s.RunsInflight)
 

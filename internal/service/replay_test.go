@@ -128,6 +128,18 @@ func TestReplayRejectsMalformedExports(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("originless export: status %d, want 400: %s", status, body)
 	}
+
+	// A parseable program whose origin machine is past the size limits:
+	// Spec must reject it.
+	oversized := trace.Export{
+		Origin:   &trace.Origin{Workload: "x", Config: "F", CPUs: 65},
+		Retained: 1,
+		Events:   []trace.Event{{Kind: trace.EvOp, Note: "sync"}},
+	}
+	status, _, body = postJSON(t, srv, "/replay", oversized)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "cpus") {
+		t.Fatalf("oversized origin: status %d, want 400 naming cpus: %s", status, body)
+	}
 	if snap := svc.Metrics(); snap.RunsStarted != 0 {
 		t.Fatalf("invalid exports started %d runs", snap.RunsStarted)
 	}

@@ -81,11 +81,6 @@ type Config struct {
 	// control as /run. Opt-in because a replayed program is arbitrary
 	// caller-supplied work, not a named benchmark a cap can reason about.
 	EnableReplay bool
-	// ShardID, when non-empty, names this daemon as one shard of a
-	// vcached cluster: /run and /batch responses carry it in an
-	// X-Vcache-Shard header so a coordinator (internal/cluster,
-	// cmd/vcachectl) can attribute which backend produced a result.
-	ShardID string
 	// Log, when non-nil, receives one structured JSON line per request.
 	Log io.Writer
 }
@@ -420,17 +415,16 @@ func (s *Service) Metrics() Snapshot {
 	cs := s.cache.stats()
 	s.m.mu.Lock()
 	snap := Snapshot{
-		Requests:          s.m.requests,
-		SingleflightHits:  s.m.singleflightHits,
-		RunsStarted:       s.m.runsStarted,
-		RunsCompleted:     s.m.runsCompleted,
-		RunErrors:         s.m.runErrors,
-		RunTimeouts:       s.m.runTimeouts,
-		RejectedInvalid:   s.m.rejectedInvalid,
-		RejectedQueue:     s.m.rejectedQueue,
-		RejectedDraining:  s.m.rejectedDraining,
-		Timeouts:          s.m.timeouts,
-		ForwardedRequests: s.m.forwarded,
+		Requests:         s.m.requests,
+		SingleflightHits: s.m.singleflightHits,
+		RunsStarted:      s.m.runsStarted,
+		RunsCompleted:    s.m.runsCompleted,
+		RunErrors:        s.m.runErrors,
+		RunTimeouts:      s.m.runTimeouts,
+		RejectedInvalid:  s.m.rejectedInvalid,
+		RejectedQueue:    s.m.rejectedQueue,
+		RejectedDraining: s.m.rejectedDraining,
+		Timeouts:         s.m.timeouts,
 	}
 	s.m.mu.Unlock()
 	snap.CacheHits = cs.Hits

@@ -329,6 +329,8 @@ func TestInvalidRequests(t *testing.T) {
 		{"unknown config", RunRequest{Workload: "kernel-build", Config: "Z"}},
 		{"negative scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: -1}},
 		{"bad cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: -2}},
+		{"cpus past the limit", RunRequest{Workload: "kernel-build", Config: "F", Scale: 0.01, CPUs: 65}},
+		{"frames past the limit", RunRequest{Workload: "kernel-build", Config: "F", Scale: 0.01, Frames: 1<<20 + 1}},
 		{"over scale cap", RunRequest{Workload: "kernel-build", Config: "F", Scale: 2.0}},
 	} {
 		status, _, body := postRun(t, srv, tc.req)

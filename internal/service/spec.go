@@ -9,6 +9,7 @@ import (
 
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/sim"
 	"vcache/internal/workload"
@@ -127,15 +128,12 @@ func Resolve(req RunRequest) (*Resolved, error) {
 	if err := (workload.Scale{Factor: scale}).Validate(); err != nil {
 		return nil, err
 	}
+	if err := machine.CheckSize(req.CPUs, req.Frames); err != nil {
+		return nil, err
+	}
 	cpus := req.CPUs
 	if cpus == 0 {
 		cpus = 1
-	}
-	if cpus < 1 {
-		return nil, fmt.Errorf("cpus must be >= 1, got %d", req.CPUs)
-	}
-	if req.Frames < 0 {
-		return nil, fmt.Errorf("frames must be >= 0, got %d", req.Frames)
 	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"vcache/internal/machine"
 )
 
 func TestResolveDefaults(t *testing.T) {
@@ -84,6 +86,10 @@ func TestResolveValidation(t *testing.T) {
 		{"overflowing scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: 1e300}, "scale"},
 		{"bad cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: -1}, "cpus"},
 		{"bad frames", RunRequest{Workload: "kernel-build", Config: "F", Frames: -4}, "frames"},
+		{"cpus past the limit", RunRequest{Workload: "kernel-build", Config: "F", CPUs: 65}, "cpus"},
+		{"huge cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: 100000}, "cpus"},
+		{"frames past the limit", RunRequest{Workload: "kernel-build", Config: "F", Frames: 1<<20 + 1}, "frames"},
+		{"huge frames", RunRequest{Workload: "kernel-build", Config: "F", Frames: 100000000}, "frames"},
 		{"bad timeout", RunRequest{Workload: "kernel-build", Config: "F", TimeoutMS: -1}, "timeout_ms"},
 	} {
 		_, err := Resolve(tc.req)
@@ -94,6 +100,18 @@ func TestResolveValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestResolveAcceptsSizeLimits: the largest machine a request may ask
+// for resolves, so the limits reject only what lies past them.
+func TestResolveAcceptsSizeLimits(t *testing.T) {
+	res, err := Resolve(RunRequest{Workload: "kernel-build", Config: "F", CPUs: machine.MaxCPUs, Frames: machine.MaxFrames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spec.Kernel.Machine.CPUs != machine.MaxCPUs || res.Spec.Kernel.Machine.Frames != machine.MaxFrames {
+		t.Fatalf("resolved machine %d CPUs, %d frames", res.Spec.Kernel.Machine.CPUs, res.Spec.Kernel.Machine.Frames)
 	}
 }
 

@@ -99,31 +99,6 @@ func TestMPFastPathIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelBroadcastIdentity proves the one-goroutine-per-CPU
-// broadcast simulator is invisible in the results: the staged
-// flush/purge halves run concurrently, the applies serially in CPU
-// index order, and the Result must be deep-equal to the serial
-// simulator's on the same migrating MP run.
-func TestParallelBroadcastIdentity(t *testing.T) {
-	for _, cfg := range []policy.Config{policy.Old(), policy.New()} {
-		run := func(parallel bool) Result {
-			kc := kernel.DefaultConfig(cfg)
-			kc.Machine.CPUs = 4
-			kc.Machine.ParallelBroadcast = parallel
-			kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
-			r, err := Run(Stress(29, 400), cfg, Full(), kc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}
-		serial, parallel := run(false), run(true)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: parallel-broadcast Result differs from serial simulator", cfg.Label)
-		}
-	}
-}
-
 // TestMultiprocessorPaging combines CPUs with memory pressure.
 func TestMultiprocessorPaging(t *testing.T) {
 	kc := kernel.DefaultConfig(policy.New())
