@@ -23,7 +23,9 @@ import (
 // configuration A (release-time flushes around every prepare), the full
 // lazy configuration F (WillOverwrite leaves stale lines for the bulk
 // writes to hit), the Tut/Sun system variants (Sun exercises the
-// uncached fallback), and the paging/IPC torture workload.
+// uncached fallback), all three benchmarks (afs-bench and latex-paper
+// are the heaviest users of the read(2)/write(2) page copy and of text
+// execution) and the paging/IPC torture workload.
 func fastpathSpecs() []harness.Spec {
 	scale := workload.Small()
 	var specs []harness.Spec
@@ -32,10 +34,9 @@ func fastpathSpecs() []harness.Spec {
 		if err != nil {
 			panic(err)
 		}
-		specs = append(specs,
-			harness.Spec{Workload: workload.KernelBuild(), Config: cfg, Scale: scale},
-			harness.Spec{Workload: workload.Stress(7, 300), Config: cfg, Scale: scale},
-		)
+		for _, w := range append(workload.Benchmarks(), workload.Stress(7, 300)) {
+			specs = append(specs, harness.Spec{Workload: w, Config: cfg, Scale: scale})
+		}
 	}
 	return specs
 }

@@ -325,24 +325,14 @@ func (fs *FileSystem) VA(b *Buffer, word uint64) arch.VA {
 // Frame returns the physical frame of a buffer (used by the text pager).
 func (fs *FileSystem) Frame(b *Buffer) arch.PFN { return b.frame }
 
-// ReadWord reads word i of the buffer through its kernel mapping.
-func (fs *FileSystem) ReadWord(b *Buffer, word uint64) (uint64, error) {
-	return fs.m.Read(arch.KernelSpace, fs.VA(b, word))
-}
-
-// WriteWord writes word i of the buffer through its kernel mapping and
-// marks it dirty.
-func (fs *FileSystem) WriteWord(b *Buffer, word uint64, v uint64) error {
-	if err := fs.m.Write(arch.KernelSpace, fs.VA(b, word), v); err != nil {
+// zeroBuffer zeroes a buffer through its kernel mapping, in bulk where
+// the machine's guards allow and word by word for the rest.
+func (fs *FileSystem) zeroBuffer(b *Buffer) error {
+	i, err := fs.m.BulkZeroPage(arch.KernelSpace, fs.VA(b, 0))
+	if err != nil {
 		return err
 	}
-	fs.MarkDirty(b)
-	return nil
-}
-
-// zeroBuffer zeroes a buffer through its kernel mapping.
-func (fs *FileSystem) zeroBuffer(b *Buffer) error {
-	for i := uint64(0); i < fs.geom.WordsPerPage(); i++ {
+	for ; i < fs.geom.WordsPerPage(); i++ {
 		if err := fs.m.Write(arch.KernelSpace, fs.VA(b, i), 0); err != nil {
 			return err
 		}

@@ -54,6 +54,21 @@ func newRig(t *testing.T, cfg Config) *rig {
 	return r
 }
 
+// writeWord stores v in word w of buffer b through its kernel mapping,
+// as the kernel's write(2) copy does, and marks the buffer dirty.
+func (r *rig) writeWord(b *Buffer, w, v uint64) error {
+	if err := r.m.Write(arch.KernelSpace, r.fs.VA(b, w), v); err != nil {
+		return err
+	}
+	r.fs.MarkDirty(b)
+	return nil
+}
+
+// readWord loads word w of buffer b through its kernel mapping.
+func (r *rig) readWord(b *Buffer, w uint64) (uint64, error) {
+	return r.m.Read(arch.KernelSpace, r.fs.VA(b, w))
+}
+
 func (r *rig) check(t *testing.T) {
 	t.Helper()
 	if v := r.m.Oracle.Violations(); len(v) != 0 {
@@ -96,7 +111,7 @@ func TestWriteSyncReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := uint64(0); w < 8; w++ {
-		if err := r.fs.WriteWord(b, w, 100+w); err != nil {
+		if err := r.writeWord(b, w, 100+w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +137,7 @@ func TestWriteSyncReadRoundTrip(t *testing.T) {
 	if r.fs.Stats().Misses != misses+1 {
 		t.Error("re-read did not miss")
 	}
-	v, err := r.fs.ReadWord(b, 5)
+	v, err := r.readWord(b, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +165,7 @@ func TestWriteBehindAges(t *testing.T) {
 	r := newRig(t, Config{Buffers: 8, WriteBehindDelay: 3})
 	f, _ := r.fs.Create("wb")
 	b, _ := r.fs.GetBuffer(f, 0, true)
-	if err := r.fs.WriteWord(b, 0, 1); err != nil {
+	if err := r.writeWord(b, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	writes := r.disk.Stats().Writes
@@ -173,7 +188,7 @@ func TestEvictionWritesBackDirtyVictim(t *testing.T) {
 	r := newRig(t, Config{Buffers: 2, WriteBehindDelay: 1 << 30})
 	f, _ := r.fs.Create("small")
 	b0, _ := r.fs.GetBuffer(f, 0, true)
-	if err := r.fs.WriteWord(b0, 0, 42); err != nil {
+	if err := r.writeWord(b0, 0, 42); err != nil {
 		t.Fatal(err)
 	}
 	// Fill both buffers, forcing the dirty one out.
@@ -191,7 +206,7 @@ func TestEvictionWritesBackDirtyVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := r.fs.ReadWord(b0, 0)
+	v, err := r.readWord(b0, 0)
 	if err != nil || v != 42 {
 		t.Fatalf("read back %d, %v", v, err)
 	}
@@ -202,7 +217,7 @@ func TestReadBlockIntoUserFrame(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	f, _ := r.fs.Create("direct")
 	b, _ := r.fs.GetBuffer(f, 0, true)
-	if err := r.fs.WriteWord(b, 7, 777); err != nil {
+	if err := r.writeWord(b, 7, 777); err != nil {
 		t.Fatal(err)
 	}
 	// Target user frame with dirty cached data of its own.

@@ -38,7 +38,7 @@ func TestMapFileReadsContent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := k.FS.ReadWord(b, 8)
+			want, err := k.M.Read(arch.KernelSpace, k.FS.VA(b, 8))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 
 	"vcache/internal/arch"
 	"vcache/internal/fs"
+	"vcache/internal/machine"
 	"vcache/internal/vm"
 )
 
@@ -100,6 +101,9 @@ func (k *Kernel) ReadFilePage(p *Process, f *fs.File, page, heapPage uint64) err
 	k.preempt(p)
 	k.opEnter()
 	defer k.opExit()
+	if err := p.checkHeapPage(heapPage); err != nil {
+		return err
+	}
 	if err := k.Syscall(p); err != nil {
 		return err
 	}
@@ -107,15 +111,8 @@ func (k *Kernel) ReadFilePage(p *Process, f *fs.File, page, heapPage uint64) err
 	if err != nil {
 		return err
 	}
-	words := k.Geometry().WordsPerPage()
-	for i := uint64(0); i < words; i++ {
-		v, err := k.FS.ReadWord(b, i)
-		if err != nil {
-			return err
-		}
-		if err := k.M.Write(p.Space.ID, p.HeapVA(k.Geometry(), heapPage, i), v); err != nil {
-			return err
-		}
+	if _, err := k.copyPage(arch.KernelSpace, k.FS.VA(b, 0), p.Space.ID, p.HeapVA(k.Geometry(), heapPage, 0)); err != nil {
+		return err
 	}
 	k.oplogf("readf pid=%d file=%s page=%d heap=%d", p.ID, f.Name, page, heapPage)
 	return nil
@@ -128,6 +125,9 @@ func (k *Kernel) WriteFilePage(p *Process, f *fs.File, page, heapPage uint64) er
 	k.preempt(p)
 	k.opEnter()
 	defer k.opExit()
+	if err := p.checkHeapPage(heapPage); err != nil {
+		return err
+	}
 	if err := k.Syscall(p); err != nil {
 		return err
 	}
@@ -135,15 +135,12 @@ func (k *Kernel) WriteFilePage(p *Process, f *fs.File, page, heapPage uint64) er
 	if err != nil {
 		return err
 	}
-	words := k.Geometry().WordsPerPage()
-	for i := uint64(0); i < words; i++ {
-		v, err := k.M.Read(p.Space.ID, p.HeapVA(k.Geometry(), heapPage, i))
-		if err != nil {
-			return err
-		}
-		if err := k.FS.WriteWord(b, i, v); err != nil {
-			return err
-		}
+	n, err := k.copyPage(p.Space.ID, p.HeapVA(k.Geometry(), heapPage, 0), arch.KernelSpace, k.FS.VA(b, 0))
+	if n > 0 {
+		k.FS.MarkDirty(b)
+	}
+	if err != nil {
+		return err
 	}
 	k.oplogf("writef pid=%d file=%s page=%d heap=%d", p.ID, f.Name, page, heapPage)
 	return nil
@@ -159,21 +156,11 @@ func (k *Kernel) TouchHeap(p *Process, page uint64, words int) error {
 		return err
 	}
 	k.M.SetCurrentCPU(p.CPU)
-	if page >= p.heapPages {
-		return fmt.Errorf("kernel: heap page %d out of range (%d)", page, p.heapPages)
+	if err := p.checkHeapPage(page); err != nil {
+		return err
 	}
-	total := k.Geometry().WordsPerPage()
-	if words <= 0 {
-		words = 1
-	}
-	stride := total / uint64(words)
-	if stride == 0 {
-		stride = 1
-	}
-	for i := uint64(0); i < total; i += stride {
-		if err := k.M.Write(p.Space.ID, p.HeapVA(k.Geometry(), page, i), k.nextValue()); err != nil {
-			return err
-		}
+	if err := k.pageRun(p, p.HeapVA(k.Geometry(), page, 0), words, machine.AccessWrite); err != nil {
+		return err
 	}
 	k.oplogf("touch pid=%d page=%d words=%d", p.ID, page, words)
 	return nil
@@ -188,18 +175,11 @@ func (k *Kernel) ReadHeap(p *Process, page uint64, words int) error {
 		return err
 	}
 	k.M.SetCurrentCPU(p.CPU)
-	total := k.Geometry().WordsPerPage()
-	if words <= 0 {
-		words = 1
+	if err := p.checkHeapPage(page); err != nil {
+		return err
 	}
-	stride := total / uint64(words)
-	if stride == 0 {
-		stride = 1
-	}
-	for i := uint64(0); i < total; i += stride {
-		if _, err := k.M.Read(p.Space.ID, p.HeapVA(k.Geometry(), page, i)); err != nil {
-			return err
-		}
+	if err := k.pageRun(p, p.HeapVA(k.Geometry(), page, 0), words, machine.AccessRead); err != nil {
+		return err
 	}
 	k.oplogf("readh pid=%d page=%d words=%d", p.ID, page, words)
 	return nil
@@ -219,21 +199,9 @@ func (k *Kernel) RunText(p *Process, words int) error {
 	if p.Text == nil {
 		return fmt.Errorf("kernel: process %d has no text", p.ID)
 	}
-	geom := k.Geometry()
-	total := geom.WordsPerPage()
-	if words <= 0 {
-		words = 1
-	}
-	stride := total / uint64(words)
-	if stride == 0 {
-		stride = 1
-	}
 	for pg := p.Text.Start; pg < p.Text.End(); pg++ {
-		base := geom.PageBase(pg)
-		for i := uint64(0); i < total; i += stride {
-			if _, err := k.M.Fetch(p.Space.ID, base+arch.VA(i*arch.WordSize)); err != nil {
-				return err
-			}
+		if err := k.pageRun(p, k.Geometry().PageBase(pg), words, machine.AccessExecute); err != nil {
+			return err
 		}
 	}
 	k.oplogf("runtext pid=%d words=%d", p.ID, words)
@@ -248,6 +216,9 @@ func (k *Kernel) SendHeapPage(from *Process, page uint64, to *Process) (arch.VPN
 	k.preempt(from)
 	k.opEnter()
 	defer k.opExit()
+	if err := from.checkHeapPage(page); err != nil {
+		return 0, err
+	}
 	if err := k.Syscall(from); err != nil {
 		return 0, err
 	}
@@ -268,6 +239,9 @@ func (k *Kernel) SharePage(from *Process, page uint64, to *Process) (arch.VPN, e
 	k.preempt(from)
 	k.opEnter()
 	defer k.opExit()
+	if err := from.checkHeapPage(page); err != nil {
+		return 0, err
+	}
 	if err := k.Syscall(from); err != nil {
 		return 0, err
 	}
@@ -297,20 +271,8 @@ func (k *Kernel) ReadPage(p *Process, vpn arch.VPN, words int) error {
 		return err
 	}
 	k.M.SetCurrentCPU(p.CPU)
-	geom := k.Geometry()
-	total := geom.WordsPerPage()
-	if words <= 0 {
-		words = 1
-	}
-	stride := total / uint64(words)
-	if stride == 0 {
-		stride = 1
-	}
-	base := geom.PageBase(vpn)
-	for i := uint64(0); i < total; i += stride {
-		if _, err := k.M.Read(p.Space.ID, base+arch.VA(i*arch.WordSize)); err != nil {
-			return err
-		}
+	if err := k.pageRun(p, k.Geometry().PageBase(vpn), words, machine.AccessRead); err != nil {
+		return err
 	}
 	k.oplogf("readp pid=%d vpn=%#x words=%d", p.ID, uint64(vpn), words)
 	return nil
@@ -326,20 +288,8 @@ func (k *Kernel) WritePage(p *Process, vpn arch.VPN, words int) error {
 		return err
 	}
 	k.M.SetCurrentCPU(p.CPU)
-	geom := k.Geometry()
-	total := geom.WordsPerPage()
-	if words <= 0 {
-		words = 1
-	}
-	stride := total / uint64(words)
-	if stride == 0 {
-		stride = 1
-	}
-	base := geom.PageBase(vpn)
-	for i := uint64(0); i < total; i += stride {
-		if err := k.M.Write(p.Space.ID, base+arch.VA(i*arch.WordSize), k.nextValue()); err != nil {
-			return err
-		}
+	if err := k.pageRun(p, k.Geometry().PageBase(vpn), words, machine.AccessWrite); err != nil {
+		return err
 	}
 	k.oplogf("writep pid=%d vpn=%#x words=%d", p.ID, uint64(vpn), words)
 	return nil
@@ -360,11 +310,10 @@ func (k *Kernel) WriteFileContent(f *fs.File, pages uint64) error {
 		if err != nil {
 			return err
 		}
-		for i := uint64(0); i < words; i += 8 {
-			if err := k.FS.WriteWord(b, i, k.nextValue()); err != nil {
-				return err
-			}
+		if err := k.M.Strided(arch.KernelSpace, k.FS.VA(b, 0), 8, (words+7)/8, machine.AccessWrite, k.nextValue); err != nil {
+			return err
 		}
+		k.FS.MarkDirty(b)
 	}
 	k.oplogf("writec file=%s pages=%d", f.Name, pages)
 	return nil
@@ -381,6 +330,9 @@ func (k *Kernel) ReadFilePageDirect(p *Process, f *fs.File, page, heapPage uint6
 	k.preempt(p)
 	k.opEnter()
 	defer k.opExit()
+	if err := p.checkHeapPage(heapPage); err != nil {
+		return err
+	}
 	if err := k.Syscall(p); err != nil {
 		return err
 	}
@@ -428,4 +380,49 @@ func (k *Kernel) MapFile(p *Process, f *fs.File, obj *vm.Object, pages uint64) (
 	}
 	k.oplogf("mapfile pid=%d file=%s obj=%d pages=%d vpn=%#x", p.ID, f.Name, k.objID(obj), pages, uint64(reg.Start))
 	return reg.Start, obj, nil
+}
+
+// checkHeapPage rejects a heap page number outside p's heap region.
+// HeapVA does not wrap-check, so an unchecked huge page number would
+// silently name some other page of the address space.
+func (p *Process) checkHeapPage(page uint64) error {
+	if page >= p.heapPages {
+		return fmt.Errorf("kernel: heap page %d out of range (%d)", page, p.heapPages)
+	}
+	return nil
+}
+
+// pageRun performs `words` evenly spaced accesses of kind acc to the page
+// at base in p's address space, writes storing fresh values — the loop
+// behind the heap, text and mapped-page operations. Fewer than one word
+// means one; more than the page holds means every word.
+func (k *Kernel) pageRun(p *Process, base arch.VA, words int, acc machine.Access) error {
+	total := k.Geometry().WordsPerPage()
+	stride := total / uint64(max(words, 1))
+	if stride == 0 {
+		stride = 1
+	}
+	return k.M.Strided(p.Space.ID, base, stride, (total+stride-1)/stride, acc, k.nextValue)
+}
+
+// copyPage copies the page at (sspace, src) to the one at (dspace, dst)
+// — the read(2)/write(2) copy between a buffer and a user page — in
+// bulk where the machine's guards allow and word by word for the rest.
+// It returns how many destination words were written.
+func (k *Kernel) copyPage(sspace arch.SpaceID, src arch.VA, dspace arch.SpaceID, dst arch.VA) (uint64, error) {
+	i, err := k.M.BulkCopyPage(sspace, src, dspace, dst)
+	if err != nil {
+		return 0, err
+	}
+	for ; i < k.Geometry().WordsPerPage(); i++ {
+		off := arch.VA(i * arch.WordSize)
+		v, err := k.M.Read(sspace, src+off)
+		if err != nil {
+			return i, err
+		}
+		if err := k.M.Write(dspace, dst+off, v); err != nil {
+			return i, err
+		}
+	}
+	return i, nil
 }

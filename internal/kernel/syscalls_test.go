@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"vcache/internal/arch"
@@ -189,7 +190,7 @@ func TestTextExecutionContent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fileWord, err := k.FS.ReadWord(b, 0)
+		fileWord, err := k.M.Read(arch.KernelSpace, k.FS.VA(b, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,6 +214,42 @@ func TestHeapBounds(t *testing.T) {
 	if p.HasText() {
 		t.Error("HasText on textless process")
 	}
+}
+
+// TestHeapPageRangeEveryCall: every call that names a heap page rejects
+// one outside the heap. 1<<60 is the dangerous case: its address wraps
+// around to heap page 0, so an unchecked call silently used that page.
+func TestHeapPageRangeEveryCall(t *testing.T) {
+	k := bootT(t, policy.New())
+	p, _ := k.Spawn(nil, 0, 2)
+	q, _ := k.Spawn(nil, 0, 2)
+	f, err := k.CreateFile(p, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.WriteFilePage(p, f, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.HeapVA(k.Geometry(), 1<<60, 0); got != p.HeapVA(k.Geometry(), 0, 0) {
+		t.Fatalf("heap page 1<<60 is at %#x, not heap page 0's address: the test no longer probes the wrap", uint64(got))
+	}
+	for _, page := range []uint64{2, 1 << 60} {
+		calls := map[string]func() error{
+			"TouchHeap":          func() error { return k.TouchHeap(p, page, 8) },
+			"ReadHeap":           func() error { return k.ReadHeap(p, page, 8) },
+			"ReadFilePage":       func() error { return k.ReadFilePage(p, f, 0, page) },
+			"WriteFilePage":      func() error { return k.WriteFilePage(p, f, 0, page) },
+			"ReadFilePageDirect": func() error { return k.ReadFilePageDirect(p, f, 0, page) },
+			"SendHeapPage":       func() error { _, err := k.SendHeapPage(p, page, q); return err },
+			"SharePage":          func() error { _, err := k.SharePage(p, page, q); return err },
+		}
+		for name, call := range calls {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s with heap page %d: got %v, want an out-of-range error", name, page, err)
+			}
+		}
+	}
+	checkClean(t, k, policy.New())
 }
 
 func TestProcessChurnRecyclesFrames(t *testing.T) {

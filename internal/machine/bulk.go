@@ -2,39 +2,44 @@ package machine
 
 import (
 	"vcache/internal/arch"
+	"vcache/internal/oracle"
 )
 
-// Bulk page paths. BulkZeroPage and BulkCopyPage are the machine-level
-// halves of the pmap's zero-fill and page-copy fast paths. Both follow
-// the same shape:
+// Bulk page paths. BulkZeroPage, BulkCopyPage and Strided are the
+// machine-level halves of every kernel page loop: the pmap's zero-fill
+// and page copy, the file system's buffer zeroing, the read(2)/write(2)
+// copy between a buffer and a user page (across two address spaces),
+// and the strided same-page loops of heap, text, mapped-page,
+// file-content and Unix-server channel accesses. All share one shape:
 //
-//   - the first word goes through the full Read/Write pipeline, which
-//     resolves the consistency faults of a fresh window mapping, refills
-//     the TLB, and charges exactly what the reference loop's first
-//     iteration charges;
-//   - the remaining words are then modeled in bulk: TouchRepeat accounts
-//     the TLB hits the loop would score, and the cache's Bulk*Tail
-//     methods reproduce the per-line hit/miss/write-back behavior.
+//   - the first word goes through the full Read/Write/Fetch pipeline,
+//     which resolves the page's faults, refills the TLB, and charges
+//     exactly what the reference loop's first iteration charges;
+//   - the other words cannot fault — they use the translation the first
+//     word left resident — so TouchRepeat accounts their TLB hits in
+//     one step.
 //
-// The result is observation-identical to the word loop — same Result
-// bytes, same cache/TLB statistics, same memory images — whenever the
-// guards hold: no oracle (it records every word), a write-back virtually
-// indexed data cache (see cache.CanBulk), and a cacheable translation.
-// When a guard fails the methods return the number of words already
-// performed (0 or 1) and the caller finishes with the reference loop, so
-// oracle mode, traced runs, and the cache variants keep the exact slow
-// path.
+// BulkZeroPage and BulkCopyPage then model the tail's cache traffic per
+// line (the cache's Bulk*Tail methods), observation-identical to the
+// word loop — same Result bytes, cache/TLB statistics and memory
+// images — whenever their guards hold: no oracle (it records every
+// word), a write-back virtually indexed data cache (cache.CanBulk), and
+// cacheable translations. Strided keeps every word's snoop, cache
+// access and oracle call, so it needs neither guard. When a guard fails
+// the word loop finishes the job, so oracle mode and the cache variants
+// keep the exact slow path; DisableFastPaths and DisableBulkData turn
+// all three off.
 //
 // On a multiprocessor the reference loop snoops peers once per word;
-// the bulk paths hoist that to once per *line* (snoopTail). That is
-// exact, not approximate: SnoopRead and SnoopInvalidate are idempotent
-// per line — the first probe writes back (and, for invalidate, drops)
-// the peer's copy and the remaining wpl-1 probes of the loop find the
-// line absent or clean and do nothing, charge nothing, and count
-// nothing. Within one page no two words share a set with different
-// tags (the in-page lines occupy consecutive sets of one cache page),
-// and the current CPU's own fills between snoops cannot re-populate a
-// *peer* cache, so probe order across lines is immaterial.
+// the bulk zero and copy hoist that to once per *line* (snoopTail). That
+// is exact, not approximate: SnoopRead and SnoopInvalidate are
+// idempotent per line — the first probe writes back (and, for
+// invalidate, drops) the peer's copy and the remaining wpl-1 probes of
+// the loop find the line absent or clean and do nothing, charge
+// nothing, and count nothing. Within one page no two words share a set
+// with different tags (the in-page lines occupy consecutive sets of one
+// cache page), and the current CPU's own fills between snoops cannot
+// re-populate a *peer* cache, so probe order across lines is immaterial.
 
 // canBulkData reports whether the machine-level bulk data paths apply.
 func (m *Machine) canBulkData() bool {
@@ -43,8 +48,8 @@ func (m *Machine) canBulkData() bool {
 
 // BulkDataEnabled exposes the bulk-path guard for the backend
 // fast-path safety test: a backend that declares itself bulk-ineligible
-// must observably have the paths off (modulo the oracle, which forces
-// the slow path regardless).
+// must observably have every bulk path off — page zero and copy in the
+// pmap, the file system and read(2)/write(2), and the strided runs.
 func (m *Machine) BulkDataEnabled() bool { return !m.noFast && !m.noBulk }
 
 // snoopTail performs the per-line peer snoops for the tail of a bulk
@@ -109,32 +114,36 @@ func (m *Machine) BulkZeroPage(space arch.SpaceID, base arch.VA) (uint64, error)
 	return words, nil
 }
 
-// BulkCopyPage copies the page mapped at (space, sbase) to the one at
-// (space, dbase), both page-aligned. The return convention matches
-// BulkZeroPage: the word count performed, and the error (if any) the
-// reference loop's first iteration would have produced. It falls back
-// after one word when either translation is uncacheable or the two
-// pages share a cache color (the word-interleaved reference order then
-// thrashes one set in a way a bulk pass cannot reproduce; the window
-// allocator never hands out same-color pairs, but identity is re-checked
-// here rather than assumed).
-func (m *Machine) BulkCopyPage(space arch.SpaceID, sbase, dbase arch.VA) (uint64, error) {
+// BulkCopyPage copies the page mapped at (sspace, sbase) to the one at
+// (dspace, dbase), both page-aligned; the spaces may differ (the
+// read(2)/write(2) copy between a buffer's kernel mapping and a user
+// page). The return convention matches BulkZeroPage: the word count
+// performed, and the error (if any) the reference loop's first
+// iteration would have produced — 0 when the source read failed, 1 when
+// the destination write did. It falls back after one word when either
+// translation is uncacheable or no longer resident (the destination's
+// fault may have shot the source down), when the two pages are one
+// frame, or when they share a cache color (the word-interleaved
+// reference order then thrashes one set in a way a bulk pass cannot
+// reproduce; the window allocator never hands out same-color pairs, but
+// identity is re-checked here rather than assumed).
+func (m *Machine) BulkCopyPage(sspace arch.SpaceID, sbase arch.VA, dspace arch.SpaceID, dbase arch.VA) (uint64, error) {
 	if !m.canBulkData() {
 		return 0, nil
 	}
-	v, err := m.Read(space, sbase)
+	v, err := m.Read(sspace, sbase)
 	if err != nil {
 		return 0, err
 	}
-	if err := m.Write(space, dbase, v); err != nil {
+	if err := m.Write(dspace, dbase, v); err != nil {
 		return 1, err
 	}
 	cpu := m.cpu()
 	svpn := m.Geom.PageOf(sbase)
 	dvpn := m.Geom.PageOf(dbase)
-	se, sok := cpu.TLB.Peek(space, svpn)
-	de, dok := cpu.TLB.Peek(space, dvpn)
-	if !sok || !dok || se.Uncached || de.Uncached {
+	se, sok := cpu.TLB.Peek(sspace, svpn)
+	de, dok := cpu.TLB.Peek(dspace, dvpn)
+	if !sok || !dok || se.Uncached || de.Uncached || se.PFN == de.PFN {
 		return 1, nil
 	}
 	colorMask := cpu.DCache.CachePages() - 1
@@ -150,8 +159,8 @@ func (m *Machine) BulkCopyPage(space arch.SpaceID, sbase, dbase arch.VA) (uint64
 	// tick totals are the same, and the final LRU stamps keep the same
 	// relative order (source older than destination, both newer than
 	// everything else) as the interleaved stamps they replace.
-	cpu.TLB.TouchRepeat(space, svpn, rest)
-	cpu.TLB.TouchRepeat(space, dvpn, rest)
+	cpu.TLB.TouchRepeat(sspace, svpn, rest)
+	cpu.TLB.TouchRepeat(dspace, dvpn, rest)
 	spa := m.Geom.Translate(sbase, se.PFN)
 	dpa := m.Geom.Translate(dbase, de.PFN)
 	// Peer snoops in the reference loop's per-line order: the source
@@ -162,4 +171,69 @@ func (m *Machine) BulkCopyPage(space arch.SpaceID, sbase, dbase arch.VA) (uint64
 	m.snoopTail(dbase, dpa, words, true)
 	cpu.DCache.BulkCopyTail(sbase, spa, dbase, dpa, words)
 	return words, nil
+}
+
+// Strided performs n accesses of kind acc at va, va+stride words,
+// va+2*stride words, ... — observably the loop of n Read, Write or
+// Fetch calls, in the same order, with next supplying each stored value
+// (it is called for writes only). The first access runs the full
+// pipeline and then, when stridedTail applies, the other n-1 are
+// batched; otherwise every access runs the full pipeline.
+func (m *Machine) Strided(space arch.SpaceID, va arch.VA, stride, n uint64, acc Access, next func() uint64) error {
+	step := arch.VA(stride * arch.WordSize)
+	for i := uint64(0); i < n; i++ {
+		var err error
+		switch wva := va + arch.VA(i)*step; acc {
+		case AccessRead:
+			_, err = m.Read(space, wva)
+		case AccessWrite:
+			err = m.Write(space, wva, next())
+		default:
+			_, err = m.Fetch(space, wva)
+		}
+		if err != nil {
+			return err
+		}
+		if i == 0 && m.stridedTail(space, va, step, n, acc, next) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// stridedTail performs accesses 1..n-1 of a Strided run whose first
+// access has just completed, when they stay on its page and its
+// translation is cacheable (and the fast paths are on): their TLB hits
+// are one TouchRepeat, and each word then takes only its snoop, cache
+// access and oracle call. It reports whether it ran.
+func (m *Machine) stridedTail(space arch.SpaceID, va, step arch.VA, n uint64, acc Access, next func() uint64) bool {
+	cpu := m.cpu()
+	vpn := m.Geom.PageOf(va)
+	e, ok := cpu.TLB.Peek(space, vpn)
+	if m.noFast || m.noBulk || !ok || e.Uncached || m.Geom.PageOf(va+arch.VA(n-1)*step) != vpn {
+		return false
+	}
+	cpu.TLB.TouchRepeat(space, vpn, n-1)
+	pa := m.Geom.Translate(va, e.PFN)
+	for i := uint64(1); i < n; i++ {
+		wva, wpa := va+arch.VA(i)*step, pa+arch.PA(i)*arch.PA(step)
+		switch acc {
+		case AccessRead:
+			m.stats.Reads++
+			m.snoopRead(wva, wpa)
+			v, _ := cpu.DCache.Read(wva, wpa)
+			m.Oracle.Observe(oracle.CPURead, wpa, v)
+		case AccessWrite:
+			m.stats.Writes++
+			v := next()
+			m.Oracle.RecordWrite(wpa, v)
+			m.snoopInvalidate(wva, wpa)
+			cpu.DCache.Write(wva, wpa, v)
+		default:
+			m.stats.Fetches++
+			v, _ := cpu.ICache.Read(wva, wpa)
+			m.Oracle.Observe(oracle.CPUFetch, wpa, v)
+		}
+	}
+	return true
 }

@@ -151,14 +151,14 @@ type Machine struct {
 	// errors instead of livelock.
 	maxRetries int
 
-	// noFast disables the bulk page and DMA paths, for benchmarking the
-	// overhead they remove and for identity tests that pit the fast
-	// paths against the word-at-a-time reference.
+	// noFast disables the bulk page, strided run and DMA paths, for
+	// benchmarking the overhead they remove and for identity tests that
+	// pit the fast paths against the word-at-a-time reference.
 	noFast bool
 
-	// noBulk disables only the bulk page data paths, leaving the DMA
-	// word-range moves on. Set for consistency backends that have not
-	// proven the bulk identity (Config.DisableBulkData).
+	// noBulk disables only the bulk page and strided run paths, leaving
+	// the DMA word-range moves on. Set for consistency backends that have
+	// not proven the bulk identity (Config.DisableBulkData).
 	noBulk bool
 }
 
@@ -181,17 +181,21 @@ type Config struct {
 	ICachePerLinePurge bool
 	WithOracle         bool
 	Timing             sim.Timing
-	// DisableFastPaths forces every page zero, page copy and DMA
-	// transfer through the word-at-a-time reference pipeline (no bulk
-	// zero/copy/DMA paths). The fast paths are observation-identical, so
-	// this exists only for benchmarking them and for the identity tests
-	// proving it.
+	// DisableFastPaths forces every page loop and DMA transfer through
+	// the word-at-a-time reference pipeline: no bulk zero or copy (the
+	// pmap's zero-fill and page copy, the file system's buffer zeroing,
+	// the read(2)/write(2) copy), no strided run batching (the kernel's
+	// heap, text, mapped-page and file-content loops and the Unix
+	// server's channel exchange), and no DMA word-range moves. The fast
+	// paths are observation-identical, so this exists only for
+	// benchmarking them and for the identity tests proving it.
 	DisableFastPaths bool
-	// DisableBulkData disables only the bulk page zero/copy paths,
-	// keeping the DMA word-range moves. kernel.New sets it for any
-	// consistency backend whose Backend.BulkEligible() is false — the
-	// guard that makes "ineligible backend" mean "provably on the exact
-	// slow path" rather than "hopefully unaffected".
+	// DisableBulkData disables the bulk page zero/copy paths and the
+	// strided run batching, keeping the DMA word-range moves. kernel.New
+	// sets it for any consistency backend whose Backend.BulkEligible()
+	// is false — the guard that makes "ineligible backend" mean
+	// "provably on the exact slow path" rather than "hopefully
+	// unaffected".
 	DisableBulkData bool
 }
 

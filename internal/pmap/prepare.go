@@ -182,8 +182,8 @@ func (p *Pmap) ZeroPage(f arch.PFN, eventualVPN arch.VPN) error {
 	// ran CacheControl once for the whole page), so the word loop is
 	// pure data movement the machine can perform in bulk. Traced runs
 	// and uncached frames keep the reference loop; the machine applies
-	// its own guards (oracle, CPU count, cache variant) and reports how
-	// much it handled.
+	// its own guards (oracle, cache variant) and reports how much it
+	// handled.
 	start := uint64(0)
 	if p.tracer == nil && !p.phys[f].uncached {
 		n, err := p.m.BulkZeroPage(arch.KernelSpace, base)
@@ -219,7 +219,7 @@ func (p *Pmap) CopyPage(src, dst arch.PFN, eventualVPN arch.VPN) error {
 	// performed) when its guards fail.
 	start := uint64(0)
 	if p.tracer == nil && !p.phys[src].uncached && !p.phys[dst].uncached {
-		n, err := p.m.BulkCopyPage(arch.KernelSpace, sbase, dbase)
+		n, err := p.m.BulkCopyPage(arch.KernelSpace, sbase, arch.KernelSpace, dbase)
 		if err != nil {
 			if n == 0 {
 				return fmt.Errorf("pmap: copy read frame %d: %w", src, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vcache/internal/harness"
@@ -234,6 +235,36 @@ func TestUnboundReferenceFails(t *testing.T) {
 	}
 	if _, _, err := harness.Exec(spec); err == nil {
 		t.Fatal("replay of a dangling pid reference succeeded")
+	}
+}
+
+// TestHeapPageOutOfRangeFails: a replay program naming a heap page past
+// the process' heap is an error. Page 1<<60 wraps around to heap page
+// 0's address, so before the range check "readh" and "readf" silently
+// read and wrote page 0 instead.
+func TestHeapPageOutOfRangeFails(t *testing.T) {
+	for _, op := range []string{
+		"readh pid=1 page=1152921504606846976 words=8",
+		"readh pid=1 page=16 words=8",
+		"readf pid=1 file=f page=0 heap=1152921504606846976",
+		"writef pid=1 file=f page=0 heap=1152921504606846976",
+	} {
+		pr, err := FromNotes("bad-heap-page", "F", []string{
+			"spawn pid=1 img=- text=0 heap=16",
+			"create pid=1 file=f",
+			"writef pid=1 file=f page=0 heap=0",
+			op,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := pr.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := harness.Exec(spec); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%q: got %v, want an out-of-range error", op, err)
+		}
 	}
 }
 

@@ -174,40 +174,32 @@ func (s *Server) Transaction(proc *vm.Space, reqWords, respWords int) error {
 		return fmt.Errorf("unixserver: space %d not attached", proc.ID)
 	}
 	half := int(s.geom.WordsPerPage() / 2)
-	if reqWords > half || respWords > half {
-		return fmt.Errorf("unixserver: message too large (%d/%d words, max %d)", reqWords, respWords, half)
+	if reqWords < 0 || respWords < 0 || reqWords > half || respWords > half {
+		return fmt.Errorf("unixserver: message size out of range (%d/%d words, max %d)", reqWords, respWords, half)
 	}
 	procBase := s.geom.PageBase(ch.procRegion.Start)
 	servBase := s.geom.PageBase(ch.serverRegion.Start)
 	respOff := arch.VA(uint64(half) * arch.WordSize)
+	next := func() uint64 { s.seq++; return s.seq }
+	req, resp := uint64(reqWords), uint64(respWords)
 
 	// Process writes the request.
 	s.m.SetCurrentCPU(ch.cpu)
-	for i := 0; i < reqWords; i++ {
-		s.seq++
-		if err := s.m.Write(proc.ID, procBase+arch.VA(i*arch.WordSize), s.seq); err != nil {
-			return err
-		}
+	if err := s.m.Strided(proc.ID, procBase, 1, req, machine.AccessWrite, next); err != nil {
+		return err
 	}
 	// Server reads the request and writes the response.
 	s.m.SetCurrentCPU(serverCPU)
-	for i := 0; i < reqWords; i++ {
-		if _, err := s.m.Read(s.space.ID, servBase+arch.VA(i*arch.WordSize)); err != nil {
-			return err
-		}
+	if err := s.m.Strided(s.space.ID, servBase, 1, req, machine.AccessRead, next); err != nil {
+		return err
 	}
-	for i := 0; i < respWords; i++ {
-		s.seq++
-		if err := s.m.Write(s.space.ID, servBase+respOff+arch.VA(i*arch.WordSize), s.seq); err != nil {
-			return err
-		}
+	if err := s.m.Strided(s.space.ID, servBase+respOff, 1, resp, machine.AccessWrite, next); err != nil {
+		return err
 	}
 	// Process reads the response.
 	s.m.SetCurrentCPU(ch.cpu)
-	for i := 0; i < respWords; i++ {
-		if _, err := s.m.Read(proc.ID, procBase+respOff+arch.VA(i*arch.WordSize)); err != nil {
-			return err
-		}
+	if err := s.m.Strided(proc.ID, procBase+respOff, 1, resp, machine.AccessRead, next); err != nil {
+		return err
 	}
 	s.stats.Transactions++
 	return nil

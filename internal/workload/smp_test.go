@@ -60,41 +60,51 @@ func TestMultiprocessorBenchmarks(t *testing.T) {
 	}
 }
 
-// TestMPFastPathIdentity proves the multiprocessor bulk zero/copy fast
-// paths are exact: with the preemption scheduler migrating processes
-// between CPUs, a full run with fast paths enabled must produce a
-// Result deep-equal to the same run through the word-at-a-time
-// reference path. The hoisted per-line peer snoops must reproduce the
-// reference's cross-CPU write-backs and invalidations bit for bit —
-// cycles, stats, fault counts, everything.
+// TestMPFastPathIdentity proves the multiprocessor bulk fast paths are
+// exact: with the preemption scheduler migrating processes between
+// CPUs, a full run with fast paths enabled must produce a Result
+// deep-equal to the same run through the word-at-a-time reference path.
+// The hoisted per-line peer snoops of the bulk zero and copy, and the
+// per-word snoops of the strided runs, must reproduce the reference's
+// cross-CPU write-backs and invalidations bit for bit — cycles, stats,
+// fault counts, everything. kernel-build adds the read(2)/write(2) page
+// copies and text execution the torture workload runs only rarely.
 func TestMPFastPathIdentity(t *testing.T) {
 	cpuCounts := []int{2, 4}
 	if testing.Short() {
 		cpuCounts = []int{2}
 	}
+	runs := []struct {
+		suffix string
+		w      Workload
+		scale  Scale
+	}{{"", Stress(17, 400), Full()}, {"/kernel-build", KernelBuild(), Small()}}
 	for _, cpus := range cpuCounts {
 		for _, cfg := range policy.Configs() {
-			t.Run(fmt.Sprintf("%s/%dcpu", cfg.Label, cpus), func(t *testing.T) {
-				run := func(disable bool) Result {
-					kc := kernel.DefaultConfig(cfg)
-					kc.Machine.CPUs = cpus
-					// The oracle records every word, so its presence
-					// (correctly) disables the bulk paths — turn it off
-					// on both sides or the comparison is vacuous.
-					kc.Machine.WithOracle = false
-					kc.Machine.DisableFastPaths = disable
-					kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
-					r, err := Run(Stress(17, 400), cfg, Full(), kc)
-					if err != nil {
-						t.Fatal(err)
+			for _, r := range runs {
+				t.Run(fmt.Sprintf("%s/%dcpu%s", cfg.Label, cpus, r.suffix), func(t *testing.T) {
+					run := func(disable bool) Result {
+						kc := kernel.DefaultConfig(cfg)
+						kc.Machine.CPUs = cpus
+						// The oracle records every word, so its presence
+						// (correctly) disables the bulk zero and copy —
+						// turn it off on both sides or the comparison is
+						// vacuous.
+						kc.Machine.WithOracle = false
+						kc.Machine.DisableFastPaths = disable
+						kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
+						res, err := Run(r.w, cfg, r.scale, kc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
 					}
-					return r
-				}
-				fast, slow := run(false), run(true)
-				if !reflect.DeepEqual(fast, slow) {
-					t.Errorf("fast-path Result differs from DisableFastPaths reference:\nfast: %+v\nslow: %+v", fast, slow)
-				}
-			})
+					fast, slow := run(false), run(true)
+					if !reflect.DeepEqual(fast, slow) {
+						t.Errorf("fast-path Result differs from DisableFastPaths reference:\nfast: %+v\nslow: %+v", fast, slow)
+					}
+				})
+			}
 		}
 	}
 }
