@@ -24,7 +24,7 @@ func BenchmarkRead(b *testing.B) {
 		c.Read(0x100, 0x100)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v, _ := c.Read(0x100, 0x100)
+			v := c.Read(0x100, 0x100)
 			sink += v
 		}
 	})
@@ -34,7 +34,7 @@ func BenchmarkRead(b *testing.B) {
 		pa := [2]arch.PA{0x100, 0x100 + arch.PA(geom.PageSize)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v, _ := c.Read(va[i&1], pa[i&1])
+			v := c.Read(va[i&1], pa[i&1])
 			sink += v
 		}
 	})
@@ -84,7 +84,7 @@ func BenchmarkPurgePage(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for l := uint64(0); l < tc.lines; l++ {
 					off := l * geom.LineSize
-					v, _ := c.Read(arch.VA(base)+arch.VA(off), base+arch.PA(off))
+					v := c.Read(arch.VA(base)+arch.VA(off), base+arch.PA(off))
 					sink += v
 				}
 				c.PurgePage(3, 3)
@@ -93,9 +93,9 @@ func BenchmarkPurgePage(b *testing.B) {
 	}
 }
 
-// BenchmarkSnoop times a peer's read snoop: "absent" snoops a line of a
-// frame the cache holds nothing of (the residency filter answers),
-// "resident" snoops a clean line the cache holds, so the set lookup runs.
+// BenchmarkSnoop times a peer's read snoop: "absent" snoops a line the
+// cache does not hold (the set lookup misses), "resident" a clean line
+// it holds (the lookup hits; nothing is written back).
 func BenchmarkSnoop(b *testing.B) {
 	c, _, _ := testRig(b, Config{Name: "d"})
 	c.Read(0x100, 0x100)

@@ -274,68 +274,92 @@ func (c *Cache) fill(i int, tag arch.PA, load bool) {
 	c.clock.Charge(sim.CatAccess, c.clock.Timing().CacheMissFill)
 }
 
-// AccessInfo reports what happened during one access, for tests.
-type AccessInfo struct {
-	Hit       bool
-	WroteBack bool
+// Line names the run of accesses AccessLine has just performed: the
+// handle through which its caller loads and stores the run's words.
+type Line int
+
+// access performs k CPU accesses of one kind to the line holding
+// (va, pa): loads, or stores when write is set, the first of which
+// stores v at pa (Store performs the others). It is the one place a CPU
+// access is accounted, and it charges exactly what k word-by-word Read
+// or Write calls to that line charge: k reads or writes, k ticks and
+// CacheHit charges, one miss and its fill (then k-1 hits) or k hits,
+// the final LRU stamp, and for stores the dirty bit or, write-through,
+// the count and charge of k memory stores. k is at least 1. The fill
+// reads memory only when load is set: a bulk store that overwrites the
+// whole line skips the dead read (but not its charge). It returns the
+// index in data of pa's word.
+func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write, load bool, v uint64) int {
+	si, tag := c.setIndex(va, pa), c.lineTag(pa)
+	i := c.lookup(si, tag)
+	if i < 0 {
+		c.stats.Misses++
+		c.stats.Hits += k - 1
+		i = c.victim(si)
+		c.fill(i, tag, load)
+	} else {
+		c.stats.Hits += k
+	}
+	c.tick += k
+	ln := &c.lines[i]
+	ln.lru = c.tick
+	t := c.clock.Timing()
+	charge := t.CacheHit * k
+	w := c.word(i, pa)
+	switch {
+	case !write:
+		c.stats.Reads += k
+	case c.cfg.ReadOnly:
+		panic(fmt.Sprintf("cache %s: write to read-only cache", c.cfg.Name))
+	case c.cfg.Policy == WriteThrough:
+		c.stats.Writes += k
+		c.stats.WriteBacks += k
+		charge += t.WriteBack * k
+		c.data[w] = v
+		c.mem.WriteWord(pa, v)
+	default:
+		c.stats.Writes += k
+		ln.dirty = true
+		c.data[w] = v
+	}
+	c.clock.Charge(sim.CatAccess, charge)
+	return w
+}
+
+// AccessLine performs k accesses of one kind to the line holding
+// (va, pa), as k Read or Write calls to words of that line would — one
+// lookup and at most one fill. A store run's first word stores v at
+// pa; the caller then stores each further word with Store, or loads
+// each word of a load run with Load, in run order.
+func (c *Cache) AccessLine(va arch.VA, pa arch.PA, k uint64, write bool, v uint64) Line {
+	return Line(c.access(va, pa, k, write, true, v))
+}
+
+// slot returns the index in data of pa's word, pa in l's line.
+func (c *Cache) slot(l Line, pa arch.PA) int {
+	return int(l)&^(1<<c.wordShift-1) + int((uint64(pa)&(c.geom.LineSize-1))/arch.WordSize)
+}
+
+// Load returns the word at pa of l's line.
+func (c *Cache) Load(l Line, pa arch.PA) uint64 { return c.data[c.slot(l, pa)] }
+
+// Store stores v at pa in l's line and, write-through, in memory.
+func (c *Cache) Store(l Line, pa arch.PA, v uint64) {
+	c.data[c.slot(l, pa)] = v
+	if c.cfg.Policy == WriteThrough {
+		c.mem.WriteWord(pa, v)
+	}
 }
 
 // Read performs a CPU load of the word at (va, pa). The translation
 // pa has already been produced by the TLB; the cache checks its physical
 // tag against it exactly as the hardware does.
-func (c *Cache) Read(va arch.VA, pa arch.PA) (uint64, AccessInfo) {
-	c.stats.Reads++
-	c.tick++
-	c.clock.Charge(sim.CatAccess, c.clock.Timing().CacheHit)
-	si := c.setIndex(va, pa)
-	tag := c.lineTag(pa)
-	info := AccessInfo{}
-	i := c.lookup(si, tag)
-	if i < 0 {
-		c.stats.Misses++
-		i = c.victim(si)
-		info.WroteBack = c.lines[i].valid && c.lines[i].dirty
-		c.fill(i, tag, true)
-	} else {
-		c.stats.Hits++
-		info.Hit = true
-	}
-	c.lines[i].lru = c.tick
-	return c.data[c.word(i, pa)], info
+func (c *Cache) Read(va arch.VA, pa arch.PA) uint64 {
+	return c.data[c.access(va, pa, 1, false, true, 0)]
 }
 
 // Write performs a CPU store of v at (va, pa).
-func (c *Cache) Write(va arch.VA, pa arch.PA, v uint64) AccessInfo {
-	if c.cfg.ReadOnly {
-		panic(fmt.Sprintf("cache %s: write to read-only cache", c.cfg.Name))
-	}
-	c.stats.Writes++
-	c.tick++
-	c.clock.Charge(sim.CatAccess, c.clock.Timing().CacheHit)
-	si := c.setIndex(va, pa)
-	tag := c.lineTag(pa)
-	info := AccessInfo{}
-	i := c.lookup(si, tag)
-	if i < 0 {
-		c.stats.Misses++
-		i = c.victim(si)
-		info.WroteBack = c.lines[i].valid && c.lines[i].dirty
-		c.fill(i, tag, true)
-	} else {
-		c.stats.Hits++
-		info.Hit = true
-	}
-	c.lines[i].lru = c.tick
-	c.data[c.word(i, pa)] = v
-	if c.cfg.Policy == WriteThrough {
-		c.mem.WriteWord(pa, v)
-		c.stats.WriteBacks++
-		c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
-	} else {
-		c.lines[i].dirty = true
-	}
-	return info
-}
+func (c *Cache) Write(va arch.VA, pa arch.PA, v uint64) { c.access(va, pa, 1, true, true, v) }
 
 // FlushLine removes the line containing (va, pa) from the cache, writing
 // it back first if dirty. It reports whether the line was present.
@@ -518,19 +542,16 @@ func (c *Cache) DirtyInFrame(f arch.PFN) bool {
 // indexes — are deliberately untouched, exactly as on the real machines:
 // they remain the software's problem.
 
+// Holds reports whether this cache holds any line of physical frame f.
+// The residency count is never stale, so a peer for which it is false
+// needs no snoop for any line of f — the machine's exact snoop filter,
+// taken once per run of accesses to one page.
+func (c *Cache) Holds(f arch.PFN) bool { return c.resident[f] != 0 }
+
 // SnoopRead services a peer CPU's read of (setIndex si, tag): if this
 // cache holds the line dirty, it is written back to memory (and kept,
-// now clean) so the reader's fill observes current data. A cache holding
-// no line of the tag's frame answers without a lookup — an exact snoop
-// filter, since the residency count is never stale — and the check is
-// small enough to inline into the machine's broadcast loop.
+// now clean) so the reader's fill observes current data.
 func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
-	if c.resident[c.frameOf(tag)] != 0 {
-		c.snoopRead(si, tag)
-	}
-}
-
-func (c *Cache) snoopRead(si uint64, tag arch.PA) {
 	if i := c.lookup(si, tag); i >= 0 && c.lines[i].dirty {
 		c.mem.WriteLine(tag, c.words(i))
 		c.stats.WriteBacks++
@@ -540,14 +561,8 @@ func (c *Cache) snoopRead(si uint64, tag arch.PA) {
 
 // SnoopInvalidate services a peer CPU's write of (setIndex si, tag): any
 // copy this cache holds is removed (written back first if dirty) so the
-// writer gains exclusive ownership. Filtered like SnoopRead.
+// writer gains exclusive ownership.
 func (c *Cache) SnoopInvalidate(si uint64, tag arch.PA) {
-	if c.resident[c.frameOf(tag)] != 0 {
-		c.snoopInvalidate(si, tag)
-	}
-}
-
-func (c *Cache) snoopInvalidate(si uint64, tag arch.PA) {
 	if i := c.lookup(si, tag); i >= 0 {
 		if c.lines[i].dirty {
 			c.mem.WriteLine(tag, c.words(i))

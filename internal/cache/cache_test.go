@@ -29,16 +29,23 @@ func testRig(t testing.TB, cfg Config) (*Cache, *mem.Memory, *sim.Clock) {
 	return c, m, clock
 }
 
+// readHit reads (va, pa) from c and reports whether the access hit.
+func readHit(c *Cache, va arch.VA, pa arch.PA) (uint64, bool) {
+	misses := c.Stats().Misses
+	v := c.Read(va, pa)
+	return v, c.Stats().Misses == misses
+}
+
 func TestReadMissThenHit(t *testing.T) {
 	c, m, _ := testRig(t, Config{Name: "d"})
 	m.WriteWord(0x100, 77)
-	v, info := c.Read(0x100, 0x100)
-	if v != 77 || info.Hit {
-		t.Fatalf("first read: v=%d hit=%t", v, info.Hit)
+	v, hit := readHit(c, 0x100, 0x100)
+	if v != 77 || hit {
+		t.Fatalf("first read: v=%d hit=%t", v, hit)
 	}
-	v, info = c.Read(0x100, 0x100)
-	if v != 77 || !info.Hit {
-		t.Fatalf("second read: v=%d hit=%t", v, info.Hit)
+	v, hit = readHit(c, 0x100, 0x100)
+	if v != 77 || !hit {
+		t.Fatalf("second read: v=%d hit=%t", v, hit)
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
@@ -86,7 +93,7 @@ func TestPurgeDropsDirtyData(t *testing.T) {
 	if m.ReadWord(0x400) != 0 {
 		t.Error("purge wrote data back")
 	}
-	v, _ := c.Read(0x400, 0x400)
+	v := c.Read(0x400, 0x400)
 	if v != 0 {
 		t.Errorf("read after purge = %d, want memory value 0", v)
 	}
@@ -107,8 +114,8 @@ func TestUnalignedAliasDuplicates(t *testing.T) {
 	}
 	// Writing through one leaves the other stale.
 	c.Write(va1, pa, 0xAA)
-	v, info := c.Read(va2, pa)
-	if !info.Hit {
+	v, hit := readHit(c, va2, pa)
+	if !hit {
 		t.Fatal("alias read should hit its own stale line")
 	}
 	if v == 0xAA {
@@ -125,9 +132,9 @@ func TestAlignedAliasSharesLine(t *testing.T) {
 	va1 := geom.PageBase(0x10)
 	va2 := geom.PageBase(0x10 + 64) // same color, different page
 	c.Write(va1, pa, 7)
-	v, info := c.Read(va2, pa)
-	if !info.Hit || v != 7 {
-		t.Fatalf("aligned alias: hit=%t v=%d, want hit with 7", info.Hit, v)
+	v, hit := readHit(c, va2, pa)
+	if !hit || v != 7 {
+		t.Fatalf("aligned alias: hit=%t v=%d, want hit with 7", hit, v)
 	}
 	if copies, _ := c.CopiesOf(pa); copies != 1 {
 		t.Errorf("aligned aliases made %d copies", copies)
@@ -141,9 +148,9 @@ func TestEvictionWritesBackDirtyVictim(t *testing.T) {
 	va1 := arch.VA(0x0)
 	va2 := arch.VA(geom.DCacheSize)
 	c.Write(va1, 0x0, 11)
-	_, info := c.Read(va2, 0x8000)
-	if !info.WroteBack {
-		t.Error("eviction of dirty victim did not report write-back")
+	c.Read(va2, 0x8000)
+	if c.Stats().WriteBacks != 1 {
+		t.Error("eviction of dirty victim did not count a write-back")
 	}
 	if m.ReadWord(0x0) != 11 {
 		t.Error("victim data lost on eviction")
@@ -157,8 +164,8 @@ func TestPIPTIndexesByPhysical(t *testing.T) {
 	va1 := geom.PageBase(0x20)
 	va2 := geom.PageBase(0x21) // different virtual color
 	c.Write(va1, pa, 9)
-	v, info := c.Read(va2, pa)
-	if !info.Hit || v != 9 {
+	v, hit := readHit(c, va2, pa)
+	if !hit || v != 9 {
 		t.Fatal("physically indexed cache must resolve aliases in hardware")
 	}
 	if copies, _ := c.CopiesOf(pa); copies != 1 {
@@ -319,7 +326,7 @@ func TestCacheMatchesMemoryModel(t *testing.T) {
 					model[pa] = v
 					c.Write(va, pa, v)
 				default:
-					got, _ := c.Read(va, pa)
+					got := c.Read(va, pa)
 					if got != model[pa] {
 						t.Fatalf("%s: read %#x = %d, model %d (op %d)", cfg.Name, uint64(pa), got, model[pa], i)
 					}

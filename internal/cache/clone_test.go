@@ -44,8 +44,8 @@ func TestCloneIndependent(t *testing.T) {
 		if v := m.ReadWord(pa); v != 0 {
 			t.Fatalf("fork write-back reached the original memory at %#x: %d", pa, v)
 		}
-		if v, info := c.Read(arch.VA(pa), pa); !info.Hit || v != 100+i {
-			t.Fatalf("original read %#x = %d hit=%t, want %d hit", pa, v, info.Hit, 100+i)
+		if v, hit := readHit(c, arch.VA(pa), pa); !hit || v != 100+i {
+			t.Fatalf("original read %#x = %d hit=%t, want %d hit", pa, v, hit, 100+i)
 		}
 	}
 }

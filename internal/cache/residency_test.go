@@ -236,18 +236,15 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 		case k < 3:
 			op = "read"
 			va, pa := pick()
-			gv, gi := got.c.Read(va, pa)
-			wv, wi := want.c.Read(va, pa)
-			if gv != wv || gi != wi {
-				t.Fatalf("op %d: read %d %+v, reference %d %+v", step, gv, gi, wv, wi)
+			if gv, wv := got.c.Read(va, pa), want.c.Read(va, pa); gv != wv {
+				t.Fatalf("op %d: read %d, reference %d", step, gv, wv)
 			}
 		case k < 6 && !cfg.ReadOnly:
 			op = "write"
 			va, pa := pick()
 			v := rnd.Uint64()
-			if gi, wi := got.c.Write(va, pa, v), want.c.Write(va, pa, v); gi != wi {
-				t.Fatalf("op %d: write %+v, reference %+v", step, gi, wi)
-			}
+			got.c.Write(va, pa, v)
+			want.c.Write(va, pa, v)
 		case k == 6:
 			op = "flush-line"
 			va, pa := pick()
@@ -295,7 +292,7 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 				continue // the caller guarantees distinct colors and frames
 			}
 			for _, r := range []residencyRig{got, want} {
-				v, _ := r.c.Read(sva, spa)
+				v := r.c.Read(sva, spa)
 				r.c.Write(dva, dpa, v)
 				r.c.BulkCopyTail(sva, spa, dva, dpa, wpp)
 			}

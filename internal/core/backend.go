@@ -73,7 +73,7 @@ type Backend interface {
 	// line (the analogue of OtherTransition).
 	Other(op Operation, s State) Transition
 	// BulkEligible reports whether the machine-layer bulk page fast
-	// paths (BulkZeroPage/BulkCopyPage with snoopTail charging) are
+	// paths (BulkZeroPage/BulkCopyPage with per-line peer snoops) are
 	// proven observation-identical under this backend. A backend that
 	// returns false MUST have the bulk paths disabled by kernel.New;
 	// the root backend fast-path test asserts no backend is silently

@@ -193,6 +193,38 @@ func seedRecipes() []seedRecipe {
 			"exit pid=2",
 			"exit pid=1",
 		}},
+		// Multi-word line runs: every other seed's and every generator
+		// draw's page runs touch at most 64 words a page (a stride of 8
+		// words, one word a line); the Unix server's stride-1 channel
+		// runs are the only other multi-word line runs, and they rarely
+		// meet a peer holding their page. This recipe's
+		// 256- and 512-word runs (strides 2 and 1) put several words of
+		// one line into a strided run's single line access against peer
+		// caches holding all, some or none of the page — shared pages
+		// whose two processes migrate between the CPUs.
+		{name: "mp-lines", cpus: 2, notes: []string{
+			"spawn pid=1 img=- text=0 heap=16", // CPU 1
+			"spawn pid=2 img=- text=0 heap=16", // CPU 0
+			"touch pid=1 page=0 words=512",     // every line dirty on CPU 1
+			"sched pid=1 cpu=0",
+			"readh pid=1 page=0 words=256", // CPU 0 reads, peer holds every line dirty
+			"touch pid=1 page=0 words=256", // and takes ownership of them
+			"sharep from=1 page=0 to=2 vpn=0xf00000",
+			"sched pid=2 cpu=1",
+			"readp pid=2 vpn=0xf00000 words=512", // CPU 1 reads lines dirty on CPU 0
+			"touch pid=1 page=0 words=512",       // CPU 0 writes, peer holds clean lines
+			"touch pid=2 page=3 words=64",        // CPU 1: a quarter of the page's lines
+			"sharep from=2 page=3 to=1 vpn=0xf00003",
+			"readp pid=1 vpn=0xf00003 words=512",  // partial peer residency
+			"writep pid=1 vpn=0xf00003 words=256", // peer's lines now clean
+			"sched pid=1 cpu=1",
+			"readh pid=1 page=0 words=512", // back on CPU 1: CPU 0 holds it dirty
+			"sched pid=2 cpu=0",
+			"writep pid=2 vpn=0xf00000 words=256",
+			"readh pid=2 page=3 words=256",
+			"exit pid=2",
+			"exit pid=1",
+		}},
 		// Text execution: two processes sharing one image exercise the
 		// instruction-fetch DMA-read transitions against frames in
 		// every data-cache state, plus the data-to-instruction copies.

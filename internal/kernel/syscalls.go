@@ -394,14 +394,18 @@ func (p *Process) checkHeapPage(page uint64) error {
 
 // pageRun performs `words` evenly spaced accesses of kind acc to the page
 // at base in p's address space, writes storing fresh values — the loop
-// behind the heap, text and mapped-page operations. Fewer than one word
-// means one; more than the page holds means every word.
+// behind the heap, text and mapped-page operations. Zero words means no
+// access, more than the page holds means every word, and a negative
+// count is an error.
 func (k *Kernel) pageRun(p *Process, base arch.VA, words int, acc machine.Access) error {
-	total := k.Geometry().WordsPerPage()
-	stride := total / uint64(max(words, 1))
-	if stride == 0 {
-		stride = 1
+	if words < 0 {
+		return fmt.Errorf("kernel: negative word count %d", words)
 	}
+	if words == 0 {
+		return nil
+	}
+	total := k.Geometry().WordsPerPage()
+	stride := max(total/uint64(words), 1)
 	return k.M.Strided(p.Space.ID, base, stride, (total+stride-1)/stride, acc, k.nextValue)
 }
 

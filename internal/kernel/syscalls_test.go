@@ -252,6 +252,49 @@ func TestHeapPageRangeEveryCall(t *testing.T) {
 	checkClean(t, k, policy.New())
 }
 
+// TestPageRunWordCounts: every page-run call performs no access for a
+// word count of zero (it used to perform one) and rejects a negative
+// count, which a replay program could produce from a value past
+// math.MaxInt.
+func TestPageRunWordCounts(t *testing.T) {
+	k := bootT(t, policy.New())
+	img, err := k.FS.Create("bin/tool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.WriteFileContent(img, 2); err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn(img, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.TouchHeap(p, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	vpn := k.Geometry().PageOf(p.HeapVA(k.Geometry(), 0, 0))
+	calls := map[string]func(words int) error{
+		"TouchHeap": func(w int) error { return k.TouchHeap(p, 1, w) },
+		"ReadHeap":  func(w int) error { return k.ReadHeap(p, 1, w) },
+		"RunText":   func(w int) error { return k.RunText(p, w) },
+		"ReadPage":  func(w int) error { return k.ReadPage(p, vpn, w) },
+		"WritePage": func(w int) error { return k.WritePage(p, vpn, w) },
+	}
+	for name, call := range calls {
+		before := k.M.Stats()
+		if err := call(0); err != nil {
+			t.Errorf("%s(words=0): %v", name, err)
+		}
+		if after := k.M.Stats(); after.Reads != before.Reads || after.Writes != before.Writes || after.Fetches != before.Fetches {
+			t.Errorf("%s(words=0) performed accesses: %+v -> %+v", name, before, after)
+		}
+		if err := call(-1); err == nil || !strings.Contains(err.Error(), "negative word count") {
+			t.Errorf("%s(words=-1): got %v, want a negative-word-count error", name, err)
+		}
+	}
+	checkClean(t, k, policy.New())
+}
+
 func TestProcessChurnRecyclesFrames(t *testing.T) {
 	// Enough spawn/exit cycles to wrap the free list several times;
 	// every configuration must stay correct.

@@ -19,27 +19,49 @@ import (
 //     word left resident — so TouchRepeat accounts their TLB hits in
 //     one step.
 //
-// BulkZeroPage and BulkCopyPage then model the tail's cache traffic per
-// line (the cache's Bulk*Tail methods), observation-identical to the
-// word loop — same Result bytes, cache/TLB statistics and memory
-// images — whenever their guards hold: no oracle (it records every
+// The tail then goes a cache line at a time: each line is one call of
+// the cache's line-access primitive (through the Bulk*Tail methods, or
+// AccessLine for Strided), which charges exactly what that line's
+// word-by-word accesses charge. BulkZeroPage and BulkCopyPage also move
+// the tail's data a line at a time, so they are observation-identical
+// to the word loop — same Result bytes, cache/TLB statistics and memory
+// images — only when their guards hold: no oracle (it records every
 // word), a write-back virtually indexed data cache (cache.CanBulk), and
-// cacheable translations. Strided keeps every word's snoop, cache
-// access and oracle call, so it needs neither guard. When a guard fails
-// the word loop finishes the job, so oracle mode and the cache variants
-// keep the exact slow path; DisableFastPaths and DisableBulkData turn
-// all three off.
+// cacheable translations. Strided keeps every word's oracle call and
+// next() value and loads or stores each word through the cache
+// (write-through included), so it needs neither guard. When a guard
+// fails the word loop finishes the job, so oracle mode and the cache
+// variants keep the exact slow path; DisableFastPaths and
+// DisableBulkData turn all three off.
 //
-// On a multiprocessor the reference loop snoops peers once per word;
-// the bulk zero and copy hoist that to once per *line* (snoopTail). That
-// is exact, not approximate: SnoopRead and SnoopInvalidate are
-// idempotent per line — the first probe writes back (and, for
-// invalidate, drops) the peer's copy and the remaining wpl-1 probes of
-// the loop find the line absent or clean and do nothing, charge
-// nothing, and count nothing. Within one page no two words share a set
-// with different tags (the in-page lines occupy consecutive sets of one
-// cache page), and the current CPU's own fills between snoops cannot
-// re-populate a *peer* cache, so probe order across lines is immaterial.
+// On a multiprocessor the reference loop snoops every peer once per
+// word. The tails snoop once per *line*, and only the peers whose data
+// cache holds some line of the run's frame (peers, taken once per run).
+// Both reductions are exact, not approximate:
+//
+//   - SnoopRead and SnoopInvalidate are idempotent per line: the first
+//     probe writes back (and, for invalidate, drops) the peer's copy,
+//     and the line's later probes find it absent or clean and do
+//     nothing, charge nothing and count nothing. The current CPU's own
+//     fills between probes cannot re-populate a *peer* cache, and within
+//     one page no two lines share a set, so probe order across lines is
+//     immaterial too.
+//   - A run's accesses can only lower a peer's residency count — its
+//     snoops invalidate peer lines; its fills and write-backs touch only
+//     the current cache and memory — so a peer holding nothing of the
+//     frame when the run starts holds nothing of it at any later probe,
+//     which would have found no line.
+//
+// The bulk zero and copy send the whole tail's probes ahead of its fills
+// and victim write-backs. That cannot reorder two writes to one memory
+// line: hardware coherence keeps at most one dirty *aligned* copy
+// system-wide, so an address a peer snoop writes back is never also
+// dirty in the current cache, and unaligned dirty aliases are invisible
+// to the (set, tag) probe in either order.
+//
+// A peer's unaligned alias of the frame counts toward its residency, so
+// that peer is probed, but the (set, tag) probe never finds the alias:
+// unaligned aliases remain the software's problem.
 
 // canBulkData reports whether the machine-level bulk data paths apply.
 func (m *Machine) canBulkData() bool {
@@ -51,40 +73,6 @@ func (m *Machine) canBulkData() bool {
 // must observably have every bulk path off — page zero and copy in the
 // pmap, the file system and read(2)/write(2), and the strided runs.
 func (m *Machine) BulkDataEnabled() bool { return !m.noFast && !m.noBulk }
-
-// snoopTail performs the per-line peer snoops for the tail of a bulk
-// page operation: every line of the page at (va, pa) except line 0,
-// whose snoop the first word's full-pipeline access already fired.
-// invalidate selects write ownership (peers write back and drop) versus
-// read sharing (peers write back dirty data, keep it clean). Hoisting
-// the snoops ahead of the tail's fills and victim write-backs cannot
-// reorder two writes to one memory line: hardware coherence keeps at
-// most one dirty *aligned* copy system-wide, so an address a peer snoop
-// writes back is never also dirty in the current cache, and unaligned
-// dirty aliases are invisible to the (set, tag) probe in either order.
-func (m *Machine) snoopTail(va arch.VA, pa arch.PA, words uint64, invalidate bool) {
-	if len(m.cpus) == 1 {
-		return
-	}
-	cur := m.cpu().DCache
-	wpl := m.Geom.WordsPerLine()
-	for w := wpl; w < words; w += wpl {
-		lva := va + arch.VA(w*arch.WordSize)
-		lpa := pa + arch.PA(w*arch.WordSize)
-		si := cur.AccessIndex(lva, lpa)
-		tag := cur.Tag(lpa)
-		for i := range m.cpus {
-			if i == m.current {
-				continue
-			}
-			if invalidate {
-				m.cpus[i].DCache.SnoopInvalidate(si, tag)
-			} else {
-				m.cpus[i].DCache.SnoopRead(si, tag)
-			}
-		}
-	}
-}
 
 // BulkZeroPage zero-fills the page mapped at (space, base), base
 // page-aligned. It returns how many words were performed: 0 (guards
@@ -109,7 +97,10 @@ func (m *Machine) BulkZeroPage(space arch.SpaceID, base arch.VA) (uint64, error)
 	m.stats.Writes += rest
 	cpu.TLB.TouchRepeat(space, vpn, rest)
 	pa := m.Geom.Translate(base, e.PFN)
-	m.snoopTail(base, pa, words, true)
+	// Line 0's snoop went out with the first word; the tail's lines
+	// take one probe per held peer each.
+	line, lines := m.Geom.LineSize, m.Geom.PageSize/m.Geom.LineSize-1
+	m.snoop(m.peers(pa), base+arch.VA(line), pa+arch.PA(line), lines, true)
 	cpu.DCache.BulkZeroTail(base, pa, words)
 	return words, nil
 }
@@ -167,8 +158,9 @@ func (m *Machine) BulkCopyPage(sspace arch.SpaceID, sbase arch.VA, dspace arch.S
 	// read's sharing snoop, then the destination write's ownership
 	// snoop (source and destination never share a set — the color
 	// guard above — so the two passes touch disjoint peer lines).
-	m.snoopTail(sbase, spa, words, false)
-	m.snoopTail(dbase, dpa, words, true)
+	line, lines := m.Geom.LineSize, m.Geom.PageSize/m.Geom.LineSize-1
+	m.snoop(m.peers(spa), sbase+arch.VA(line), spa+arch.PA(line), lines, false)
+	m.snoop(m.peers(dpa), dbase+arch.VA(line), dpa+arch.PA(line), lines, true)
 	cpu.DCache.BulkCopyTail(sbase, spa, dbase, dpa, words)
 	return words, nil
 }
@@ -203,9 +195,13 @@ func (m *Machine) Strided(space arch.SpaceID, va arch.VA, stride, n uint64, acc 
 
 // stridedTail performs accesses 1..n-1 of a Strided run whose first
 // access has just completed, when they stay on its page and its
-// translation is cacheable (and the fast paths are on): their TLB hits
-// are one TouchRepeat, and each word then takes only its snoop, cache
-// access and oracle call. It reports whether it ran.
+// translation is cacheable (and the fast paths are on), and reports
+// whether it ran. Their TLB hits are one TouchRepeat; the rest goes one
+// cache line at a time: the k accesses that fall in a line take one
+// snoop of the peers holding the frame (later probes of a line the
+// first one serviced find nothing to do) and one cache access of k
+// words, and each word keeps its own oracle call and, for a store, its
+// own next() value, in run order. A stride of a line or more is k = 1.
 func (m *Machine) stridedTail(space arch.SpaceID, va, step arch.VA, n uint64, acc Access, next func() uint64) bool {
 	cpu := m.cpu()
 	vpn := m.Geom.PageOf(va)
@@ -215,25 +211,48 @@ func (m *Machine) stridedTail(space arch.SpaceID, va, step arch.VA, n uint64, ac
 	}
 	cpu.TLB.TouchRepeat(space, vpn, n-1)
 	pa := m.Geom.Translate(va, e.PFN)
-	for i := uint64(1); i < n; i++ {
+	c, set, consumer := cpu.DCache, uint64(0), oracle.CPURead
+	switch acc {
+	case AccessRead:
+		m.stats.Reads += n - 1
+		set = m.peers(pa)
+	case AccessWrite:
+		m.stats.Writes += n - 1
+		set = m.peers(pa)
+	default:
+		m.stats.Fetches += n - 1
+		c, consumer = cpu.ICache, oracle.CPUFetch
+	}
+	write := acc == AccessWrite
+	line := arch.VA(m.Geom.LineSize)
+	for i := uint64(1); i < n; {
 		wva, wpa := va+arch.VA(i)*step, pa+arch.PA(i)*arch.PA(step)
-		switch acc {
-		case AccessRead:
-			m.stats.Reads++
-			m.snoopRead(wva, wpa)
-			v, _ := cpu.DCache.Read(wva, wpa)
-			m.Oracle.Observe(oracle.CPURead, wpa, v)
-		case AccessWrite:
-			m.stats.Writes++
+		k := uint64(1) // the accesses from i on that fall in wva's line
+		if step == 0 {
+			k = n - i
+		} else if step < line {
+			k = min(n-i, uint64((line-1-wva&(line-1))/step)+1)
+		}
+		if set != 0 {
+			m.snoop(set, wva, wpa, 1, write)
+		}
+		if write {
 			v := next()
 			m.Oracle.RecordWrite(wpa, v)
-			m.snoopInvalidate(wva, wpa)
-			cpu.DCache.Write(wva, wpa, v)
-		default:
-			m.stats.Fetches++
-			v, _ := cpu.ICache.Read(wva, wpa)
-			m.Oracle.Observe(oracle.CPUFetch, wpa, v)
+			l := c.AccessLine(wva, wpa, k, true, v)
+			for j := uint64(1); j < k; j++ {
+				v, p := next(), wpa+arch.PA(j)*arch.PA(step)
+				m.Oracle.RecordWrite(p, v)
+				c.Store(l, p, v)
+			}
+		} else {
+			l := c.AccessLine(wva, wpa, k, false, 0)
+			for j := uint64(0); m.Oracle != nil && j < k; j++ {
+				p := wpa + arch.PA(j)*arch.PA(step)
+				m.Oracle.Observe(consumer, p, c.Load(l, p))
+			}
 		}
+		i += k
 	}
 	return true
 }

@@ -18,6 +18,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vcache/internal/arch"
 	"vcache/internal/cache"
@@ -388,35 +389,44 @@ func (m *Machine) CurrentCPU() int { return m.current }
 // cpu returns the current CPU context.
 func (m *Machine) cpu() *CPU { return &m.cpus[m.current] }
 
-// snoopRead lets peer caches service a read: a peer holding the aligned
-// line dirty writes it back so the reader's fill sees current data.
-func (m *Machine) snoopRead(va arch.VA, pa arch.PA) {
-	if len(m.cpus) == 1 {
-		return
-	}
-	cur := m.cpu().DCache
-	si := cur.AccessIndex(va, pa)
-	tag := cur.Tag(pa)
-	for i := range m.cpus {
-		if i != m.current {
-			m.cpus[i].DCache.SnoopRead(si, tag)
+// peers returns the set of peer CPUs — bit i for CPU i, which MaxCPUs
+// keeps within a uint64 — whose data cache holds any line of the frame
+// containing pa. One set serves a whole run of the current CPU's
+// accesses to the frame (bulk.go says why).
+func (m *Machine) peers(pa arch.PA) uint64 {
+	var set uint64
+	if len(m.cpus) > 1 {
+		f := m.Geom.FrameOf(pa)
+		for i := range m.cpus {
+			if i != m.current && m.cpus[i].DCache.Holds(f) {
+				set |= 1 << i
+			}
 		}
 	}
+	return set
 }
 
-// snoopInvalidate gives the writing CPU exclusive ownership of the
-// aligned line: every peer copy is written back (if dirty) and dropped.
-func (m *Machine) snoopInvalidate(va arch.VA, pa arch.PA) {
-	if len(m.cpus) == 1 {
-		return
-	}
+// snoop is the coherence hardware: for each of n consecutive lines from
+// (va, pa), every peer in set services the current CPU's access of the
+// aligned line — a read (a dirty copy is written back so the reader's
+// fill sees current data) or, when invalidate is set, a write (every
+// copy is written back if dirty and dropped, giving the writer
+// exclusive ownership). Unaligned aliases select other sets and are
+// untouched: they remain the software's problem.
+func (m *Machine) snoop(set uint64, va arch.VA, pa arch.PA, n uint64, invalidate bool) {
 	cur := m.cpu().DCache
-	si := cur.AccessIndex(va, pa)
-	tag := cur.Tag(pa)
-	for i := range m.cpus {
-		if i != m.current {
-			m.cpus[i].DCache.SnoopInvalidate(si, tag)
+	for ; set != 0 && n > 0; n-- {
+		si, tag := cur.AccessIndex(va, pa), cur.Tag(pa)
+		for s := set; s != 0; s &= s - 1 {
+			dc := m.cpus[bits.TrailingZeros64(s)].DCache
+			if invalidate {
+				dc.SnoopInvalidate(si, tag)
+			} else {
+				dc.SnoopRead(si, tag)
+			}
 		}
+		va += arch.VA(m.Geom.LineSize)
+		pa += arch.PA(m.Geom.LineSize)
 	}
 }
 
@@ -517,8 +527,10 @@ func (m *Machine) Read(space arch.SpaceID, va arch.VA) (uint64, error) {
 		m.Clock.Charge(sim.CatAccess, m.Clock.Timing().CacheHit+m.Clock.Timing().CacheMissFill)
 		v = m.Mem.ReadWord(pa)
 	} else {
-		m.snoopRead(va, pa)
-		v, _ = m.cpu().DCache.Read(va, pa)
+		if set := m.peers(pa); set != 0 {
+			m.snoop(set, va, pa, 1, false)
+		}
+		v = m.cpu().DCache.Read(va, pa)
 	}
 	m.Oracle.Observe(oracle.CPURead, pa, v)
 	return v, nil
@@ -536,7 +548,9 @@ func (m *Machine) Write(space arch.SpaceID, va arch.VA, v uint64) error {
 		m.Clock.Charge(sim.CatAccess, m.Clock.Timing().CacheHit+m.Clock.Timing().WriteBack)
 		m.Mem.WriteWord(pa, v)
 	} else {
-		m.snoopInvalidate(va, pa)
+		if set := m.peers(pa); set != 0 {
+			m.snoop(set, va, pa, 1, true)
+		}
 		m.cpu().DCache.Write(va, pa, v)
 	}
 	return nil
@@ -554,7 +568,7 @@ func (m *Machine) Fetch(space arch.SpaceID, va arch.VA) (uint64, error) {
 		m.Clock.Charge(sim.CatAccess, m.Clock.Timing().CacheHit+m.Clock.Timing().CacheMissFill)
 		v = m.Mem.ReadWord(pa)
 	} else {
-		v, _ = m.cpu().ICache.Read(va, pa)
+		v = m.cpu().ICache.Read(va, pa)
 	}
 	m.Oracle.Observe(oracle.CPUFetch, pa, v)
 	return v, nil

@@ -37,9 +37,26 @@ func (w spaceWalker) Walk(space arch.SpaceID, vpn arch.VPN) (tlb.Entry, bool) {
 
 // twinConfig shapes both machines of a differential pair.
 type twinConfig struct {
-	cpus   int
-	ways   int
-	oracle bool
+	cpus     int
+	ways     int
+	policy   cache.WritePolicy
+	indexing cache.Indexing
+	oracle   bool
+}
+
+// dcacheVariants are the data caches the strided run must be exact on:
+// it has no cache.CanBulk guard, so the line-access primitive is
+// exercised on every Section 3.3 variant, not only the paper's.
+var dcacheVariants = []struct {
+	name     string
+	ways     int
+	policy   cache.WritePolicy
+	indexing cache.Indexing
+}{
+	{"direct", 1, cache.WriteBack, cache.VirtualIndex},
+	{"2way", 2, cache.WriteBack, cache.VirtualIndex},
+	{"write-through", 1, cache.WriteThrough, cache.VirtualIndex},
+	{"physical", 1, cache.WriteBack, cache.PhysicalIndex},
 }
 
 // buildTwin boots one side of a pair. Pages in pending are unmapped
@@ -52,6 +69,8 @@ func buildTwin(t *testing.T, tc twinConfig, noFast bool, table, pending spaceWal
 	cfg.Frames = diffFrames
 	cfg.CPUs = tc.cpus
 	cfg.DCacheWays = tc.ways
+	cfg.DCachePolicy = tc.policy
+	cfg.DCacheIndexing = tc.indexing
 	cfg.WithOracle = tc.oracle
 	cfg.DisableFastPaths = noFast
 	m, err := New(cfg)
@@ -116,7 +135,7 @@ func observe(m *Machine) observation {
 		}
 	}
 	image := func() []uint64 {
-		var img []uint64
+		img := make([]uint64, 0, diffFrames*m.Geom.WordsPerPage())
 		for pa := arch.PA(0); pa < arch.PA(diffFrames*m.Geom.PageSize); pa += arch.WordSize {
 			img = append(img, m.Mem.ReadWord(pa))
 		}
@@ -130,10 +149,16 @@ func observe(m *Machine) observation {
 	}
 	// Flush every line a used frame can occupy, one at a time: whether
 	// the flush found the line, and whether it wrote it back, is that
-	// line's state.
+	// line's state. A cache holding nothing of the frame (its residency
+	// count, itself checked against a full scan in the cache package)
+	// has every such line absent.
 	for _, cpu := range m.cpus {
 		for _, c := range []*cache.Cache{cpu.DCache, cpu.ICache} {
 			for _, f := range usedFrames {
+				if !c.Holds(f) {
+					o.Lines = append(o.Lines, make([]byte, c.CachePages()*m.Geom.PageSize/m.Geom.LineSize)...)
+					continue
+				}
 				for cp := uint64(0); cp < c.CachePages(); cp++ {
 					for off := uint64(0); off < m.Geom.PageSize; off += m.Geom.LineSize {
 						wb := c.Stats().WriteBacks
@@ -260,6 +285,30 @@ func wordAccess(m *Machine, va arch.VA, acc Access, next func() uint64) error {
 	return err
 }
 
+// primeRun leaves the state a strided run on runVPN must respect. CPU 0
+// writes the unaligned alias (stale data for the oracle to catch) and
+// lines that conflict with the run page's sets. Peer 1 holds dirty and
+// clean lines of the run's frame and a few dirty lines of its unaligned
+// alias, which count toward its residency but no probe of the run ever
+// finds. On four CPUs peer 2 holds nothing of the frame (other frames
+// only) and peer 3 only clean lines of it, some of them.
+func primeRun(t *testing.T, m *Machine) {
+	t.Helper()
+	wpl := m.Geom.WordsPerLine()
+	ops := linesOf(m, 1, 1, runVPN, 0)
+	ops = append(ops, linesOf(m, 0, 1, aliasVPN, 3)...)
+	ops = append(ops, linesOf(m, 0, 1, nextVPN, 1)...)
+	ops = append(ops, primeOp{0, 1, uncVPN, 2, true}, primeOp{1, 1, runVPN, 9, false})
+	for l := uint64(40); l < 44; l++ {
+		ops = append(ops, primeOp{1, 1, aliasVPN, l*wpl + 1, true})
+	}
+	ops = append(ops, linesOf(m, 2, 1, nextVPN, 2)...)
+	for l := uint64(1); l < 64; l += 4 {
+		ops = append(ops, primeOp{3, 1, runVPN, l * wpl, false})
+	}
+	prime(t, m, ops)
+}
+
 func TestStridedMatchesWordLoop(t *testing.T) {
 	type runCase struct {
 		name   string
@@ -269,8 +318,11 @@ func TestStridedMatchesWordLoop(t *testing.T) {
 		n      uint64
 	}
 	words := uint64(512)
-	cases := []runCase{{name: "n=1", vpn: runVPN, stride: 1, n: 1}}
-	for _, s := range []uint64{1, 3, 4, 8, 512} {
+	cases := []runCase{
+		{name: "n=1", vpn: runVPN, stride: 1, n: 1},
+		{name: "stride0", vpn: runVPN, start: 5, stride: 0, n: 9},
+	}
+	for _, s := range []uint64{1, 2, 3, 4, 8, 512} {
 		cases = append(cases, runCase{name: fmt.Sprintf("stride%d", s), vpn: runVPN, stride: s, n: (words + s - 1) / s})
 	}
 	cases = append(cases,
@@ -279,43 +331,43 @@ func TestStridedMatchesWordLoop(t *testing.T) {
 		runCase{name: "leaves-page", vpn: aliasVPN, start: 500, stride: 8, n: 4},
 		runCase{name: "first-word-faults", vpn: 100, stride: 8, n: words / 8},
 	)
-	for _, cpus := range []int{1, 2} {
-		for _, withOracle := range []bool{false, true} {
-			for _, acc := range []Access{AccessRead, AccessWrite, AccessExecute} {
-				for _, rc := range cases {
-					name := fmt.Sprintf("%dcpu/oracle=%t/%s/%s", cpus, withOracle, acc, rc.name)
-					t.Run(name, func(t *testing.T) {
-						tc := twinConfig{cpus: cpus, ways: 1, oracle: withOracle}
-						// Page 100 (color 36, frame 7) maps on first touch,
-						// with a modify trap pending for writes.
-						pending := spaceWalker{{1, 100}: {PFN: 7, Prot: arch.ProtReadWrite, NeedModTrap: true}}
-						run := func(noFast bool) observation {
-							m := buildTwin(t, tc, noFast, userTable(nil), pending, nil)
-							// The peer dirties every other line of the frame;
-							// CPU 0 writes the unaligned alias (stale data for
-							// the oracle to catch) and lines that conflict with
-							// the run page's sets.
-							ops := linesOf(m, 1, 1, runVPN, 0)
-							ops = append(ops, linesOf(m, 0, 1, aliasVPN, 3)...)
-							ops = append(ops, linesOf(m, 0, 1, nextVPN, 1)...)
-							ops = append(ops, primeOp{0, 1, uncVPN, 2, true}, primeOp{1, 1, runVPN, 9, false})
-							prime(t, m, ops)
-							var seq uint64
-							next := func() uint64 { seq++; return seq<<8 | 0x5a }
-							va := wordVA(m, rc.vpn, rc.start)
-							if noFast {
-								for i := uint64(0); i < rc.n; i++ {
-									if err := wordAccess(m, va+arch.VA(i*rc.stride*arch.WordSize), acc, next); err != nil {
-										t.Fatal(err)
-									}
-								}
-							} else if err := m.Strided(1, va, rc.stride, rc.n, acc, next); err != nil {
-								t.Fatal(err)
-							}
-							return observe(m)
+	for _, dc := range dcacheVariants {
+		for _, cpus := range []int{1, 2, 4} {
+			if dc.name != "direct" && cpus == 2 {
+				continue // the variants run on one CPU and on four
+			}
+			for _, withOracle := range []bool{false, true} {
+				for _, acc := range []Access{AccessRead, AccessWrite, AccessExecute} {
+					for _, rc := range cases {
+						name := fmt.Sprintf("%dcpu/oracle=%t/%s/%s", cpus, withOracle, acc, rc.name)
+						if dc.name != "direct" {
+							name = dc.name + "/" + name
 						}
-						compareObservations(t, run(false), run(true))
-					})
+						t.Run(name, func(t *testing.T) {
+							tc := twinConfig{cpus: cpus, ways: dc.ways, policy: dc.policy, indexing: dc.indexing, oracle: withOracle}
+							// Page 100 (color 36, frame 7) maps on first touch,
+							// with a modify trap pending for writes.
+							pending := spaceWalker{{1, 100}: {PFN: 7, Prot: arch.ProtReadWrite, NeedModTrap: true}}
+							run := func(noFast bool) observation {
+								m := buildTwin(t, tc, noFast, userTable(nil), pending, nil)
+								primeRun(t, m)
+								var seq uint64
+								next := func() uint64 { seq++; return seq<<8 | 0x5a }
+								va := wordVA(m, rc.vpn, rc.start)
+								if noFast {
+									for i := uint64(0); i < rc.n; i++ {
+										if err := wordAccess(m, va+arch.VA(i*rc.stride*arch.WordSize), acc, next); err != nil {
+											t.Fatal(err)
+										}
+									}
+								} else if err := m.Strided(1, va, rc.stride, rc.n, acc, next); err != nil {
+									t.Fatal(err)
+								}
+								return observe(m)
+							}
+							compareObservations(t, run(false), run(true))
+						})
+					}
 				}
 			}
 		}
@@ -342,6 +394,7 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 			extra: spaceWalker{{1, srcVPN}: {PFN: 20, Prot: arch.ProtReadWrite}}, wantBulk: words},
 		{name: "two-way", cpus: 1, ways: 2, sspace: 0, svpn: srcVPN, dvpn: dstVPN, wantBulk: words},
 		{name: "peer-dirty", cpus: 2, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN, wantBulk: words},
+		{name: "peer-partial-4cpu", cpus: 4, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN, wantBulk: words},
 		{name: "dest-fault-shoots-source", cpus: 1, ways: 1, sspace: 0, svpn: srcVPN, dvpn: 17,
 			pending:  spaceWalker{{1, 17}: {PFN: 33, Prot: arch.ProtReadWrite}},
 			onFault:  func(m *Machine, f Fault) { m.InvalidateTLB(0, srcVPN) },
@@ -370,6 +423,14 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 					ops = append(ops, linesOf(m, 1, 1, cc.dvpn, 0)...)
 				}
 				ops = append(ops, linesOf(m, 0, 1, victimVPN, m.Geom.WordsPerLine())...)
+				// On four CPUs: peer 2 holds nothing of either frame;
+				// peer 3 holds a few clean destination lines and a few
+				// dirty source lines.
+				wpl := m.Geom.WordsPerLine()
+				ops = append(ops, linesOf(m, 2, 1, nextVPN, 0)...)
+				for l := uint64(3); l < 128; l += 16 {
+					ops = append(ops, primeOp{3, 1, cc.dvpn, l * wpl, false}, primeOp{3, cc.sspace, cc.svpn, (l + 5) * wpl, true})
+				}
 				prime(t, m, ops)
 				sbase, dbase := m.Geom.PageBase(cc.svpn), m.Geom.PageBase(cc.dvpn)
 				start := uint64(0)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"vcache/internal/arch"
@@ -156,58 +157,80 @@ func TestBroadcastOps(t *testing.T) {
 
 // TestSMPBulkFastPathExact proves the multiprocessor bulk paths both
 // ENGAGE (BulkZeroPage performs the whole page, rather than falling
-// back because CPUs > 1) and stay exact: the hoisted per-line peer
-// snoops must leave every cache, the memory image, the statistics and
-// the cycle count identical to the word-at-a-time reference loop run
-// on a twin machine.
+// back because CPUs > 1) and stay exact: the per-line peer snoops, sent
+// only to the peers holding the frame, must leave every cache, the
+// memory image, the statistics and the cycle count identical to the
+// word-at-a-time reference loop run on a twin machine.
 func TestSMPBulkFastPathExact(t *testing.T) {
-	build := func(noFast bool) (*Machine, *tableWalker) {
+	for _, cpus := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%dcpu", cpus), func(t *testing.T) { testSMPBulkFastPathExact(t, cpus) })
+	}
+}
+
+func testSMPBulkFastPathExact(t *testing.T, cpus int) {
+	build := func(noFast bool) *Machine {
 		cfg := DefaultConfig()
 		cfg.Frames = 64
-		cfg.CPUs = 2
+		cfg.CPUs = cpus
 		cfg.WithOracle = false // the oracle correctly forces the slow path
 		cfg.DisableFastPaths = noFast
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &tableWalker{entries: map[arch.VPN]tlb.Entry{
+		m.SetWalker(&tableWalker{entries: map[arch.VPN]tlb.Entry{
 			5: {PFN: 7, Prot: arch.ProtReadWrite},
-		}}
-		m.SetWalker(w)
-		return m, w
+			6: {PFN: 8, Prot: arch.ProtReadWrite},
+		}})
+		return m
 	}
 	wordVA := func(m *Machine, word uint64) arch.VA {
 		return m.Geom.PageBase(5) + arch.VA(word*arch.WordSize)
 	}
 	// Dirty two lines on CPU 1, then zero the page from CPU 0: line 0's
 	// peer copy dies via the first word's full pipeline, line 1's via
-	// the hoisted tail snoop.
+	// the tail snoop. On four CPUs peer 2 holds only another frame and
+	// peer 3 a few clean lines of the page (partial residency).
 	dirty := func(m *Machine) {
+		wpl := m.Geom.WordsPerLine()
 		m.SetCurrentCPU(1)
 		if err := m.Write(0, wordVA(m, 0), 11); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Write(0, wordVA(m, m.Geom.WordsPerLine()), 22); err != nil {
+		if err := m.Write(0, wordVA(m, wpl), 22); err != nil {
 			t.Fatal(err)
+		}
+		if cpus == 4 {
+			m.SetCurrentCPU(2)
+			if err := m.Write(0, m.Geom.PageBase(6), 33); err != nil {
+				t.Fatal(err)
+			}
+			m.SetCurrentCPU(3)
+			for l := uint64(2); l < 128; l += 9 {
+				if _, err := m.Read(0, wordVA(m, l*wpl+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		m.SetCurrentCPU(0)
 	}
 
-	fast, _ := build(false)
+	fast := build(false)
 	dirty(fast)
 	n, err := fast.BulkZeroPage(0, wordVA(fast, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != fast.Geom.WordsPerPage() {
-		t.Fatalf("bulk fast path performed %d of %d words — did not engage on 2 CPUs", n, fast.Geom.WordsPerPage())
+		t.Fatalf("bulk fast path performed %d of %d words — did not engage on %d CPUs", n, fast.Geom.WordsPerPage(), cpus)
 	}
-	if p, _ := fast.cpus[1].DCache.Present(fast.Geom.FrameBase(7)); p {
-		t.Error("CPU 1's copy survived the bulk zero's peer snoops")
+	for i := 1; i < cpus; i++ {
+		if p, _ := fast.cpus[i].DCache.Present(fast.Geom.FrameBase(7)); p {
+			t.Errorf("CPU %d's copy survived the bulk zero's peer snoops", i)
+		}
 	}
 
-	slow, _ := build(true)
+	slow := build(true)
 	dirty(slow)
 	words := slow.Geom.WordsPerPage()
 	for i := uint64(0); i < words; i++ {
@@ -244,6 +267,14 @@ func TestSMPBulkFastPathExact(t *testing.T) {
 				i, fast.cpus[i].TLB.Stats(), slow.cpus[i].TLB.Stats())
 		}
 	}
+	for f := arch.PFN(7); f <= 8; f++ {
+		for off := uint64(0); off < fast.Geom.PageSize; off += arch.WordSize {
+			pa := fast.Geom.FrameBase(f) + arch.PA(off)
+			if a, b := fast.Mem.ReadWord(pa), slow.Mem.ReadWord(pa); a != b {
+				t.Fatalf("memory at %#x: fast %d, reference %d", uint64(pa), a, b)
+			}
+		}
+	}
 }
 
 func TestSetCurrentCPUPanicsOutOfRange(t *testing.T) {
@@ -271,9 +302,10 @@ func TestSetCurrentCPUPanicsOutOfRange(t *testing.T) {
 // TestSerialBroadcastAllocationFree: the broadcast flush and purges are
 // plain per-CPU loops that write dirty lines straight back to memory, so
 // once warmed up a page flush with dirty lines and both purges allocate
-// nothing, on one CPU and on several.
+// nothing, on one CPU and on several; nor do the page runs on four.
 func TestSerialBroadcastAllocationFree(t *testing.T) {
-	for _, cpus := range []int{1, 2} {
+	t.Run("page-runs-4cpu", testPageRunsAllocationFree)
+	for _, cpus := range []int{1, 2, 4} {
 		m, _ := newSMP(t, cpus)
 		va := m.Geom.PageBase(2)
 		pa := m.Geom.FrameBase(2)
@@ -291,5 +323,54 @@ func TestSerialBroadcastAllocationFree(t *testing.T) {
 		if m.Mem.ReadWord(pa+arch.PA(m.Geom.LineSize)) != m.Geom.LineSize {
 			t.Errorf("%d CPUs: flush did not write the dirty lines back", cpus)
 		}
+	}
+}
+
+// testPageRunsAllocationFree: the multiprocessor page runs — Strided,
+// BulkZeroPage and BulkCopyPage with a peer holding part of each frame —
+// keep their peer set in a word and allocate nothing.
+func testPageRunsAllocationFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Frames = 64
+	cfg.CPUs = 4
+	cfg.WithOracle = false
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWalker(&tableWalker{entries: map[arch.VPN]tlb.Entry{
+		2: {PFN: 2, Prot: arch.ProtReadWrite},
+		3: {PFN: 3, Prot: arch.ProtReadWrite},
+	}})
+	var seq uint64
+	next := func() uint64 { seq++; return seq }
+	src, dst := m.Geom.PageBase(2), m.Geom.PageBase(3)
+	round := func() {
+		// Peer 2 dirties a few lines of both frames.
+		m.SetCurrentCPU(2)
+		for off := uint64(0); off < m.Geom.PageSize; off += 16 * m.Geom.LineSize {
+			if err := m.Write(0, src+arch.VA(off), off); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Write(0, dst+arch.VA(off), off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.SetCurrentCPU(0)
+		for _, acc := range []Access{AccessWrite, AccessRead, AccessExecute} {
+			if err := m.Strided(0, src, 2, m.Geom.WordsPerPage()/2, acc, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := m.BulkZeroPage(0, dst); err != nil || n != m.Geom.WordsPerPage() {
+			t.Fatalf("BulkZeroPage = %d, %v", n, err)
+		}
+		if n, err := m.BulkCopyPage(0, src, 0, dst); err != nil || n != m.Geom.WordsPerPage() {
+			t.Fatalf("BulkCopyPage = %d, %v", n, err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("%v allocations per round of page runs on 4 CPUs, want 0", allocs)
 	}
 }

@@ -16,6 +16,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -116,11 +117,15 @@ func (o Op) Uint(key string) (uint64, error) {
 	return n, nil
 }
 
-// Int is Uint for values that fit an int (pids, word counts).
+// Int is Uint for values that fit an int (pids, word counts); a larger
+// value is an error, not a wrapped negative int.
 func (o Op) Int(key string) (int, error) {
 	n, err := o.Uint(key)
 	if err != nil {
 		return 0, err
+	}
+	if n > math.MaxInt {
+		return 0, fmt.Errorf("replay: op %q arg %s=%d: out of range for an int", o.Verb, key, n)
 	}
 	return int(n), nil
 }

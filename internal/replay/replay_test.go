@@ -268,6 +268,32 @@ func TestHeapPageOutOfRangeFails(t *testing.T) {
 	}
 }
 
+// TestWordCountPastMaxIntFails: a word count that does not fit an int
+// is an error. It used to wrap to -1, perform one store, and log
+// "words=-1" — a trace whose replay then failed to parse.
+func TestWordCountPastMaxIntFails(t *testing.T) {
+	for _, op := range []string{
+		"touch pid=1 page=0 words=18446744073709551615",
+		"readh pid=1 page=0 words=9223372036854775808",
+		"runtext pid=1 words=18446744073709551615",
+	} {
+		pr, err := FromNotes("huge-words", "F", []string{
+			"spawn pid=1 img=- text=0 heap=16",
+			op,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := pr.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := harness.Exec(spec); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%q: got %v, want an out-of-range error", op, err)
+		}
+	}
+}
+
 // TestClosurePeerBackends proves the record→replay→re-export closure
 // for the peer consistency backends: a run recorded under RLT-VIVT or
 // the hybrid update/invalidate policy replays to a DeepEqual Result
