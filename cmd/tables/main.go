@@ -88,6 +88,9 @@ func main() {
 	if *cpus < 1 || *cpus > machine.MaxCPUs {
 		log.Fatalf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus)
 	}
+	if *writes < 1 {
+		log.Fatalf("-writes must be at least 1, got %d", *writes)
+	}
 	all := !*micro && !*analysis && !*sweep && !*mp && *table == 0
 	kc := mpKernel(*cpus)
 	configs := table4Configs(*configsFlag)

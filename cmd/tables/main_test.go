@@ -18,44 +18,47 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadScaleIsAnError: a non-finite, non-positive or overflowing
-// -scale exits 1 (a panic would exit 2) with a scale error on stderr,
-// before any table is computed.
-func TestBadScaleIsAnError(t *testing.T) {
-	for _, scale := range []string{"NaN", "+Inf", "1e300", "0", "-0.5"} {
-		cmd := exec.Command(os.Args[0], "-scale", scale, "-table", "4")
-		cmd.Env = append(os.Environ(), "TABLES_AS_MAIN=1")
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("-scale %s: exit %v, want status 1", scale, err)
-			continue
-		}
-		if len(out) != 0 || !strings.Contains(stderr.String(), "-scale") {
-			t.Errorf("-scale %s: stdout %q stderr %q, want only a scale error", scale, out, stderr.String())
-		}
+// wantFlagError runs tables with args and requires exit status 1 (a
+// panic would exit 2), an empty stdout and want on stderr: the flag is
+// rejected before any table is computed.
+func wantFlagError(t *testing.T, want string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TABLES_AS_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("%v: exit %v, want status 1", args, err)
+		return
+	}
+	if len(out) != 0 || !strings.Contains(stderr.String(), want) {
+		t.Errorf("%v: stdout %q stderr %q, want only %q", args, out, stderr.String(), want)
 	}
 }
 
-// TestBadCPUsIsAnError: a -cpus outside [1, machine.MaxCPUs] exits 1
-// with the -cpus error vcachesim gives, instead of silently printing
+// TestBadScaleIsAnError: a non-finite, non-positive or overflowing
+// -scale is a scale error.
+func TestBadScaleIsAnError(t *testing.T) {
+	for _, scale := range []string{"NaN", "+Inf", "1e300", "0", "-0.5"} {
+		wantFlagError(t, "-scale", "-scale", scale, "-table", "4")
+	}
+}
+
+// TestBadCPUsIsAnError: a -cpus outside [1, machine.MaxCPUs] is the
+// -cpus error vcachesim gives, instead of silently printing
 // uniprocessor tables or exhausting host memory.
 func TestBadCPUsIsAnError(t *testing.T) {
 	for _, cpus := range []string{"0", "-3", "65"} {
-		cmd := exec.Command(os.Args[0], "-cpus", cpus, "-table", "4", "-scale", "0.01")
-		cmd.Env = append(os.Environ(), "TABLES_AS_MAIN=1")
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("-cpus %s: exit %v, want status 1", cpus, err)
-			continue
-		}
-		if len(out) != 0 || !strings.Contains(stderr.String(), "-cpus must be between 1 and 64, got "+cpus) {
-			t.Errorf("-cpus %s: stdout %q stderr %q, want only a -cpus error", cpus, out, stderr.String())
-		}
+		wantFlagError(t, "-cpus must be between 1 and 64, got "+cpus, "-cpus", cpus, "-table", "4", "-scale", "0.01")
+	}
+}
+
+// TestBadWritesIsAnError: a -writes below 1 is an error instead of a
+// meaningless microbenchmark slowdown.
+func TestBadWritesIsAnError(t *testing.T) {
+	for _, writes := range []string{"0", "-5"} {
+		wantFlagError(t, "-writes must be at least 1, got "+writes, "-micro", "-writes", writes)
 	}
 }

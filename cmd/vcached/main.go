@@ -9,7 +9,6 @@
 //	curl -s -XPOST localhost:8080/run -d '{"workload":"kernel-build","config":"F","scale":0.1}'
 //	curl -s -XPOST localhost:8080/batch -d '{"runs":[{"workload":"afs-bench","config":"A"},{"workload":"afs-bench","config":"F"}]}'
 //	curl -s localhost:8080/metrics
-//	vcached -selftest            # in-process load-generator smoke run
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: new work is
 // refused with 503 while in-flight simulations drain; runs still alive
@@ -20,10 +19,8 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -50,10 +47,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	enableReplay := flag.Bool("enable-replay", false, "open the /replay endpoint: POST a recorded trace export to re-execute it")
 	quiet := flag.Bool("quiet", false, "suppress the structured per-request log")
-	selftest := flag.Bool("selftest", false, "start an in-process daemon, hammer it with the load generator, and exit")
-	requests := flag.Int("requests", 200, "selftest: total requests")
-	clients := flag.Int("clients", 8, "selftest: concurrent client workers")
-	hot := flag.Float64("hot", 0.8, "selftest: fraction of requests drawn from the hot set")
 	flag.Parse()
 
 	// A negative pool size is a misconfiguration, not "disabled": fail
@@ -97,13 +90,6 @@ func main() {
 		}()
 	}
 
-	if *selftest {
-		if err := runSelftest(svc, *requests, *clients, *hot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -128,62 +114,4 @@ func main() {
 		log.Fatalf("drain budget exceeded; in-flight runs were cancelled: %v", drainErr)
 	}
 	log.Printf("drained cleanly")
-}
-
-// runSelftest serves the service on an ephemeral loopback port and
-// hammers it with a deterministic mixed hot/cold stream — the serving-
-// path benchmark.
-func runSelftest(svc *service.Service, requests, clients int, hot float64) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: svc.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	url := "http://" + ln.Addr().String()
-	log.Printf("selftest daemon on %s", url)
-
-	// Hot set: the three paper benchmarks under F at a fixed small
-	// scale — repeated requests, so all but the first of each are cache
-	// or singleflight hits. Cold stream: unique scales under A, each
-	// forcing a backing simulation.
-	gen := service.LoadGen{
-		URL:         url,
-		Requests:    requests,
-		Concurrency: clients,
-		HotFraction: hot,
-		HotSpecs: []service.RunRequest{
-			{Workload: "kernel-build", Config: "F", Scale: 0.05},
-			{Workload: "afs-bench", Config: "F", Scale: 0.05},
-			{Workload: "latex-paper", Config: "F", Scale: 0.05},
-		},
-		ColdSpec: func(i int) service.RunRequest {
-			return service.RunRequest{
-				Workload: "kernel-build",
-				Config:   "A",
-				Scale:    0.02 + float64(i)*0.0001, // unique key per cold request
-			}
-		},
-	}
-	rep, err := gen.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep)
-	snap := svc.Metrics()
-	fmt.Printf("service: %d requests, %d cache hits, %d singleflight hits, %d backing runs (%d completed, %d errors)\n",
-		snap.Requests, snap.CacheHits, snap.SingleflightHits, snap.RunsStarted, snap.RunsCompleted, snap.RunErrors)
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := svc.Shutdown(dctx); err != nil {
-		return fmt.Errorf("selftest drain: %w", err)
-	}
-	_ = srv.Close()
-	if rep.Errors > 0 {
-		return fmt.Errorf("selftest: %d of %d requests failed", rep.Errors, rep.Requests)
-	}
-	if rep.Hits+rep.Shared == 0 && hot > 0 && requests > 10 {
-		return fmt.Errorf("selftest: hot stream produced no cache/singleflight hits — caching is broken")
-	}
-	return nil
 }

@@ -3,11 +3,10 @@
 // statistics breakdown.
 //
 // With -json the complete workload.Result is emitted as a JSON object
-// instead of the human-readable breakdown, for scripting and
-// benchmark-trajectory tracking; failures (unknown workload or
-// configuration, invalid flags, run errors) are emitted as a JSON error
-// object `{"error": "..."}` with a non-zero exit, so scripted callers
-// always parse one JSON value from stdout.
+// instead of the human-readable breakdown, for scripting; failures
+// (unknown workload or configuration, invalid flags, run errors) are
+// emitted as a JSON error object `{"error": "..."}` with a non-zero
+// exit, so scripted callers always parse one JSON value from stdout.
 //
 // Usage:
 //
@@ -61,6 +60,10 @@ import (
 	"vcache/internal/trace"
 	"vcache/internal/workload"
 )
+
+// maxTraceEvents bounds the -trace ring, which is allocated up front.
+// A full-scale recording keeps a few tens of thousands of events.
+const maxTraceEvents = 1 << 20
 
 func main() {
 	log.SetFlags(0)
@@ -132,6 +135,9 @@ func main() {
 	}
 	if *cpus < 1 || *cpus > machine.MaxCPUs {
 		fail(fmt.Errorf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus))
+	}
+	if *traceN < 0 || *traceN > maxTraceEvents {
+		fail(fmt.Errorf("-trace must be between 0 and %d, got %d", maxTraceEvents, *traceN))
 	}
 	cfg, err := policy.ByLabel(*cfgName)
 	if err != nil {

@@ -19,45 +19,56 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// jsonError runs vcachesim with args plus -json and returns the error
+// string it printed, or ok false unless it exited 1 (a panic would exit
+// 2) with a JSON error object on stdout.
+func jsonError(t *testing.T, args ...string) (msg string, ok bool) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append(args, "-json")...)
+	cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("%v: exit %v, want status 1", args, err)
+		return "", false
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(out, &body); err != nil {
+		t.Errorf("%v: stdout %q is not a JSON error", args, out)
+		return "", false
+	}
+	return body.Error, true
+}
+
 // TestBadScaleIsAnError: a non-finite, non-positive or overflowing
-// -scale exits 1 (a panic would exit 2) with a JSON error object on
-// stdout, instead of running a meaningless simulation.
+// -scale is a JSON scale error instead of a meaningless simulation.
 func TestBadScaleIsAnError(t *testing.T) {
 	for _, scale := range []string{"NaN", "+Inf", "-Inf", "1e300", "0", "-1"} {
-		cmd := exec.Command(os.Args[0], "-scale", scale, "-json")
-		cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
-		out, err := cmd.Output()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("-scale %s: exit %v, want status 1", scale, err)
-			continue
-		}
-		var body struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(out, &body); err != nil || !strings.Contains(body.Error, "scale") {
-			t.Errorf("-scale %s: stdout %q is not a JSON scale error", scale, out)
+		if msg, ok := jsonError(t, "-scale", scale); ok && !strings.Contains(msg, "scale") {
+			t.Errorf("-scale %s: error %q does not name the scale", scale, msg)
 		}
 	}
 }
 
-// TestBadCPUsIsAnError: a -cpus outside [1, machine.MaxCPUs] exits 1
-// with a JSON -cpus error before any simulation state is built.
+// TestBadCPUsIsAnError: a -cpus outside [1, machine.MaxCPUs] is a JSON
+// -cpus error before any simulation state is built.
 func TestBadCPUsIsAnError(t *testing.T) {
 	for _, cpus := range []string{"0", "-3", "65"} {
-		cmd := exec.Command(os.Args[0], "-cpus", cpus, "-scale", "0.01", "-json")
-		cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
-		out, err := cmd.Output()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("-cpus %s: exit %v, want status 1", cpus, err)
-			continue
+		if msg, ok := jsonError(t, "-cpus", cpus, "-scale", "0.01"); ok && msg != "-cpus must be between 1 and 64, got "+cpus {
+			t.Errorf("-cpus %s: error %q, want the -cpus error", cpus, msg)
 		}
-		var body struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(out, &body); err != nil || body.Error != "-cpus must be between 1 and 64, got "+cpus {
-			t.Errorf("-cpus %s: stdout %q is not the JSON -cpus error", cpus, out)
+	}
+}
+
+// TestBadTraceIsAnError: a negative -trace, or one past maxTraceEvents,
+// is a JSON -trace error instead of an untraced run or a ring
+// allocation that exhausts the host.
+func TestBadTraceIsAnError(t *testing.T) {
+	for _, n := range []string{"-1", "-5", "1048577", "100000000000"} {
+		if msg, ok := jsonError(t, "-trace", n, "-scale", "0.01"); ok && msg != "-trace must be between 0 and 1048576, got "+n {
+			t.Errorf("-trace %s: error %q, want the -trace error", n, msg)
 		}
 	}
 }

@@ -2,10 +2,10 @@
 // on versus the word-at-a-time reference pipeline, with the oracle off
 // (the benchmarking configuration — checking every word would dominate
 // the measurement; fastpath_test.go proves the Results are identical
-// either way). cmd/vcachebench runs the same comparison standalone and
-// records it in BENCH_hotpath.json; these targets make it reachable via
+// either way). The end-to-end number with its spread is perfbench's
+// ns_per_simcycle; these targets compare the two pipelines directly:
 //
-//	go test -run - -bench HotPath .
+//	go test -run '^$' -bench HotPath .
 package vcache
 
 import (
@@ -38,7 +38,7 @@ func BenchmarkHotPathFast(b *testing.B) {
 }
 
 // BenchmarkHotPathReference forces the word-at-a-time pipeline
-// (DisableFastPaths) — the denominator for the speedup trajectory.
+// (DisableFastPaths) — the denominator of the fast-path speedup.
 func BenchmarkHotPathReference(b *testing.B) {
 	for _, label := range []string{"A", "F"} {
 		b.Run(label, func(b *testing.B) { benchHotPath(b, label, false) })

@@ -11,8 +11,9 @@ import (
 // FuzzReplaySpec feeds arbitrary bytes through the /replay and
 // vcachesim -replay path short of simulation: JSON decoding into a
 // trace.Export, then Parse and Spec. Any input must yield an error or a
-// replayable spec, never a panic, and an accepted spec's machine must
-// lie within the size limits.
+// replayable spec, never a panic; an accepted spec's machine must lie
+// within the size limits, and its trace ring must hold exactly the
+// events the export carries.
 func FuzzReplaySpec(f *testing.F) {
 	ops := `"events":[{"seq":1,"cycles":0,"kind":"op","frame":0,"note":"sync"}]`
 	for _, origin := range []string{
@@ -29,6 +30,9 @@ func FuzzReplaySpec(f *testing.F) {
 		f.Add([]byte(`{"origin":` + origin + `,"retained":1,` + ops + `}`))
 	}
 	f.Add([]byte(`{"retained":1,` + ops + `}`))
+	for _, retained := range []string{"1", "100000000000", "0", "-3", "2"} {
+		f.Add([]byte(`{"origin":{"workload":"x","config":"F"},"retained":` + retained + `,` + ops + `}`))
+	}
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ex trace.Export
@@ -44,8 +48,12 @@ func FuzzReplaySpec(f *testing.F) {
 			return
 		}
 		mc := spec.Kernel.Machine
-		if mc.CPUs < 1 || mc.CPUs > machine.MaxCPUs || mc.Frames < 0 || mc.Frames > machine.MaxFrames {
+		// CPUs 0 is the default single-CPU machine, as in machine.New.
+		if mc.CPUs < 0 || mc.CPUs > machine.MaxCPUs || mc.Frames < 0 || mc.Frames > machine.MaxFrames {
 			t.Fatalf("Spec accepted a machine of %d CPUs, %d frames\ninput: %s", mc.CPUs, mc.Frames, data)
+		}
+		if spec.TraceN != len(ex.Events) {
+			t.Fatalf("Spec accepted a trace ring of %d for %d events\ninput: %s", spec.TraceN, len(ex.Events), data)
 		}
 	})
 }

@@ -22,8 +22,9 @@ type Program struct {
 	// label, the scale, and the machine dimensions.
 	Origin trace.Origin
 	// TraceN is the ring capacity a replay must use to re-export an
-	// identical trace: the original export's retained count (Parse
-	// rejects exports that dropped events, so retained == total).
+	// identical trace: the original export's retained count, which
+	// Parse checks against the events actually present (and rejects
+	// exports that dropped events, so retained == total).
 	TraceN int
 	// Ops is the recorded operation sequence in execution order.
 	Ops []Op
@@ -33,13 +34,18 @@ type Program struct {
 // The export must carry an Origin block (recorded with RecordOps) and
 // must not have dropped events: a ring that wrapped lost the head of
 // the cause stream, and a program with a missing prefix re-executes
-// from the wrong state.
+// from the wrong state. Its retained count must equal the number of
+// events it carries: that count sizes the replay's trace ring, so an
+// unchecked one could ask for any allocation.
 func Parse(ex trace.Export) (*Program, error) {
 	if ex.Origin == nil {
 		return nil, fmt.Errorf("replay: export has no origin (recorded without RecordOps?)")
 	}
 	if ex.Dropped > 0 {
 		return nil, fmt.Errorf("replay: export dropped %d events; the op stream is incomplete", ex.Dropped)
+	}
+	if ex.Retained != len(ex.Events) {
+		return nil, fmt.Errorf("replay: export claims %d retained events but carries %d", ex.Retained, len(ex.Events))
 	}
 	// Validate the origin's configuration label here, at parse time: a
 	// corrupted or unknown label must be a hard error immediately, not

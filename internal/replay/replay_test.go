@@ -75,14 +75,36 @@ func TestParseRejectsDroppedAndMissingOrigin(t *testing.T) {
 		t.Error("Parse accepted export without origin")
 	}
 	o := &trace.Origin{Workload: "x", Config: "A"}
-	if _, err := Parse(trace.Export{Origin: o, Dropped: 3, Events: ev}); err == nil {
+	if _, err := Parse(trace.Export{Origin: o, Dropped: 3, Retained: 1, Events: ev}); err == nil {
 		t.Error("Parse accepted export with dropped events")
 	}
 	if _, err := Parse(trace.Export{Origin: o}); err == nil {
 		t.Error("Parse accepted export with no op events")
 	}
-	if _, err := Parse(trace.Export{Origin: o, Events: ev}); err != nil {
+	if _, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev}); err != nil {
 		t.Errorf("Parse rejected a well-formed export: %v", err)
+	}
+}
+
+// TestParseRejectsRetainedMismatch: the retained count sizes the
+// replay's trace ring, so an export whose count disagrees with the
+// events it carries is a parse error — not a ring allocation that
+// exhausts the host, and not a misleading closure failure later.
+func TestParseRejectsRetainedMismatch(t *testing.T) {
+	ev := []trace.Event{{Kind: trace.EvOp, Note: "sync"}}
+	o := &trace.Origin{Workload: "x", Config: "F"}
+	for _, retained := range []int{100000000000, 2, 0, -3} {
+		_, err := Parse(trace.Export{Origin: o, Retained: retained, Events: ev})
+		if err == nil || !strings.Contains(err.Error(), "retained") {
+			t.Errorf("Parse(retained %d, 1 event) = %v, want a retained-count error", retained, err)
+		}
+	}
+	pr, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.TraceN != 1 {
+		t.Errorf("TraceN = %d, want 1", pr.TraceN)
 	}
 }
 
@@ -334,14 +356,14 @@ func TestParseRejectsUnknownConfig(t *testing.T) {
 	ev := []trace.Event{{Kind: trace.EvOp, Note: "sync"}}
 	for _, label := range []string{"ZZZ", "rlt", "f"} { // unknown; labels are case-sensitive
 		o := &trace.Origin{Workload: "x", Config: label}
-		if _, err := Parse(trace.Export{Origin: o, Events: ev}); err == nil {
+		if _, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev}); err == nil {
 			t.Errorf("Parse accepted unknown config label %q", label)
 		}
 	}
 	// The new backend labels themselves parse.
 	for _, label := range []string{"RLT", "HYB"} {
 		o := &trace.Origin{Workload: "x", Config: label}
-		if _, err := Parse(trace.Export{Origin: o, Events: ev}); err != nil {
+		if _, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev}); err != nil {
 			t.Errorf("Parse rejected backend label %q: %v", label, err)
 		}
 	}
@@ -363,7 +385,7 @@ func TestSpecRejectsBadOriginSize(t *testing.T) {
 		{Frames: -4},
 	} {
 		o.Workload, o.Config = "x", "F"
-		pr, err := Parse(trace.Export{Origin: &o, Events: ev})
+		pr, err := Parse(trace.Export{Origin: &o, Retained: 1, Events: ev})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +394,7 @@ func TestSpecRejectsBadOriginSize(t *testing.T) {
 		}
 	}
 	o := trace.Origin{Workload: "x", Config: "F", CPUs: 2, Frames: 2048}
-	pr, err := Parse(trace.Export{Origin: &o, Events: ev})
+	pr, err := Parse(trace.Export{Origin: &o, Retained: 1, Events: ev})
 	if err != nil {
 		t.Fatal(err)
 	}

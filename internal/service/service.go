@@ -18,7 +18,7 @@
 //     stragglers through the harness's cooperative context support.
 //
 // cmd/vcached wraps this package in an HTTP daemon; the HTTP layer
-// itself lives in http.go and the load generator in loadgen.go.
+// itself lives in http.go.
 package service
 
 import (
