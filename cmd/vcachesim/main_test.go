@@ -19,14 +19,20 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// vcachesim runs this test binary as the vcachesim command with args
+// and returns its stdout.
+func vcachesim(args ...string) ([]byte, error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
+	return cmd.Output()
+}
+
 // jsonError runs vcachesim with args plus -json and returns the error
 // string it printed, or ok false unless it exited 1 (a panic would exit
 // 2) with a JSON error object on stdout.
 func jsonError(t *testing.T, args ...string) (msg string, ok bool) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], append(args, "-json")...)
-	cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
-	out, err := cmd.Output()
+	out, err := vcachesim(append(args, "-json")...)
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Errorf("%v: exit %v, want status 1", args, err)

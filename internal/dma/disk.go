@@ -11,6 +11,7 @@ package dma
 
 import (
 	"fmt"
+	"slices"
 
 	"vcache/internal/arch"
 	"vcache/internal/machine"
@@ -28,16 +29,18 @@ type Stats struct {
 
 // Disk is a block device transferring whole pages by DMA.
 type Disk struct {
-	m      *machine.Machine
-	geom   arch.Geometry
-	blocks map[BlockID][]uint64
-	next   BlockID
+	m    *machine.Machine
+	geom arch.Geometry
+	// blocks holds block contents by BlockID; IDs are never freed. A
+	// block never written is nil and reads as zero.
+	blocks [][]uint64
+	zero   []uint64 // one page of zeros, never written
 	stats  Stats
 }
 
 // NewDisk creates an empty disk attached to machine m.
 func NewDisk(m *machine.Machine) *Disk {
-	return &Disk{m: m, geom: m.Geom, blocks: make(map[BlockID][]uint64)}
+	return &Disk{m: m, geom: m.Geom, zero: make([]uint64, m.Geom.WordsPerPage())}
 }
 
 // Stats returns a snapshot of the counters.
@@ -47,29 +50,36 @@ func (d *Disk) Stats() Stats { return d.stats }
 // machine m2 (snapshot/fork support). Block contents are shared, not
 // copied: the disk never mutates a block slice in place — WriteBlock
 // replaces the whole slice with the fresh one DMARead returns — so
-// sharing is safe and a snapshot's disk image costs only the map.
+// sharing is safe and a snapshot's disk image costs only the block list.
 func (d *Disk) Clone(m2 *machine.Machine) *Disk {
-	d2 := &Disk{m: m2, geom: d.geom, next: d.next, stats: d.stats}
-	d2.blocks = make(map[BlockID][]uint64, len(d.blocks))
-	for id, data := range d.blocks {
-		d2.blocks[id] = data
-	}
-	return d2
+	d2 := *d
+	d2.m = m2
+	d2.blocks = slices.Clone(d.blocks)
+	return &d2
 }
 
 // AllocBlock reserves a fresh, zeroed block.
 func (d *Disk) AllocBlock() BlockID {
-	id := d.next
-	d.next++
-	d.blocks[id] = make([]uint64, d.geom.WordsPerPage())
-	return id
+	d.blocks = append(d.blocks, nil)
+	return BlockID(len(d.blocks) - 1)
+}
+
+// block returns block b's content, or ok=false if b was never allocated.
+func (d *Disk) block(b BlockID) (data []uint64, ok bool) {
+	if b >= BlockID(len(d.blocks)) {
+		return nil, false
+	}
+	if data = d.blocks[b]; data == nil {
+		data = d.zero
+	}
+	return data, true
 }
 
 // ReadBlock transfers block b from the disk into frame f by DMA
 // (a DMA-write from the memory system's point of view). The caller must
 // have prepared the frame with pmap.PrepareDMAWrite.
 func (d *Disk) ReadBlock(b BlockID, f arch.PFN) error {
-	data, ok := d.blocks[b]
+	data, ok := d.block(b)
 	if !ok {
 		return fmt.Errorf("dma: read of unallocated block %d", b)
 	}
@@ -84,7 +94,7 @@ func (d *Disk) ReadBlock(b BlockID, f arch.PFN) error {
 // frame with pmap.PrepareDMARead so dirty cache data reaches memory
 // first.
 func (d *Disk) WriteBlock(b BlockID, f arch.PFN) error {
-	if _, ok := d.blocks[b]; !ok {
+	if b >= BlockID(len(d.blocks)) {
 		return fmt.Errorf("dma: write of unallocated block %d", b)
 	}
 	d.stats.Writes++
@@ -95,13 +105,8 @@ func (d *Disk) WriteBlock(b BlockID, f arch.PFN) error {
 
 // Peek returns a copy of a block's current content (tests only).
 func (d *Disk) Peek(b BlockID) ([]uint64, bool) {
-	data, ok := d.blocks[b]
-	if !ok {
-		return nil, false
-	}
-	out := make([]uint64, len(data))
-	copy(out, data)
-	return out, true
+	data, ok := d.block(b)
+	return slices.Clone(data), ok
 }
 
 // ResetStats zeroes the disk counters.

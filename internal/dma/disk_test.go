@@ -1,8 +1,10 @@
 package dma
 
 import (
+	"slices"
 	"testing"
 
+	"vcache/internal/arch"
 	"vcache/internal/machine"
 )
 
@@ -95,5 +97,51 @@ func TestDiskChargesTime(t *testing.T) {
 	}
 	if m.Clock.Cycles() == before {
 		t.Error("disk access charged no time")
+	}
+}
+
+// TestNeverWrittenBlockReadsZero reads a never-written block and a block
+// written from a zeroed frame into two dirty frames. Both frames must end
+// all zero, and the two transfers must cost the same machine counters and
+// cycles: a block with no stored content still moves a full page by DMA.
+func TestNeverWrittenBlockReadsZero(t *testing.T) {
+	m := newMachine(t)
+	d := NewDisk(m)
+	fresh, written := d.AllocBlock(), d.AllocBlock()
+	if err := d.WriteBlock(written, 2); err != nil { // frame 2 is still zero
+		t.Fatal(err)
+	}
+	words := int(m.Geom.WordsPerPage())
+	junk := make([]uint64, words)
+	for i := range junk {
+		junk[i] = uint64(7 + i)
+	}
+	type cost struct {
+		stats  machine.Stats
+		cycles uint64
+	}
+	read := func(b BlockID, f uint64) cost {
+		m.DMAWrite(m.Geom.FrameBase(arch.PFN(f)), junk)
+		m.ResetStats()
+		c0 := m.Clock.Cycles()
+		if err := d.ReadBlock(b, arch.PFN(f)); err != nil {
+			t.Fatal(err)
+		}
+		c := cost{m.Stats(), m.Clock.Cycles() - c0}
+		for i := 0; i < words; i++ {
+			if v := m.Mem.ReadWord(m.Geom.FrameBase(arch.PFN(f)) + arch.PA(i*arch.WordSize)); v != 0 {
+				t.Fatalf("block %d: frame %d word %d = %d, want 0", b, f, i, v)
+			}
+		}
+		return c
+	}
+	if got, want := read(fresh, 5), read(written, 6); got != want || got.stats.DMAWords != uint64(words) {
+		t.Fatalf("never-written block read cost %+v, written zero block %+v", got, want)
+	}
+	if got, ok := d.Peek(fresh); !ok || len(got) != words || slices.ContainsFunc(got, func(v uint64) bool { return v != 0 }) {
+		t.Fatalf("Peek(never-written) = %d words, ok=%t; want %d zeros", len(got), ok, words)
+	}
+	if len(m.Oracle.Violations()) != 0 {
+		t.Fatalf("oracle: %v", m.Oracle.Violations()[0])
 	}
 }

@@ -15,10 +15,12 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 
 	"vcache/internal/arch"
 	"vcache/internal/dma"
 	"vcache/internal/machine"
+	"vcache/internal/mem"
 	"vcache/internal/pmap"
 )
 
@@ -79,7 +81,7 @@ type FileSystem struct {
 	disk  *dma.Disk
 	geom  arch.Geometry
 	files map[string]*File
-	bufs  []*Buffer
+	bufs  []Buffer
 	index map[bufKey]*Buffer
 	tick  uint64
 	stats Stats
@@ -111,7 +113,7 @@ func New(m *machine.Machine, pm *pmap.Pmap, disk *dma.Disk, cfg Config) (*FileSy
 		}
 		vpn := bufferBaseVPN + arch.VPN(i)
 		pm.Enter(arch.KernelSpace, vpn, f, arch.ProtReadWrite, pmap.KindBuffer)
-		fs.bufs = append(fs.bufs, &Buffer{slot: i, vpn: vpn, frame: f})
+		fs.bufs = append(fs.bufs, Buffer{slot: i, vpn: vpn, frame: f})
 	}
 	return fs, nil
 }
@@ -122,7 +124,8 @@ func New(m *machine.Machine, pm *pmap.Pmap, disk *dma.Disk, cfg Config) (*FileSy
 // rebound. The buffer pool's frames were allocated and entered into the
 // pmap at boot; the cloned pmap already carries those mappings, so the
 // clone copies the buffer records as-is — re-entering them would
-// double-map.
+// double-map. The Files, their block lists and the Buffers each land
+// in one backing array.
 func (fs *FileSystem) Clone(m2 *machine.Machine, pm2 *pmap.Pmap, disk2 *dma.Disk) (*FileSystem, map[*File]*File) {
 	fs2 := &FileSystem{
 		cfg:   fs.cfg,
@@ -136,20 +139,24 @@ func (fs *FileSystem) Clone(m2 *machine.Machine, pm2 *pmap.Pmap, disk2 *dma.Disk
 		stats: fs.stats,
 	}
 	fileMap := make(map[*File]*File, len(fs.files))
-	for name, f := range fs.files {
-		f2 := &File{Name: f.Name, blocks: append([]dma.BlockID(nil), f.blocks...)}
-		fs2.files[name] = f2
-		fileMap[f] = f2
+	files := make([]File, 0, len(fs.files))
+	for _, f := range fs.files {
+		files = append(files, *f)
 	}
-	fs2.bufs = make([]*Buffer, len(fs.bufs))
-	for i, b := range fs.bufs {
-		b2 := *b
-		if b.file != nil {
-			b2.file = fileMap[b.file]
+	mem.CopyLists(files, func(f *File) *[]dma.BlockID { return &f.blocks })
+	for i := range files {
+		f2 := &files[i]
+		fs2.files[f2.Name] = f2
+		fileMap[fs.files[f2.Name]] = f2
+	}
+	fs2.bufs = slices.Clone(fs.bufs)
+	for i := range fs2.bufs {
+		b2 := &fs2.bufs[i]
+		if b2.file != nil {
+			b2.file = fileMap[b2.file]
 		}
-		fs2.bufs[i] = &b2
 		if b2.valid {
-			fs2.index[bufKey{b2.file, b2.page}] = fs2.bufs[i]
+			fs2.index[bufKey{b2.file, b2.page}] = b2
 		}
 	}
 	return fs2, fileMap
@@ -186,8 +193,8 @@ func (fs *FileSystem) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("fs: %q does not exist", name)
 	}
-	for _, b := range fs.bufs {
-		if b.valid && b.file == f {
+	for i := range fs.bufs {
+		if b := &fs.bufs[i]; b.valid && b.file == f {
 			delete(fs.index, bufKey{b.file, b.page})
 			b.valid = false
 			b.dirty = false
@@ -255,7 +262,8 @@ func (fs *FileSystem) GetBuffer(f *File, page uint64, allocate bool) (*Buffer, e
 // dirty.
 func (fs *FileSystem) evictOne() (*Buffer, error) {
 	var victim *Buffer
-	for _, b := range fs.bufs {
+	for i := range fs.bufs {
+		b := &fs.bufs[i]
 		if !b.valid {
 			return b, nil
 		}
@@ -288,8 +296,8 @@ func (fs *FileSystem) writeBack(b *Buffer) error {
 // ageWriteBehind writes back dirty buffers older than the configured
 // delay — the file system's write-behind policy.
 func (fs *FileSystem) ageWriteBehind() {
-	for _, b := range fs.bufs {
-		if b.valid && b.dirty && fs.tick-b.dirtiedAt >= fs.cfg.WriteBehindDelay {
+	for i := range fs.bufs {
+		if b := &fs.bufs[i]; b.valid && b.dirty && fs.tick-b.dirtiedAt >= fs.cfg.WriteBehindDelay {
 			if err := fs.writeBack(b); err == nil {
 				fs.stats.WriteBehind++
 			}
@@ -299,8 +307,8 @@ func (fs *FileSystem) ageWriteBehind() {
 
 // Sync writes back every dirty buffer.
 func (fs *FileSystem) Sync() error {
-	for _, b := range fs.bufs {
-		if b.valid && b.dirty {
+	for i := range fs.bufs {
+		if b := &fs.bufs[i]; b.valid && b.dirty {
 			if err := fs.writeBack(b); err != nil {
 				return err
 			}

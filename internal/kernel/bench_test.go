@@ -26,7 +26,7 @@ var benchModes = []struct {
 // second process on another CPU read every fourth line of that page
 // through a shared mapping, so the page's next run finds a peer holding
 // part of its frame; on one CPU peer does nothing.
-func benchBoot(b *testing.B, fast bool, cpus int) (k *Kernel, p *Process, peer func()) {
+func benchBoot(b testing.TB, fast bool, cpus int) (k *Kernel, p *Process, peer func()) {
 	b.Helper()
 	kc := DefaultConfig(policy.New())
 	kc.Machine.WithOracle = false
@@ -106,5 +106,35 @@ func BenchmarkTouchHeap(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSteadyOpsDoNotAllocate pins that with no op log attached a
+// steady-state heap touch and a buffer-cache read(2) allocate nothing
+// on one CPU: an op-log argument is boxed only when it is recorded.
+func TestSteadyOpsDoNotAllocate(t *testing.T) {
+	k, p, _ := benchBoot(t, true, 1)
+	f, err := k.CreateFile(p, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.WriteFilePage(p, f, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	words := int(k.Geometry().WordsPerPage())
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"TouchHeap", func() error { return k.TouchHeap(p, 1, words) }},
+		{"ReadFilePage", func() error { return k.ReadFilePage(p, f, 0, 1) }},
+	} {
+		if n := testing.AllocsPerRun(50, func() {
+			if err := op.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per op, want 0", op.name, n)
+		}
 	}
 }

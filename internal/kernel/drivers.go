@@ -25,7 +25,7 @@ func (k *Kernel) Sync() error {
 	if err := k.FS.Sync(); err != nil {
 		return err
 	}
-	k.oplogf("sync")
+	k.oplogf("sync", func() []any { return nil })
 	return nil
 }
 
@@ -47,7 +47,7 @@ func (k *Kernel) FlushPage(p *Process, vpn arch.VPN) error {
 	if err := k.PM.FlushUser(p.Space.ID, vpn); err != nil {
 		return err
 	}
-	k.oplogf("flushp pid=%d vpn=%#x", p.ID, uint64(vpn))
+	k.oplogf("flushp pid=%d vpn=%#x", func() []any { return []any{p.ID, uint64(vpn)} })
 	return nil
 }
 
@@ -69,6 +69,6 @@ func (k *Kernel) PurgePage(p *Process, vpn arch.VPN) error {
 	if err := k.PM.PurgeUser(p.Space.ID, vpn); err != nil {
 		return err
 	}
-	k.oplogf("purgep pid=%d vpn=%#x", p.ID, uint64(vpn))
+	k.oplogf("purgep pid=%d vpn=%#x", func() []any { return []any{p.ID, uint64(vpn)} })
 	return nil
 }

@@ -196,7 +196,7 @@ func (k *Kernel) Compute(cycles uint64) {
 	k.opEnter()
 	defer k.opExit()
 	k.M.Clock.Charge(sim.CatCompute, cycles)
-	k.oplogf("compute cycles=%d", cycles)
+	k.oplogf("compute cycles=%d", func() []any { return []any{cycles} })
 }
 
 // nextValue produces a distinct value for a store, so the oracle can
@@ -248,7 +248,7 @@ func (k *Kernel) Spawn(textFile *fs.File, textPages, heapPages uint64) (*Process
 	if textFile != nil {
 		img = textFile.Name
 	}
-	k.oplogf("spawn pid=%d img=%s text=%d heap=%d", p.ID, img, textPages, heapPages)
+	k.oplogf("spawn pid=%d img=%s text=%d heap=%d", func() []any { return []any{p.ID, img, textPages, heapPages} })
 	return p, nil
 }
 
@@ -295,7 +295,7 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 		return nil, err
 	}
 	k.procs[child.ID] = child
-	k.oplogf("fork pid=%d parent=%d", child.ID, parent.ID)
+	k.oplogf("fork pid=%d parent=%d", func() []any { return []any{child.ID, parent.ID} })
 	return child, nil
 }
 
@@ -309,7 +309,7 @@ func (k *Kernel) Exit(p *Process) {
 	k.Server.Detach(p.Space)
 	k.VM.DestroySpace(p.Space)
 	delete(k.procs, p.ID)
-	k.oplogf("exit pid=%d", p.ID)
+	k.oplogf("exit pid=%d", func() []any { return []any{p.ID} })
 }
 
 // textPager pages text in from the file system's buffer cache.

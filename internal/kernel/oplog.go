@@ -37,15 +37,16 @@ func (k *Kernel) opExit()  { k.opDepth-- }
 
 // oplogf records the current (successful, outermost) operation. Cycles
 // are stamped after the operation completed, so a recorded run and its
-// replay stamp identical values.
-func (k *Kernel) oplogf(format string, args ...any) {
+// replay stamp identical values. args is called only when the operation
+// is recorded, so a run with no op log boxes no argument.
+func (k *Kernel) oplogf(format string, args func() []any) {
 	if k.oplog == nil || k.opDepth != 1 {
 		return
 	}
 	k.oplog.Record(trace.Event{
 		Cycles: k.M.Clock.Cycles(),
 		Kind:   trace.EvOp,
-		Note:   fmt.Sprintf(format, args...),
+		Note:   fmt.Sprintf(format, args()...),
 	})
 }
 

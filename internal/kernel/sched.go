@@ -108,6 +108,6 @@ func (k *Kernel) Migrate(p *Process, cpu int) error {
 		k.Server.SetCPU(p.Space, cpu)
 		k.M.SetCurrentCPU(cpu)
 	}
-	k.oplogf("sched pid=%d cpu=%d", p.ID, cpu)
+	k.oplogf("sched pid=%d cpu=%d", func() []any { return []any{p.ID, cpu} })
 	return nil
 }

@@ -94,17 +94,3 @@ func (s *Snapshot) Bytes() int64 {
 	total += int64(cpus) * int64(cfg.Geometry.DCacheSize+cfg.Geometry.ICacheSize)
 	return total
 }
-
-// Processes returns the live process table of a kernel, in PID order —
-// used by workloads resuming on a fork. (Currently unused by the
-// harness, which snapshots after Setup but before any process handles
-// escape; exported for completeness of the snapshot protocol.)
-func (k *Kernel) Processes() []*Process {
-	out := make([]*Process, 0, len(k.procs))
-	for pid := 1; pid < k.nextPID; pid++ {
-		if p, ok := k.procs[pid]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -41,7 +41,7 @@ func (k *Kernel) Syscall(p *Process) error {
 	if err := k.Server.Transaction(p.Space, syscallReqWords, syscallRespWords); err != nil {
 		return err
 	}
-	k.oplogf("syscall pid=%d", p.ID)
+	k.oplogf("syscall pid=%d", func() []any { return []any{p.ID} })
 	return nil
 }
 
@@ -57,7 +57,7 @@ func (k *Kernel) CreateFile(p *Process, name string) (*fs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.oplogf("create pid=%d file=%s", p.ID, name)
+	k.oplogf("create pid=%d file=%s", func() []any { return []any{p.ID, name} })
 	return f, nil
 }
 
@@ -73,7 +73,7 @@ func (k *Kernel) OpenFile(p *Process, name string) (*fs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.oplogf("open pid=%d file=%s", p.ID, name)
+	k.oplogf("open pid=%d file=%s", func() []any { return []any{p.ID, name} })
 	return f, nil
 }
 
@@ -88,7 +88,7 @@ func (k *Kernel) RemoveFile(p *Process, name string) error {
 	if err := k.FS.Remove(name); err != nil {
 		return err
 	}
-	k.oplogf("remove pid=%d file=%s", p.ID, name)
+	k.oplogf("remove pid=%d file=%s", func() []any { return []any{p.ID, name} })
 	return nil
 }
 
@@ -114,7 +114,7 @@ func (k *Kernel) ReadFilePage(p *Process, f *fs.File, page, heapPage uint64) err
 	if _, err := k.copyPage(arch.KernelSpace, k.FS.VA(b, 0), p.Space.ID, p.HeapVA(k.Geometry(), heapPage, 0)); err != nil {
 		return err
 	}
-	k.oplogf("readf pid=%d file=%s page=%d heap=%d", p.ID, f.Name, page, heapPage)
+	k.oplogf("readf pid=%d file=%s page=%d heap=%d", func() []any { return []any{p.ID, f.Name, page, heapPage} })
 	return nil
 }
 
@@ -142,7 +142,7 @@ func (k *Kernel) WriteFilePage(p *Process, f *fs.File, page, heapPage uint64) er
 	if err != nil {
 		return err
 	}
-	k.oplogf("writef pid=%d file=%s page=%d heap=%d", p.ID, f.Name, page, heapPage)
+	k.oplogf("writef pid=%d file=%s page=%d heap=%d", func() []any { return []any{p.ID, f.Name, page, heapPage} })
 	return nil
 }
 
@@ -162,7 +162,7 @@ func (k *Kernel) TouchHeap(p *Process, page uint64, words int) error {
 	if err := k.pageRun(p, p.HeapVA(k.Geometry(), page, 0), words, machine.AccessWrite); err != nil {
 		return err
 	}
-	k.oplogf("touch pid=%d page=%d words=%d", p.ID, page, words)
+	k.oplogf("touch pid=%d page=%d words=%d", func() []any { return []any{p.ID, page, words} })
 	return nil
 }
 
@@ -181,7 +181,7 @@ func (k *Kernel) ReadHeap(p *Process, page uint64, words int) error {
 	if err := k.pageRun(p, p.HeapVA(k.Geometry(), page, 0), words, machine.AccessRead); err != nil {
 		return err
 	}
-	k.oplogf("readh pid=%d page=%d words=%d", p.ID, page, words)
+	k.oplogf("readh pid=%d page=%d words=%d", func() []any { return []any{p.ID, page, words} })
 	return nil
 }
 
@@ -204,7 +204,7 @@ func (k *Kernel) RunText(p *Process, words int) error {
 			return err
 		}
 	}
-	k.oplogf("runtext pid=%d words=%d", p.ID, words)
+	k.oplogf("runtext pid=%d words=%d", func() []any { return []any{p.ID, words} })
 	return nil
 }
 
@@ -226,7 +226,7 @@ func (k *Kernel) SendHeapPage(from *Process, page uint64, to *Process) (arch.VPN
 	if err != nil {
 		return 0, err
 	}
-	k.oplogf("send from=%d page=%d to=%d vpn=%#x", from.ID, page, to.ID, uint64(vpn))
+	k.oplogf("send from=%d page=%d to=%d vpn=%#x", func() []any { return []any{from.ID, page, to.ID, uint64(vpn)} })
 	return vpn, nil
 }
 
@@ -256,7 +256,7 @@ func (k *Kernel) SharePage(from *Process, page uint64, to *Process) (arch.VPN, e
 	if err != nil {
 		return 0, err
 	}
-	k.oplogf("sharep from=%d page=%d to=%d vpn=%#x", from.ID, page, to.ID, uint64(vpn))
+	k.oplogf("sharep from=%d page=%d to=%d vpn=%#x", func() []any { return []any{from.ID, page, to.ID, uint64(vpn)} })
 	return vpn, nil
 }
 
@@ -274,7 +274,7 @@ func (k *Kernel) ReadPage(p *Process, vpn arch.VPN, words int) error {
 	if err := k.pageRun(p, k.Geometry().PageBase(vpn), words, machine.AccessRead); err != nil {
 		return err
 	}
-	k.oplogf("readp pid=%d vpn=%#x words=%d", p.ID, uint64(vpn), words)
+	k.oplogf("readp pid=%d vpn=%#x words=%d", func() []any { return []any{p.ID, uint64(vpn), words} })
 	return nil
 }
 
@@ -291,7 +291,7 @@ func (k *Kernel) WritePage(p *Process, vpn arch.VPN, words int) error {
 	if err := k.pageRun(p, k.Geometry().PageBase(vpn), words, machine.AccessWrite); err != nil {
 		return err
 	}
-	k.oplogf("writep pid=%d vpn=%#x words=%d", p.ID, uint64(vpn), words)
+	k.oplogf("writep pid=%d vpn=%#x words=%d", func() []any { return []any{p.ID, uint64(vpn), words} })
 	return nil
 }
 
@@ -315,7 +315,7 @@ func (k *Kernel) WriteFileContent(f *fs.File, pages uint64) error {
 		}
 		k.FS.MarkDirty(b)
 	}
-	k.oplogf("writec file=%s pages=%d", f.Name, pages)
+	k.oplogf("writec file=%s pages=%d", func() []any { return []any{f.Name, pages} })
 	return nil
 }
 
@@ -350,7 +350,7 @@ func (k *Kernel) ReadFilePageDirect(p *Process, f *fs.File, page, heapPage uint6
 	if err := k.FS.ReadBlockInto(f, page, frame); err != nil {
 		return err
 	}
-	k.oplogf("readfd pid=%d file=%s page=%d heap=%d", p.ID, f.Name, page, heapPage)
+	k.oplogf("readfd pid=%d file=%s page=%d heap=%d", func() []any { return []any{p.ID, f.Name, page, heapPage} })
 	return nil
 }
 
@@ -378,7 +378,7 @@ func (k *Kernel) MapFile(p *Process, f *fs.File, obj *vm.Object, pages uint64) (
 	if err != nil {
 		return 0, nil, err
 	}
-	k.oplogf("mapfile pid=%d file=%s obj=%d pages=%d vpn=%#x", p.ID, f.Name, k.objID(obj), pages, uint64(reg.Start))
+	k.oplogf("mapfile pid=%d file=%s obj=%d pages=%d vpn=%#x", func() []any { return []any{p.ID, f.Name, k.objID(obj), pages, uint64(reg.Start)} })
 	return reg.Start, obj, nil
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"vcache/internal/arch"
 )
@@ -41,9 +42,9 @@ func (p AllocPolicy) String() string {
 type Allocator struct {
 	geom    arch.Geometry
 	policy  AllocPolicy
-	free    []arch.PFN                  // SingleList FIFO
-	byColor [][]arch.PFN                // ColoredLists FIFOs
-	color   map[arch.PFN]arch.CachePage // last mapped color of a free frame
+	free    []arch.PFN       // SingleList FIFO
+	byColor [][]arch.PFN     // ColoredLists FIFOs
+	color   []arch.CachePage // by frame: last mapped color of a free frame, or NoCachePage
 	nfree   int
 	total   int
 }
@@ -58,11 +59,14 @@ func NewAllocator(geom arch.Geometry, total, reserved int, policy AllocPolicy) (
 		geom:    geom,
 		policy:  policy,
 		byColor: make([][]arch.PFN, geom.DCachePages()),
-		color:   make(map[arch.PFN]arch.CachePage),
+		color:   make([]arch.CachePage, total),
 		total:   total - reserved,
 	}
 	for f := reserved; f < total; f++ {
 		a.free = append(a.free, arch.PFN(f))
+	}
+	for f := range a.color {
+		a.color[f] = arch.NoCachePage
 	}
 	a.nfree = len(a.free)
 	return a, nil
@@ -93,7 +97,6 @@ func (a *Allocator) Alloc(wantColor arch.CachePage) (arch.PFN, bool, error) {
 			f := lst[0]
 			a.byColor[wantColor] = lst[1:]
 			a.nfree--
-			delete(a.color, f)
 			return f, true, nil
 		}
 	}
@@ -102,16 +105,15 @@ func (a *Allocator) Alloc(wantColor arch.CachePage) (arch.PFN, bool, error) {
 		f := a.free[0]
 		a.free = a.free[1:]
 		a.nfree--
-		prev, had := a.color[f]
-		delete(a.color, f)
-		return f, had && prev == wantColor, nil
+		prev := a.color[f]
+		a.color[f] = arch.NoCachePage
+		return f, prev != arch.NoCachePage && prev == wantColor, nil
 	}
 	for c := range a.byColor {
 		if lst := a.byColor[c]; len(lst) > 0 {
 			f := lst[0]
 			a.byColor[c] = lst[1:]
 			a.nfree--
-			delete(a.color, f)
 			return f, arch.CachePage(c) == wantColor, nil
 		}
 	}
@@ -123,16 +125,34 @@ func (a *Allocator) Alloc(wantColor arch.CachePage) (arch.PFN, bool, error) {
 // the same sequence the original would have.
 func (a *Allocator) Clone() *Allocator {
 	a2 := *a
-	a2.free = append([]arch.PFN(nil), a.free...)
-	a2.byColor = make([][]arch.PFN, len(a.byColor))
-	for c, lst := range a.byColor {
-		a2.byColor[c] = append([]arch.PFN(nil), lst...)
-	}
-	a2.color = make(map[arch.PFN]arch.CachePage, len(a.color))
-	for f, c := range a.color {
-		a2.color[f] = c
-	}
+	a2.free = slices.Clone(a.free)
+	a2.byColor = CloneLists(a.byColor)
+	a2.color = slices.Clone(a.color)
 	return &a2
+}
+
+// CloneLists returns a copy of lists made by CopyLists.
+func CloneLists[E any](lists [][]E) [][]E {
+	out := slices.Clone(lists)
+	CopyLists(out, func(l *[]E) *[]E { return l })
+	return out
+}
+
+// CopyLists replaces the list that list selects in every item with a
+// copy. The copies share one new backing array, each cap-limited so an
+// append to one reallocates it instead of overwriting the next.
+func CopyLists[T, E any](items []T, list func(*T) *[]E) {
+	n := 0
+	for i := range items {
+		n += len(*list(&items[i]))
+	}
+	all := make([]E, 0, n)
+	for i := range items {
+		l := list(&items[i])
+		j := len(all)
+		all = append(all, *l...)
+		*l = all[j:len(all):len(all)]
+	}
 }
 
 // FreeFrame returns a frame to the allocator. lastColor is the data-cache

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 
 	"vcache/internal/arch"
@@ -215,5 +216,24 @@ func TestAllocatorNeverDoubleAllocates(t *testing.T) {
 				t.Errorf("accounting: free %d + live %d != total %d", a.Free(), len(owned), a.Total())
 			}
 		})
+	}
+}
+
+// TestCopyListsCapLimited copies lists into one backing array and grows
+// each copy in turn: no append may reach a neighbour or the originals.
+func TestCopyListsCapLimited(t *testing.T) {
+	orig := [][]int{{1, 2}, {}, {3}, nil, {4, 5, 6}}
+	lists := CloneLists(orig)
+	for i := range lists {
+		lists[i] = append(lists[i], 100+i)
+	}
+	want := [][]int{{1, 2, 100}, {101}, {3, 102}, {103}, {4, 5, 6, 104}}
+	for i := range want {
+		if !slices.Equal(lists[i], want[i]) {
+			t.Fatalf("list %d = %v, want %v", i, lists[i], want[i])
+		}
+	}
+	if !slices.Equal(orig[0], []int{1, 2}) || !slices.Equal(orig[4], []int{4, 5, 6}) {
+		t.Fatalf("originals changed: %v", orig)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // attributes any resulting purge to new-mapping creation for the
 // Section 5.1 breakdown.
 func (p *Pmap) Access(space arch.SpaceID, vpn arch.VPN, acc machine.Access, newMapping bool) error {
-	e := p.lookup(space, vpn)
+	e := p.pt.lookup(space, vpn)
 	if e == nil {
 		return fmt.Errorf("pmap: access to unmapped space %d vpn %#x", space, uint64(vpn))
 	}
@@ -77,7 +77,7 @@ func (p *Pmap) Access(space arch.SpaceID, vpn arch.VPN, acc machine.Access, newM
 // exactly one cache page is mapped; otherwise fall back to the full
 // algorithm.
 func (p *Pmap) ModifyFault(space arch.SpaceID, vpn arch.VPN) error {
-	e := p.lookup(space, vpn)
+	e := p.pt.lookup(space, vpn)
 	if e == nil {
 		return fmt.Errorf("pmap: modify fault on unmapped space %d vpn %#x", space, uint64(vpn))
 	}
@@ -152,14 +152,6 @@ func (p *Pmap) eagerResolveStale(pp *physPage, f arch.PFN) {
 	// The purged pages are now empty; their mappings keep ProtNone and
 	// will re-fault, which matches the old system's "break all other
 	// mappings" behavior.
-}
-
-func (p *Pmap) lookup(space arch.SpaceID, vpn arch.VPN) *pte {
-	t := p.tables[space]
-	if t == nil {
-		return nil
-	}
-	return t[vpn]
 }
 
 // CountConsistencyFault and CountMappingFault let the kernel's trap

@@ -41,29 +41,9 @@ const rltCapacity = 64
 const hybridWriteRunThreshold = 3
 
 // rltState is the reverse-lookup table occupancy: FIFO over frames
-// with live synonyms.
+// with live synonyms, each of which has physPage.inRLT set.
 type rltState struct {
-	capacity int
-	order    []arch.PFN
-	set      map[arch.PFN]struct{}
-}
-
-func newRLTState(capacity int) *rltState {
-	return &rltState{capacity: capacity, set: make(map[arch.PFN]struct{}, capacity)}
-}
-
-func (r *rltState) has(f arch.PFN) bool {
-	_, ok := r.set[f]
-	return ok
-}
-
-func (r *rltState) clone() *rltState {
-	r2 := newRLTState(r.capacity)
-	r2.order = append(r2.order, r.order...)
-	for f := range r.set {
-		r2.set[f] = struct{}{}
-	}
-	return r2
+	order []arch.PFN
 }
 
 // installBackendHooks applies the backend's runtime configuration to
@@ -73,7 +53,7 @@ func (p *Pmap) installBackendHooks() {
 	switch p.feat.Backend {
 	case core.BackendRLT:
 		if p.rlt == nil {
-			p.rlt = newRLTState(rltCapacity)
+			p.rlt = &rltState{}
 		}
 	case core.BackendHybrid:
 		p.ctl.SetDirtyDisplacedHook(p.hybridDirtyDisplaced)
@@ -86,7 +66,7 @@ func (p *Pmap) installBackendHooks() {
 // remapped away — the device reads memory, not the cache), and the
 // frame has a live entry.
 func (p *Pmap) rltAssisted(f arch.PFN) bool {
-	return p.rlt != nil && p.rltCPUOp && p.rlt.has(f)
+	return p.rlt != nil && p.rltCPUOp && p.phys[f].inRLT
 }
 
 // rltAssist performs the functional flush/purge and converts its cost
@@ -119,16 +99,16 @@ func (p *Pmap) rltEnsure(f arch.PFN) {
 	if p.rlt == nil {
 		return
 	}
-	if len(p.phys[f].mappings) < 2 || p.rlt.has(f) {
+	if len(p.phys[f].mappings) < 2 || p.phys[f].inRLT {
 		return
 	}
 	p.rlt.order = append(p.rlt.order, f)
-	p.rlt.set[f] = struct{}{}
+	p.phys[f].inRLT = true
 	p.stats.RLTInserts++
-	if len(p.rlt.order) > p.rlt.capacity {
+	if len(p.rlt.order) > rltCapacity {
 		victim := p.rlt.order[0]
 		p.rlt.order = p.rlt.order[1:]
-		delete(p.rlt.set, victim)
+		p.phys[victim].inRLT = false
 		p.rltEvict(victim)
 	}
 }
@@ -137,10 +117,10 @@ func (p *Pmap) rltEnsure(f arch.PFN) {
 // set collapses (Remove) or the page dies (FreeFrame), the remaining
 // single mapping is plain VIVT and software's lazy scheme takes over.
 func (p *Pmap) rltDrop(f arch.PFN) {
-	if p.rlt == nil || !p.rlt.has(f) {
+	if p.rlt == nil || !p.phys[f].inRLT {
 		return
 	}
-	delete(p.rlt.set, f)
+	p.phys[f].inRLT = false
 	for i, v := range p.rlt.order {
 		if v == f {
 			p.rlt.order = append(p.rlt.order[:i], p.rlt.order[i+1:]...)
@@ -233,7 +213,7 @@ func (p *Pmap) hybridSwitchToUpdate(pp *physPage, f arch.PFN) {
 	pp.uncached = true
 	pp.hybridAlt = 0
 	for _, m := range pp.mappings {
-		if te := p.tables[m.Space][m.VPN]; te != nil {
+		if te := p.pt.lookup(m.Space, m.VPN); te != nil {
 			te.uncached = true
 			p.m.InvalidateTLB(m.Space, m.VPN)
 		}
@@ -258,7 +238,7 @@ func (p *Pmap) hybridReevaluate(pp *physPage, f arch.PFN) {
 	}
 	pp.uncached = false
 	for _, m := range pp.mappings {
-		if te := p.tables[m.Space][m.VPN]; te != nil && te.uncached {
+		if te := p.pt.lookup(m.Space, m.VPN); te != nil && te.uncached {
 			te.uncached = false
 			p.m.InvalidateTLB(m.Space, m.VPN)
 			p.SetProtection(m, arch.ProtNone)

@@ -2,7 +2,7 @@ package pmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vcache/internal/arch"
 	"vcache/internal/core"
@@ -24,23 +24,12 @@ import (
 // makes the frame uncacheable when the mapping creates an unaligned
 // alias.
 func (p *Pmap) Enter(space arch.SpaceID, vpn arch.VPN, f arch.PFN, maxProt arch.Prot, kind MappingKind) {
-	t := p.tables[space]
-	if t == nil {
-		t = make(map[arch.VPN]*pte)
-		p.tables[space] = t
-	}
-	if old := t[vpn]; old != nil {
+	if p.pt.lookup(space, vpn) != nil {
 		panic(fmt.Sprintf("pmap: double enter at space %d vpn %#x", space, uint64(vpn)))
 	}
-	e := &pte{pfn: f, prot: arch.ProtNone, maxProt: maxProt, kind: kind}
-	t[vpn] = e
+	e := p.pt.insert(pte{space: space, vpn: vpn, pfn: f, prot: arch.ProtNone, maxProt: maxProt})
 	pp := &p.phys[f]
-	m := core.Mapping{Space: space, VPN: vpn, CachePage: p.dcolor(vpn)}
-	pp.mappings = append(pp.mappings, m)
-	if pp.kinds == nil {
-		pp.kinds = make(map[core.Mapping]MappingKind)
-	}
-	pp.kinds[m] = kind
+	pp.mappings = append(pp.mappings, core.Mapping{Space: space, VPN: vpn, CachePage: p.dcolor(vpn)})
 
 	// The Table 5 variant rules apply to real mappings only: kernel
 	// preparation windows are the "well-behaved operating system code
@@ -98,7 +87,7 @@ func (p *Pmap) sunEnter(pp *physPage, f arch.PFN, e *pte) {
 	p.cleanFrame(pp, f, true)
 	pp.uncached = true
 	for _, m := range pp.mappings {
-		if te := p.tables[m.Space][m.VPN]; te != nil {
+		if te := p.pt.lookup(m.Space, m.VPN); te != nil {
 			te.uncached = true
 			p.m.InvalidateTLB(m.Space, m.VPN)
 		}
@@ -136,14 +125,12 @@ func (p *Pmap) cleanFrame(pp *physPage, f arch.PFN, needData bool) {
 // purge; under lazy unmap only the page-table entry and TLB entry are
 // invalidated, and the cache state is left for a possible aligned reuse.
 func (p *Pmap) Remove(space arch.SpaceID, vpn arch.VPN) {
-	t := p.tables[space]
-	if t == nil || t[vpn] == nil {
+	e, ok := p.pt.remove(space, vpn)
+	if !ok {
 		return
 	}
-	e := t[vpn]
 	f := e.pfn
 	c := p.dcolor(vpn)
-	delete(t, vpn)
 	p.m.InvalidateTLB(space, vpn)
 
 	pp := &p.phys[f]
@@ -154,7 +141,6 @@ func (p *Pmap) Remove(space arch.SpaceID, vpn arch.VPN) {
 			break
 		}
 	}
-	delete(pp.kinds, m)
 	pp.lastVPN = vpn
 	pp.hasLast = true
 
@@ -194,48 +180,35 @@ func (p *Pmap) Remove(space arch.SpaceID, vpn arch.VPN) {
 
 // RemoveAll tears down every mapping of a space (address space exit).
 // Mappings are removed in ascending VPN order: removal drives flushes,
-// purges, and lazy-state transitions, so map-iteration order here would
-// otherwise make a run's consistency work nondeterministic.
+// purges, and lazy-state transitions, so the order must not depend on
+// where the records happen to sit.
 func (p *Pmap) RemoveAll(space arch.SpaceID) {
-	t := p.tables[space]
-	if t == nil {
-		return
+	var vpns []arch.VPN
+	for i := int32(0); i < p.pt.n; i++ {
+		if e := p.pt.at(i); e.live && e.space == space {
+			vpns = append(vpns, e.vpn)
+		}
 	}
-	vpns := make([]arch.VPN, 0, len(t))
-	for vpn := range t {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	for _, vpn := range vpns {
 		p.Remove(space, vpn)
 	}
-	delete(p.tables, space)
 }
 
 // Translate reports the frame mapped at (space, vpn), if any.
 func (p *Pmap) Translate(space arch.SpaceID, vpn arch.VPN) (arch.PFN, bool) {
-	t := p.tables[space]
-	if t == nil {
-		return 0, false
+	if e := p.pt.lookup(space, vpn); e != nil {
+		return e.pfn, true
 	}
-	e := t[vpn]
-	if e == nil {
-		return 0, false
-	}
-	return e.pfn, true
+	return 0, false
 }
 
 // Protection reports the hardware protection at (space, vpn) (for tests).
 func (p *Pmap) Protection(space arch.SpaceID, vpn arch.VPN) (arch.Prot, bool) {
-	t := p.tables[space]
-	if t == nil {
-		return 0, false
+	if e := p.pt.lookup(space, vpn); e != nil {
+		return e.prot, true
 	}
-	e := t[vpn]
-	if e == nil {
-		return 0, false
-	}
-	return e.prot, true
+	return 0, false
 }
 
 // AllocFrame hands out a physical frame to be mapped at a page of the
@@ -285,7 +258,7 @@ func (p *Pmap) FreeFrame(f arch.PFN) {
 // copy-on-write transition at fork): the hardware protection is clamped
 // immediately so the next write traps to the fault handler.
 func (p *Pmap) Downgrade(space arch.SpaceID, vpn arch.VPN, maxProt arch.Prot) {
-	e := p.lookup(space, vpn)
+	e := p.pt.lookup(space, vpn)
 	if e == nil {
 		return
 	}
@@ -303,7 +276,7 @@ func (p *Pmap) Downgrade(space arch.SpaceID, vpn arch.VPN, maxProt arch.Prot) {
 func (p *Pmap) TestAndClearReferenced(f arch.PFN) bool {
 	referenced := false
 	for _, m := range p.phys[f].mappings {
-		e := p.tables[m.Space][m.VPN]
+		e := p.pt.lookup(m.Space, m.VPN)
 		if e == nil {
 			continue
 		}

@@ -16,6 +16,7 @@ package pmap
 
 import (
 	"fmt"
+	"slices"
 
 	"vcache/internal/arch"
 	"vcache/internal/core"
@@ -60,15 +61,82 @@ func (k MappingKind) String() string {
 	}
 }
 
-// pte is a page-table entry.
+// pte is a page-table entry, keyed by its own (space, vpn).
 type pte struct {
+	vpn        arch.VPN
 	pfn        arch.PFN
+	space      arch.SpaceID
 	prot       arch.Prot // hardware protection currently in force
 	maxProt    arch.Prot // ceiling imposed by the VM layer
 	modified   bool      // page-modified bit (cleared when cache_dirty is cleared)
 	referenced bool      // set on TLB refill; the page stealer's clock hand clears it
 	uncached   bool      // Sun variant: bypass the cache
-	kind       MappingKind
+	live       bool      // false on a free record
+}
+
+// pteChunk is the number of records in one page-table chunk.
+const pteChunk = 256
+
+// pageTable holds every space's page-table entries inline in fixed-size
+// chunks, so a record never moves: a *pte stays valid until its mapping
+// is removed. Removed records are reused last in, first out. The index
+// finds a record from its (space, vpn).
+type pageTable struct {
+	index  tlb.Index // (space, vpn) -> record number
+	chunks [][]pte
+	free   []int32 // removed record numbers
+	n      int32   // records ever used
+}
+
+func (pt *pageTable) at(i int32) *pte { return &pt.chunks[i/pteChunk][i%pteChunk] }
+
+// lookup returns the entry for (space, vpn), or nil.
+func (pt *pageTable) lookup(space arch.SpaceID, vpn arch.VPN) *pte {
+	if i := pt.index.Get(space, vpn); i >= 0 {
+		return pt.at(i)
+	}
+	return nil
+}
+
+// insert stores e, whose key must not be present, and returns its record.
+func (pt *pageTable) insert(e pte) *pte {
+	var i int32
+	if n := len(pt.free); n > 0 {
+		i, pt.free = pt.free[n-1], pt.free[:n-1]
+	} else {
+		if int(pt.n) == len(pt.chunks)*pteChunk {
+			pt.chunks = append(pt.chunks, make([]pte, pteChunk))
+		}
+		i, pt.n = pt.n, pt.n+1
+	}
+	pt.index.Put(e.space, e.vpn, i)
+	r := pt.at(i)
+	*r = e
+	r.live = true
+	return r
+}
+
+// remove deletes the entry for (space, vpn) and returns it.
+func (pt *pageTable) remove(space arch.SpaceID, vpn arch.VPN) (e pte, ok bool) {
+	i := pt.index.Delete(space, vpn)
+	if i < 0 {
+		return pte{}, false
+	}
+	r := pt.at(i)
+	e, *r = *r, pte{}
+	pt.free = append(pt.free, i)
+	return e, true
+}
+
+// clone returns an independent copy whose chunks share one backing array.
+func (pt *pageTable) clone() pageTable {
+	recs := make([]pte, len(pt.chunks)*pteChunk)
+	chunks := make([][]pte, len(pt.chunks))
+	for c := range chunks {
+		chunks[c] = recs[c*pteChunk : (c+1)*pteChunk : (c+1)*pteChunk]
+		copy(chunks[c], pt.chunks[c])
+	}
+	return pageTable{pt.index.Clone(), chunks, slices.Clone(pt.free), pt.n}
 }
 
 // physPage is the per-frame record: the paper's P[p].
@@ -84,7 +152,6 @@ type physPage struct {
 	iStale  core.BitVec
 
 	mappings []core.Mapping
-	kinds    map[core.Mapping]MappingKind
 
 	// lastVPN is the most recently removed mapping's page — the
 	// "previous virtual address bound to that physical page" that
@@ -93,6 +160,7 @@ type physPage struct {
 	hasLast bool
 
 	uncached bool // Sun variant / hybrid update mode: frame is non-cacheable
+	inRLT    bool // the RLT backend holds an entry for this frame
 
 	// hybridAlt counts dirty-page displacements by differently-colored
 	// CPU accesses (the HYBRID backend's write-run evidence).
@@ -140,8 +208,8 @@ type Pmap struct {
 	feat  policy.Features
 	ctl   *core.Controller
 
-	tables map[arch.SpaceID]map[arch.VPN]*pte
-	phys   []physPage
+	pt   pageTable
+	phys []physPage
 
 	windows    *windowPool
 	prepCursor uint64 // first-fit color rotation for unaligned preparation
@@ -177,12 +245,12 @@ type Pmap struct {
 // walker.
 func New(m *machine.Machine, alloc *mem.Allocator, feat policy.Features) *Pmap {
 	p := &Pmap{
-		geom:   m.Geom,
-		m:      m,
-		alloc:  alloc,
-		feat:   feat,
-		tables: make(map[arch.SpaceID]map[arch.VPN]*pte),
-		phys:   make([]physPage, m.Mem.Frames()),
+		geom:  m.Geom,
+		m:     m,
+		alloc: alloc,
+		feat:  feat,
+		pt:    pageTable{index: tlb.NewIndex(pteChunk)},
+		phys:  make([]physPage, m.Mem.Frames()),
 	}
 	p.dColors = m.DCache.CachePages()
 	p.iColors = m.ICache.CachePages()
@@ -198,9 +266,6 @@ func (p *Pmap) Features() policy.Features { return p.feat }
 
 // SetTracer attaches an event recorder (nil turns tracing off).
 func (p *Pmap) SetTracer(r *trace.Recorder) { p.tracer = r }
-
-// Tracer returns the attached recorder, if any.
-func (p *Pmap) Tracer() *trace.Recorder { return p.tracer }
 
 // SetCoverage attaches a Table 2 consistency-state coverage map (nil
 // detaches). Like the tracer it is per-run state: Clone does not carry
@@ -265,11 +330,7 @@ func (p *Pmap) CheckInvariants() error {
 
 // Walk implements tlb.Walker: the hardware page-table walk.
 func (p *Pmap) Walk(space arch.SpaceID, vpn arch.VPN) (tlb.Entry, bool) {
-	t := p.tables[space]
-	if t == nil {
-		return tlb.Entry{}, false
-	}
-	e := t[vpn]
+	e := p.pt.lookup(space, vpn)
 	if e == nil {
 		return tlb.Entry{}, false
 	}
@@ -346,7 +407,7 @@ func (p *Pmap) Mappings(f arch.PFN) []core.Mapping {
 // protection of mapping m, clamped to the VM layer's ceiling, with the
 // required TLB invalidation.
 func (p *Pmap) SetProtection(m core.Mapping, prot arch.Prot) {
-	e := p.tables[m.Space][m.VPN]
+	e := p.pt.lookup(m.Space, m.VPN)
 	if e == nil {
 		return
 	}
@@ -367,7 +428,7 @@ func (p *Pmap) ClearModified(f arch.PFN, c arch.CachePage) {
 		if m.CachePage != c {
 			continue
 		}
-		e := p.tables[m.Space][m.VPN]
+		e := p.pt.lookup(m.Space, m.VPN)
 		if e != nil && e.modified {
 			e.modified = false
 			p.m.InvalidateTLB(m.Space, m.VPN)

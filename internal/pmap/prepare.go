@@ -110,7 +110,7 @@ func (p *Pmap) prepareWrite(f arch.PFN, color arch.CachePage) arch.VPN {
 			p.eagerResolveStale(pp, f)
 		}
 	}
-	e := p.lookup(arch.KernelSpace, wvpn)
+	e := p.pt.lookup(arch.KernelSpace, wvpn)
 	e.modified = true
 	if pp.uncached {
 		e.uncached = true
@@ -153,7 +153,7 @@ func (p *Pmap) prepareRead(f arch.PFN, avoid arch.CachePage) arch.VPN {
 			p.eagerResolveStale(pp, f)
 		}
 	} else {
-		e := p.lookup(arch.KernelSpace, wvpn)
+		e := p.pt.lookup(arch.KernelSpace, wvpn)
 		e.uncached = true
 		e.prot = arch.ProtRead
 		p.m.InvalidateTLB(arch.KernelSpace, wvpn)

@@ -1,9 +1,12 @@
 package pmap
 
 import (
+	"slices"
+
 	"vcache/internal/arch"
 	"vcache/internal/core"
 	"vcache/internal/machine"
+	"vcache/internal/mem"
 )
 
 // Clone returns an independent copy of the pmap wired to forked machine
@@ -21,39 +24,18 @@ func (p *Pmap) Clone(m2 *machine.Machine) *Pmap {
 		m:           m2,
 		alloc:       p.alloc.Clone(),
 		feat:        p.feat,
-		tables:      make(map[arch.SpaceID]map[arch.VPN]*pte, len(p.tables)),
-		phys:        make([]physPage, len(p.phys)),
-		windows:     p.windows.clone(),
+		pt:          p.pt.clone(),
+		phys:        slices.Clone(p.phys),
+		windows:     &windowPool{ncolors: p.windows.ncolors, free: mem.CloneLists(p.windows.free)},
 		prepCursor:  p.prepCursor,
 		dColors:     p.dColors,
 		iColors:     p.iColors,
 		stats:       p.stats,
 		accessIsNew: p.accessIsNew,
 	}
-	for space, t := range p.tables {
-		t2 := make(map[arch.VPN]*pte, len(t))
-		for vpn, e := range t {
-			e2 := *e
-			t2[vpn] = &e2
-		}
-		p2.tables[space] = t2
-	}
-	for f := range p.phys {
-		pp := &p.phys[f]
-		pp2 := &p2.phys[f]
-		*pp2 = *pp
-		if pp.mappings != nil {
-			pp2.mappings = append([]core.Mapping(nil), pp.mappings...)
-		}
-		if pp.kinds != nil {
-			pp2.kinds = make(map[core.Mapping]MappingKind, len(pp.kinds))
-			for m, k := range pp.kinds {
-				pp2.kinds[m] = k
-			}
-		}
-	}
+	mem.CopyLists(p2.phys, func(pp *physPage) *[]core.Mapping { return &pp.mappings })
 	if p.rlt != nil {
-		p2.rlt = p.rlt.clone()
+		p2.rlt = &rltState{order: slices.Clone(p.rlt.order)}
 	}
 	if p.hybridPending != nil {
 		p2.hybridPending = append([]arch.PFN(nil), p.hybridPending...)
@@ -64,14 +46,4 @@ func (p *Pmap) Clone(m2 *machine.Machine) *Pmap {
 	p2.installBackendHooks()
 	m2.SetWalker(p2)
 	return p2
-}
-
-// clone returns a deep copy of the window pool, preserving the LIFO
-// order of each per-color free list.
-func (wp *windowPool) clone() *windowPool {
-	wp2 := &windowPool{ncolors: wp.ncolors, free: make([][]arch.VPN, len(wp.free))}
-	for c, lst := range wp.free {
-		wp2.free[c] = append([]arch.VPN(nil), lst...)
-	}
-	return wp2
 }

@@ -36,7 +36,7 @@ func (p *Pmap) PurgeUser(space arch.SpaceID, vpn arch.VPN) error {
 }
 
 func (p *Pmap) userCacheOp(op core.Operation, space arch.SpaceID, vpn arch.VPN) error {
-	e := p.lookup(space, vpn)
+	e := p.pt.lookup(space, vpn)
 	if e == nil {
 		// No page-table entry: this space has never touched the page
 		// (the kernel validated the address against the VM map before

@@ -1,6 +1,7 @@
 package pmap
 
 import (
+	"slices"
 	"testing"
 
 	"vcache/internal/arch"
@@ -116,5 +117,26 @@ func TestPrepareOnNonHP720Geometry(t *testing.T) {
 	}
 	if v := m.Oracle.Violations(); len(v) != 0 {
 		t.Fatalf("stale transfer on non-HP720 geometry: %v", v[0])
+	}
+}
+
+// TestCloneWindowPoolIsolated acquires two windows of one color through
+// a clone and releases them out of order, leaving that clone's list
+// reordered. The original's and a sibling clone's lists, spare capacity
+// included, must be untouched.
+func TestCloneWindowPoolIsolated(t *testing.T) {
+	r := newRig(t, lazyFeatures())
+	a, sib := r.p.Clone(r.m.Clone()), r.p.Clone(r.m.Clone())
+	full := func(l []arch.VPN) []arch.VPN { return slices.Clone(l[:cap(l)]) }
+	orig, sibling := full(r.p.windows.free[3]), full(sib.windows.free[3])
+	w1 := a.windows.acquire(3)
+	w2 := a.windows.acquire(3)
+	a.windows.release(w1)
+	a.windows.release(w2)
+	if slices.Equal(full(a.windows.free[3]), orig) {
+		t.Fatal("out-of-order release left the clone's list as it was")
+	}
+	if !slices.Equal(full(r.p.windows.free[3]), orig) || !slices.Equal(full(sib.windows.free[3]), sibling) {
+		t.Fatalf("clone's window traffic reached the original %v or a sibling %v", r.p.windows.free[3], sib.windows.free[3])
 	}
 }

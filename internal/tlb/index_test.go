@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"testing"
 
@@ -138,23 +139,23 @@ func (w *versionWalker) Walk(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
 }
 
 // checkIndex verifies the open-addressed index against the slots: it
-// holds exactly the valid slots, each once, each reachable from its home
-// cell without crossing an empty cell.
+// holds exactly the valid slots, each once, under its slot's key, each
+// reachable from its home cell without crossing an empty cell.
 func checkIndex(t *testing.T, tl *TLB) {
 	t.Helper()
 	cells, valid := 0, 0
 	seen := make(map[int32]bool)
-	for _, c := range tl.index {
-		if c == 0 {
+	for _, c := range tl.index.cells {
+		if c.val == 0 {
 			continue
 		}
 		cells++
-		if seen[c] {
-			t.Fatalf("slot %d indexed twice", c-1)
+		if seen[c.val] {
+			t.Fatalf("slot %d indexed twice", c.val-1)
 		}
-		seen[c] = true
-		if !tl.slots[c-1].valid {
-			t.Fatalf("index holds invalid slot %d", c-1)
+		seen[c.val] = true
+		if s := tl.slots[c.val-1]; !s.valid || s.space != c.space || s.vpn != c.vpn {
+			t.Fatalf("index cell (space %d vpn %d) holds slot %d = %+v", c.space, c.vpn, c.val-1, s)
 		}
 	}
 	for i, s := range tl.slots {
@@ -162,12 +163,12 @@ func checkIndex(t *testing.T, tl *TLB) {
 			continue
 		}
 		valid++
-		if got := tl.find(s.space, s.vpn); got != i {
+		if got := int(tl.index.Get(s.space, s.vpn)); got != i {
 			t.Fatalf("slot %d (space %d vpn %d) found at %d", i, s.space, s.vpn, got)
 		}
 	}
-	if cells != valid {
-		t.Fatalf("index holds %d cells for %d valid slots", cells, valid)
+	if cells != valid || tl.index.n != valid {
+		t.Fatalf("index holds %d cells (count %d) for %d valid slots", cells, tl.index.n, valid)
 	}
 }
 
@@ -281,7 +282,7 @@ func runDifferential(t *testing.T, entries int, seed uint64) {
 func homeKeys(tl *TLB, w Walker, h, n int) []arch.VPN {
 	var out []arch.VPN
 	for vpn := arch.VPN(0); len(out) < n; vpn++ {
-		if _, ok := w.Walk(1, vpn); ok && tl.home(1, vpn) == h {
+		if _, ok := w.Walk(1, vpn); ok && tl.index.home(1, vpn) == h {
 			out = append(out, vpn)
 		}
 	}
@@ -293,10 +294,11 @@ func homeKeys(tl *TLB, w Walker, h, n int) []arch.VPN {
 // deleting the first shifts both others back so each stays reachable.
 func TestIndexWrapAndBackwardShift(t *testing.T) {
 	tl := New(4, sim.NewClock(sim.HP720Timing()))
-	if len(tl.index) != 8 {
-		t.Fatalf("index has %d cells, want 8", len(tl.index))
+	cells := tl.index.cells
+	if len(cells) != 8 {
+		t.Fatalf("index has %d cells, want 8", len(cells))
 	}
-	last := len(tl.index) - 1
+	last := len(cells) - 1
 	w := &versionWalker{version: make(map[refKey]arch.PFN)}
 	keys := homeKeys(tl, w, last, 3)
 	for _, vpn := range keys {
@@ -305,18 +307,99 @@ func TestIndexWrapAndBackwardShift(t *testing.T) {
 		}
 	}
 	for i, cell := range []int{last, 0, 1} {
-		if got := tl.index[cell]; got == 0 || tl.slots[got-1].vpn != keys[i] {
+		if got := cells[cell]; got.val == 0 || got.vpn != keys[i] || tl.slots[got.val-1].vpn != keys[i] {
 			t.Fatalf("cell %d does not hold vpn %d (wraparound)", cell, keys[i])
 		}
 	}
 	tl.InvalidatePage(1, keys[0])
 	for i, cell := range []int{last, 0} {
-		if got := tl.index[cell]; got == 0 || tl.slots[got-1].vpn != keys[i+1] {
+		if got := cells[cell]; got.val == 0 || got.vpn != keys[i+1] || tl.slots[got.val-1].vpn != keys[i+1] {
 			t.Fatalf("after delete, cell %d does not hold vpn %d (backward shift)", cell, keys[i+1])
 		}
 	}
-	if tl.index[1] != 0 {
+	if cells[1].val != 0 {
 		t.Fatal("cell 1 not emptied by the backward shift")
 	}
 	checkIndex(t, tl)
+}
+
+// TestSharedIndexMatchesMapReference drives the Index itself — the one
+// the TLB and the pmap's page table share — against a plain map. Seeded
+// random puts, deletes, lookups, clears and clones run over a small key
+// range plus a few keys at the top of the VPN range. Each run starts
+// from a two-cell table, so inserts grow it through several sizes and
+// probe runs wrap around the table end. After every step each copy must
+// hold exactly its reference's keys, each found from its home cell.
+func TestSharedIndexMatchesMapReference(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		type pair struct {
+			x   Index
+			ref map[refKey]int32
+		}
+		pairs := []pair{{NewIndex(1), map[refKey]int32{}}}
+		for step := 0; step < 2000; step++ {
+			p := &pairs[rng.IntN(len(pairs))]
+			k := refKey{arch.SpaceID(rng.Uint64N(3)), arch.VPN(rng.Uint64N(48))}
+			if rng.IntN(16) == 0 {
+				k.vpn = ^k.vpn
+			}
+			v, present := p.ref[k]
+			if !present {
+				v = -1
+			}
+			switch op := rng.IntN(100); {
+			case op < 50 && !present:
+				v = rng.Int32()
+				p.x.Put(k.space, k.vpn, v)
+				p.ref[k] = v
+			case op < 80:
+				if got := p.x.Delete(k.space, k.vpn); got != v {
+					t.Fatalf("seed %d step %d: Delete(%v) = %d, reference %d", seed, step, k, got, v)
+				}
+				delete(p.ref, k)
+			case op < 97:
+				if got := p.x.Get(k.space, k.vpn); got != v {
+					t.Fatalf("seed %d step %d: Get(%v) = %d, reference %d", seed, step, k, got, v)
+				}
+			case op < 98:
+				p.x.Clear()
+				clear(p.ref)
+			default:
+				if len(pairs) < 4 {
+					pairs = append(pairs, pair{p.x.Clone(), maps.Clone(p.ref)})
+				}
+			}
+			for i := range pairs {
+				checkShared(t, &pairs[i].x, pairs[i].ref, fmt.Sprintf("seed %d step %d copy %d", seed, step, i))
+			}
+		}
+	}
+}
+
+// checkShared verifies an index against its reference map: at most half
+// full, every reference key found with its value, and no other key held.
+func checkShared(t *testing.T, x *Index, ref map[refKey]int32, where string) {
+	t.Helper()
+	if x.n != len(ref) || 2*x.n > len(x.cells) {
+		t.Fatalf("%s: %d keys in %d cells, reference %d", where, x.n, len(x.cells), len(ref))
+	}
+	for k, v := range ref {
+		if got := x.Get(k.space, k.vpn); got != v {
+			t.Fatalf("%s: Get(%v) = %d, reference %d", where, k, got, v)
+		}
+	}
+	held := 0
+	for _, c := range x.cells {
+		if c.val == 0 {
+			continue
+		}
+		held++
+		if v, ok := ref[refKey{c.space, c.vpn}]; !ok || v != c.val-1 {
+			t.Fatalf("%s: cell holds (space %d vpn %d) = %d, reference %d,%t", where, c.space, c.vpn, c.val-1, v, ok)
+		}
+	}
+	if held != len(ref) {
+		t.Fatalf("%s: %d cells occupied, reference %d keys", where, held, len(ref))
+	}
 }

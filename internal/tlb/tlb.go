@@ -10,7 +10,6 @@
 package tlb
 
 import (
-	"math/bits"
 	"slices"
 
 	"vcache/internal/arch"
@@ -63,20 +62,15 @@ type Stats struct {
 // TLB is a fully associative, LRU-replaced translation cache.
 // It is not safe for concurrent use.
 //
-// The valid slots are found through an open-addressed hash table
-// (index): a power-of-two array of at least twice as many cells as
-// slots, probed linearly from a multiplicative hash of (space, vpn).
-// Each cell holds a slot number plus one, 0 meaning empty; deletion
-// shifts the rest of the probe run back, so the table never holds
-// tombstones. A one-entry last-translation cache (last/lastValid)
+// The valid slots are found through an Index sized for every slot, so
+// it never grows. A one-entry last-translation cache (last/lastValid)
 // fronts the table: straight-line page loops hit the same slot on every
 // access. Both are pure mechanism — replacement still scans slots by
 // LRU stamp, and every hit does the same bookkeeping (tick, stats, LRU
 // stamp) however it was found.
 type TLB struct {
 	slots []slot
-	index []int32
-	shift uint // 64 - log2(len(index)): the hash keeps the top bits
+	index Index
 	clock *sim.Clock
 	tick  uint64
 	stats Stats
@@ -93,11 +87,9 @@ func New(entries int, clock *sim.Clock) *TLB {
 	if entries <= 0 {
 		entries = 96 // the PA7000's combined TLB size class
 	}
-	logCells := bits.Len(uint(2*entries - 1)) // 2^logCells >= 2*entries
 	return &TLB{
 		slots: make([]slot, entries),
-		index: make([]int32, 1<<logCells),
-		shift: uint(64 - logCells),
+		index: NewIndex(entries),
 		clock: clock,
 	}
 }
@@ -113,28 +105,8 @@ func (t *TLB) Clone(clock *sim.Clock) *TLB {
 	t2 := *t
 	t2.clock = clock
 	t2.slots = slices.Clone(t.slots)
-	t2.index = slices.Clone(t.index)
+	t2.index = t.index.Clone()
 	return &t2
-}
-
-// home is the index cell where (space, vpn)'s probe run starts.
-func (t *TLB) home(space arch.SpaceID, vpn arch.VPN) int {
-	return int(((uint64(vpn) ^ uint64(space)<<40) * 0x9e3779b97f4a7c15) >> t.shift)
-}
-
-// find returns the slot holding (space, vpn), or -1. The index is at
-// most half full, so every probe run ends at an empty cell.
-func (t *TLB) find(space arch.SpaceID, vpn arch.VPN) int {
-	mask := len(t.index) - 1
-	for h := t.home(space, vpn); ; h = (h + 1) & mask {
-		c := t.index[h]
-		if c == 0 {
-			return -1
-		}
-		if s := &t.slots[c-1]; s.vpn == vpn && s.space == space {
-			return int(c - 1)
-		}
-	}
 }
 
 // resident returns the slot holding (space, vpn), or -1, trying the
@@ -145,7 +117,7 @@ func (t *TLB) resident(space arch.SpaceID, vpn arch.VPN) int {
 			return t.last
 		}
 	}
-	return t.find(space, vpn)
+	return int(t.index.Get(space, vpn))
 }
 
 // Lookup translates (space, vpn), walking the page tables via w on a
@@ -174,7 +146,7 @@ func (t *TLB) Lookup(space arch.SpaceID, vpn arch.VPN, w Walker) (Entry, bool) {
 // the first word's full access has refilled the TLB; the accesses they
 // then model in bulk go through TouchRepeat, which does the accounting.
 func (t *TLB) Peek(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
-	if i := t.find(space, vpn); i >= 0 {
+	if i := t.index.Get(space, vpn); i >= 0 {
 		return t.slots[i].entry, true
 	}
 	return Entry{}, false
@@ -215,41 +187,16 @@ func (t *TLB) insert(space arch.SpaceID, vpn arch.VPN, e Entry) {
 		}
 	}
 	t.stats.Evictions++
-	t.unindex(victim)
+	t.index.Delete(t.slots[victim].space, t.slots[victim].vpn)
 place:
 	t.slots[victim] = slot{space: space, vpn: vpn, entry: e, valid: true, lru: t.tick}
-	mask := len(t.index) - 1
-	h := t.home(space, vpn)
-	for t.index[h] != 0 {
-		h = (h + 1) & mask
-	}
-	t.index[h] = int32(victim + 1)
+	t.index.Put(space, vpn, int32(victim))
 	t.last, t.lastValid = victim, true
-}
-
-// unindex removes valid slot i from the index by backward shift: each
-// later cell of the probe run moves into the hole when the hole lies
-// between that cell's home and the cell itself, so every remaining
-// entry stays reachable from its home without tombstones.
-func (t *TLB) unindex(i int) {
-	mask := len(t.index) - 1
-	hole := t.home(t.slots[i].space, t.slots[i].vpn)
-	for t.index[hole] != int32(i+1) {
-		hole = (hole + 1) & mask
-	}
-	for j := (hole + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		s := &t.slots[t.index[j]-1]
-		if (j-t.home(s.space, s.vpn))&mask >= (j-hole)&mask {
-			t.index[hole] = t.index[j]
-			hole = j
-		}
-	}
-	t.index[hole] = 0
 }
 
 // drop invalidates valid slot i.
 func (t *TLB) drop(i int) {
-	t.unindex(i)
+	t.index.Delete(t.slots[i].space, t.slots[i].vpn)
 	t.slots[i].valid = false
 	if t.last == i {
 		t.lastValid = false
@@ -260,9 +207,9 @@ func (t *TLB) drop(i int) {
 // layer must call this whenever it changes that page's mapping,
 // protection, or modify-trap state.
 func (t *TLB) InvalidatePage(space arch.SpaceID, vpn arch.VPN) {
-	if i := t.find(space, vpn); i >= 0 {
+	if i := t.index.Get(space, vpn); i >= 0 {
 		t.stats.Shootdowns++
-		t.drop(i)
+		t.drop(int(i))
 	}
 }
 
@@ -286,6 +233,6 @@ func (t *TLB) InvalidateAll() {
 	for i := range t.slots {
 		t.slots[i].valid = false
 	}
-	clear(t.index)
+	t.index.Clear()
 	t.lastValid = false
 }

@@ -42,25 +42,12 @@ func BenchmarkConsistencyFault(b *testing.B) {
 // of kernel-build under F (Full scale), with the oracle off (the Table 4
 // cell) and on (its shadow is forked too).
 func BenchmarkSnapshotFork(b *testing.B) {
-	cfg, err := policy.ByLabel("F")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name   string
 		oracle bool
 	}{{"oracle-off", false}, {"oracle-on", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			kc := kernel.DefaultConfig(cfg)
-			kc.Machine.WithOracle = tc.oracle
-			k, err := kernel.New(kc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := KernelBuild().Setup(k, Full()); err != nil {
-				b.Fatal(err)
-			}
-			s := k.Snapshot()
+			s := kbuildImage(b, tc.oracle)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -70,4 +57,36 @@ func BenchmarkSnapshotFork(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestSnapshotForkAllocs bounds the allocations of one warm boot of
+// kernel-build under F (the BenchmarkSnapshotFork/oracle-off cell). Every
+// layer copies its state into a few flat slices, so a fork costs a few
+// dozen allocations rather than one per page-table entry, file, buffer
+// or mapping list.
+func TestSnapshotForkAllocs(t *testing.T) {
+	s := kbuildImage(t, false)
+	if n := testing.AllocsPerRun(20, func() { s.Fork() }); n > 150 {
+		t.Fatalf("a fork makes %v allocations, want at most 150", n)
+	}
+}
+
+// kbuildImage boots kernel-build under F, runs its Full setup and
+// freezes the result into the image a warm boot forks.
+func kbuildImage(tb testing.TB, oracle bool) *kernel.Snapshot {
+	tb.Helper()
+	cfg, err := policy.ByLabel("F")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	kc := kernel.DefaultConfig(cfg)
+	kc.Machine.WithOracle = oracle
+	k, err := kernel.New(kc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := KernelBuild().Setup(k, Full()); err != nil {
+		tb.Fatal(err)
+	}
+	return k.Snapshot()
 }
