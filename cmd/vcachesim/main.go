@@ -50,7 +50,6 @@ import (
 	"log"
 	"os"
 
-	"vcache/internal/core"
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
 	"vcache/internal/machine"
@@ -274,7 +273,7 @@ func printResult(r workload.Result) {
 
 	fmt.Println("cycles by category:")
 	cats := []sim.Category{sim.CatAccess, sim.CatFlush, sim.CatPurge, sim.CatFault, sim.CatDMA, sim.CatCompute}
-	if r.Config.Features.Backend == core.BackendRLT {
+	if r.CyclesBy[sim.CatRLT]+r.CyclesBy[sim.CatRLTEvict] > 0 {
 		cats = append(cats, sim.CatRLT, sim.CatRLTEvict)
 	}
 	for _, cat := range cats {
@@ -299,16 +298,11 @@ func printResult(r workload.Result) {
 	fmt.Printf("  zero-fills      %8d\n", s.ZeroFills)
 	fmt.Printf("  page copies     %8d\n", s.PageCopies)
 
-	switch r.Config.Features.Backend {
-	case core.BackendRLT:
-		fmt.Println("\nreverse-lookup table:")
-		fmt.Printf("  assists     %8d\n", s.RLTAssists)
-		fmt.Printf("  inserts     %8d\n", s.RLTInserts)
-		fmt.Printf("  evictions   %8d\n", s.RLTEvictions)
-	case core.BackendHybrid:
-		fmt.Println("\nhybrid update/invalidate:")
-		fmt.Printf("  update switches %8d\n", s.HybridUpdateSwitches)
-		fmt.Printf("  reverts         %8d\n", s.HybridReverts)
+	if counters := s.BackendCounters(r.Config.Features.Backend); counters != nil {
+		fmt.Printf("\nbackend %s:\n", r.Config.Features.Backend)
+		for _, c := range counters {
+			fmt.Printf("  %-15s %8d\n", c.Name, c.Value)
+		}
 	}
 
 	fmt.Println("\nI/O:")

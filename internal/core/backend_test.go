@@ -1,25 +1,21 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestBackendRegistry pins the registry: one entry per kind, looked up
-// by its own kind, with CMU as the zero value so every pre-backend
-// configuration literal still denotes the paper's algorithm.
+// TestBackendRegistry pins the backend kinds: each has its own name,
+// and CMU is the zero value, so every configuration literal without a
+// backend still denotes the paper's algorithm.
 func TestBackendRegistry(t *testing.T) {
-	all := Backends()
-	if len(all) != int(numBackends) {
-		t.Fatalf("Backends() returned %d entries, want %d", len(all), numBackends)
-	}
-	for i, b := range all {
-		if b.Kind() != BackendKind(i) {
-			t.Errorf("Backends()[%d].Kind() = %v", i, b.Kind())
+	seen := map[string]bool{}
+	for k := range NumBackends {
+		name := k.String()
+		if name == fmt.Sprintf("BackendKind(%d)", uint8(k)) || seen[name] {
+			t.Errorf("backend kind %d has no name of its own: %q", uint8(k), name)
 		}
-		if BackendFor(b.Kind()) != b {
-			t.Errorf("BackendFor(%v) is not the registered backend", b.Kind())
-		}
-		if b.Name() == "" {
-			t.Errorf("backend %v has no name", b.Kind())
-		}
+		seen[name] = true
 	}
 	var zero BackendKind
 	if zero != BackendCMU {
@@ -27,52 +23,41 @@ func TestBackendRegistry(t *testing.T) {
 	}
 }
 
-func TestBackendForUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("BackendFor(numBackends) should panic")
-		}
-	}()
-	BackendFor(numBackends)
-}
-
-// TestCMUBackendMatchesTable2 proves the CMU backend is the identity
-// over the package-level transition tables: same Transition for every
-// operation × state × role.
+// TestCMUBackendMatchesTable2 proves the table of the CMU backend (and
+// of HYB's invalidate mode) — the base WriteBackVI variant — is Table 2
+// verbatim: same Transition for every operation × state × role.
 func TestCMUBackendMatchesTable2(t *testing.T) {
-	b := BackendFor(BackendCMU)
 	for _, op := range Operations {
 		for _, s := range States {
-			if got, want := b.Target(op, s), TargetTransition(op, s); got != want {
+			if got, want := VariantTarget(WriteBackVI, op, s), TargetTransition(op, s); got != want {
 				t.Errorf("CMU Target(%s, %s) = %v, want %v", op, s, got, want)
 			}
-			if got, want := b.Other(op, s), OtherTransition(op, s); got != want {
+			if got, want := VariantOther(WriteBackVI, op, s), OtherTransition(op, s); got != want {
 				t.Errorf("CMU Other(%s, %s) = %v, want %v", op, s, got, want)
 			}
 		}
 	}
-	if !b.BulkEligible() {
-		t.Error("CMU backend must be bulk-eligible (the proven baseline)")
-	}
 }
 
-// TestRLTBackendRewritesCPUMaintenance pins the RLT transition table:
-// every CPU-operation cell whose action is a flush or purge becomes a
-// remap with the same next state, and every other cell — DMA
-// operations, explicit flush/purge requests, and cells with no
-// maintenance action — is untouched. Device transfers read memory
+// TestRLTBackendRewritesCPUMaintenance pins the RLT-VIVT table (the
+// RLTVIVT variant): every CPU-operation cell whose action is a flush or
+// purge becomes a remap with the same next state, and every other cell
+// — DMA operations, explicit flush/purge requests, and cells with no
+// maintenance action — is Table 2's. Device transfers read memory
 // directly, so a reverse-lookup structure inside the cache cannot
 // replace the write-back a DMA read needs.
 func TestRLTBackendRewritesCPUMaintenance(t *testing.T) {
-	b := BackendFor(BackendRLT)
+	if !RLTVIVT.VirtuallyIndexed() || !RLTVIVT.WriteBack() || !VariantHasOtherColumn(RLTVIVT) {
+		t.Fatal("the RLT variant is a virtually indexed write-back cache with an unaligned column")
+	}
 	rewrites := 0
 	for _, op := range Operations {
 		for _, s := range States {
 			for _, role := range []struct {
 				got, base Transition
 			}{
-				{b.Target(op, s), TargetTransition(op, s)},
-				{b.Other(op, s), OtherTransition(op, s)},
+				{VariantTarget(RLTVIVT, op, s), TargetTransition(op, s)},
+				{VariantOther(RLTVIVT, op, s), OtherTransition(op, s)},
 			} {
 				cpu := op == CPURead || op == CPUWrite
 				maint := role.base.Action == DoFlush || role.base.Action == DoPurge
@@ -92,32 +77,7 @@ func TestRLTBackendRewritesCPUMaintenance(t *testing.T) {
 		}
 	}
 	if rewrites == 0 {
-		t.Fatal("RLT backend rewrote no cells")
-	}
-	if !b.BulkEligible() {
-		t.Error("RLT backend must be bulk-eligible (its mechanics live above the data path)")
-	}
-}
-
-// TestHybridBackendTablesAndEligibility: the hybrid backend reuses the
-// CMU tables verbatim (the adaptive policy is a pmap-level mode
-// switch, not a different transition function) and must declare itself
-// ineligible for the bulk fast paths — mid-run cacheability flips
-// invalidate the first-word-probe assumption the bulk loops rely on.
-func TestHybridBackendTablesAndEligibility(t *testing.T) {
-	b := BackendFor(BackendHybrid)
-	for _, op := range Operations {
-		for _, s := range States {
-			if got, want := b.Target(op, s), TargetTransition(op, s); got != want {
-				t.Errorf("hybrid Target(%s, %s) = %v, want %v", op, s, got, want)
-			}
-			if got, want := b.Other(op, s), OtherTransition(op, s); got != want {
-				t.Errorf("hybrid Other(%s, %s) = %v, want %v", op, s, got, want)
-			}
-		}
-	}
-	if b.BulkEligible() {
-		t.Error("hybrid backend must not claim bulk eligibility")
+		t.Fatal("RLT variant rewrote no cells")
 	}
 }
 
@@ -164,8 +124,8 @@ func TestCoverageBackendBinding(t *testing.T) {
 func TestNewCoverageForUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewCoverageFor(numBackends) should panic")
+			t.Error("NewCoverageFor(NumBackends) should panic")
 		}
 	}()
-	NewCoverageFor(numBackends)
+	NewCoverageFor(NumBackends)
 }

@@ -92,7 +92,7 @@ func NewCoverage() *Coverage { return &Coverage{} }
 
 // NewCoverageFor returns an empty map bound to backend kind k.
 func NewCoverageFor(k BackendKind) *Coverage {
-	if k >= numBackends {
+	if k >= NumBackends {
 		panic(fmt.Sprintf("core: unknown backend kind %d", uint8(k)))
 	}
 	return &Coverage{backend: k}

@@ -18,6 +18,12 @@ import "fmt"
 //   - Set-associative caches and cache-coherent multiprocessors: the
 //     rules are unchanged (hardware guarantees intra-set/inter-cache
 //     consistency).
+//   - A virtually indexed cache with a reverse-lookup synonym table (the
+//     RLT-VIVT backend, arXiv 2108.00444): a CPU operation arriving
+//     through a synonym address hits the table, which re-binds the line
+//     instead of software flushing or purging it. Device-driven cells
+//     are unchanged — DMA bypasses the cache, so software must still
+//     clean for the device.
 
 // Variant names a memory-system architecture the model applies to.
 type Variant uint8
@@ -32,10 +38,13 @@ const (
 	WriteBackPI
 	// WriteThroughPI is a physically indexed write-through cache.
 	WriteThroughPI
+	// RLTVIVT is the paper's machine with a reverse-lookup synonym
+	// table.
+	RLTVIVT
 )
 
 // Variants lists them all for enumeration in tests.
-var Variants = []Variant{WriteBackVI, WriteThroughVI, WriteBackPI, WriteThroughPI}
+var Variants = []Variant{WriteBackVI, WriteThroughVI, WriteBackPI, WriteThroughPI, RLTVIVT}
 
 func (v Variant) String() string {
 	switch v {
@@ -47,6 +56,8 @@ func (v Variant) String() string {
 		return "physically-indexed write-back"
 	case WriteThroughPI:
 		return "physically-indexed write-through"
+	case RLTVIVT:
+		return "virtually-indexed write-back + reverse-lookup synonym table"
 	default:
 		return fmt.Sprintf("Variant(%d)", uint8(v))
 	}
@@ -54,10 +65,12 @@ func (v Variant) String() string {
 
 // VirtuallyIndexed reports whether unaligned aliases are possible under
 // the variant.
-func (v Variant) VirtuallyIndexed() bool { return v == WriteBackVI || v == WriteThroughVI }
+func (v Variant) VirtuallyIndexed() bool {
+	return v == WriteBackVI || v == WriteThroughVI || v == RLTVIVT
+}
 
 // WriteBack reports whether the variant has a dirty state.
-func (v Variant) WriteBack() bool { return v == WriteBackVI || v == WriteBackPI }
+func (v Variant) WriteBack() bool { return v == WriteBackVI || v == WriteBackPI || v == RLTVIVT }
 
 // writeThroughRewrite maps a base transition into the write-through
 // model: the dirty state is replaced by present, and flushes are
@@ -80,6 +93,16 @@ func wtState(s State) State {
 	return s
 }
 
+// rltRewrite maps a base transition into the reverse-lookup model: a
+// flush or purge driven by a CPU access becomes a remap with the same
+// next state.
+func rltRewrite(op Operation, t Transition) Transition {
+	if (op == CPURead || op == CPUWrite) && (t.Action == DoFlush || t.Action == DoPurge) {
+		t.Action = DoRemap
+	}
+	return t
+}
+
 // VariantTarget returns the target-line transition under the given
 // architecture variant.
 func VariantTarget(v Variant, op Operation, s State) Transition {
@@ -90,17 +113,14 @@ func VariantTarget(v Variant, op Operation, s State) Transition {
 		return writeThroughRewrite(TargetTransition(op, wtState(s)))
 	case WriteBackPI:
 		// Physically indexed: aliases always align, so the target
-		// column still applies — but only DMA operations can create
-		// inconsistencies. CPU transitions are pure bookkeeping.
-		t := TargetTransition(op, s)
-		if op == CPURead || op == CPUWrite {
-			// A stale line cannot exist except after DMA-write;
-			// the purge on stale CPU access remains required.
-			return t
-		}
-		return t
+		// column applies unchanged — only DMA operations can create
+		// inconsistencies, and a stale line (left by a DMA-write)
+		// still needs its purge on the next CPU access.
+		return TargetTransition(op, s)
 	case WriteThroughPI:
-		return writeThroughRewrite(VariantTarget(WriteBackPI, op, wtState(s)))
+		return writeThroughRewrite(TargetTransition(op, wtState(s)))
+	case RLTVIVT:
+		return rltRewrite(op, TargetTransition(op, s))
 	}
 	panic(fmt.Sprintf("core: unknown variant %v", v))
 }
@@ -118,6 +138,8 @@ func VariantOther(v Variant, op Operation, s State) Transition {
 		return OtherTransition(op, s)
 	case WriteThroughVI:
 		return writeThroughRewrite(OtherTransition(op, wtState(s)))
+	case RLTVIVT:
+		return rltRewrite(op, OtherTransition(op, s))
 	default:
 		panic(fmt.Sprintf("core: variant %v has no unaligned-alias column", v))
 	}

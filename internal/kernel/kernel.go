@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"vcache/internal/arch"
-	"vcache/internal/core"
 	"vcache/internal/dma"
 	"vcache/internal/fs"
 	"vcache/internal/machine"
@@ -123,12 +122,6 @@ type Kernel struct {
 
 // New boots a system under the given configuration.
 func New(cfg Config) (*Kernel, error) {
-	// A consistency backend that has not proven the bulk fast-path
-	// identity must run the exact word-at-a-time slow path: enforce its
-	// self-declared eligibility here, before the machine is built.
-	if !core.BackendFor(cfg.Policy.Features.Backend).BulkEligible() {
-		cfg.Machine.DisableBulkData = true
-	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err

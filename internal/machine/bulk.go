@@ -31,8 +31,8 @@ import (
 // next() value and loads or stores each word through the cache
 // (write-through included), so it needs neither guard. When a guard
 // fails the word loop finishes the job, so oracle mode and the cache
-// variants keep the exact slow path; DisableFastPaths and
-// DisableBulkData turn all three off.
+// variants keep the exact slow path; DisableFastPaths turns all three
+// off.
 //
 // On a multiprocessor the reference loop snoops every peer once per
 // word. The tails snoop once per *line*, and only the peers whose data
@@ -65,14 +65,8 @@ import (
 
 // canBulkData reports whether the machine-level bulk data paths apply.
 func (m *Machine) canBulkData() bool {
-	return !m.noFast && !m.noBulk && m.Oracle == nil && m.cpus[0].DCache.CanBulk()
+	return !m.noFast && m.Oracle == nil && m.cpus[0].DCache.CanBulk()
 }
-
-// BulkDataEnabled exposes the bulk-path guard for the backend
-// fast-path safety test: a backend that declares itself bulk-ineligible
-// must observably have every bulk path off — page zero and copy in the
-// pmap, the file system and read(2)/write(2), and the strided runs.
-func (m *Machine) BulkDataEnabled() bool { return !m.noFast && !m.noBulk }
 
 // BulkZeroPage zero-fills the page mapped at (space, base), base
 // page-aligned. It returns how many words were performed: 0 (guards
@@ -206,7 +200,7 @@ func (m *Machine) stridedTail(space arch.SpaceID, va, step arch.VA, n uint64, ac
 	cpu := m.cpu()
 	vpn := m.Geom.PageOf(va)
 	e, ok := cpu.TLB.Peek(space, vpn)
-	if m.noFast || m.noBulk || !ok || e.Uncached || m.Geom.PageOf(va+arch.VA(n-1)*step) != vpn {
+	if m.noFast || !ok || e.Uncached || m.Geom.PageOf(va+arch.VA(n-1)*step) != vpn {
 		return false
 	}
 	cpu.TLB.TouchRepeat(space, vpn, n-1)

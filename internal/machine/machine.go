@@ -156,11 +156,6 @@ type Machine struct {
 	// benchmarking the overhead they remove and for identity tests that
 	// pit the fast paths against the word-at-a-time reference.
 	noFast bool
-
-	// noBulk disables only the bulk page and strided run paths, leaving
-	// the DMA word-range moves on. Set for consistency backends that have
-	// not proven the bulk identity (Config.DisableBulkData).
-	noBulk bool
 }
 
 // Config sizes a machine.
@@ -191,13 +186,6 @@ type Config struct {
 	// paths are observation-identical, so this exists only for
 	// benchmarking them and for the identity tests proving it.
 	DisableFastPaths bool
-	// DisableBulkData disables the bulk page zero/copy paths and the
-	// strided run batching, keeping the DMA word-range moves. kernel.New
-	// sets it for any consistency backend whose Backend.BulkEligible()
-	// is false — the guard that makes "ineligible backend" mean
-	// "provably on the exact slow path" rather than "hopefully
-	// unaffected".
-	DisableBulkData bool
 }
 
 // DefaultConfig returns an HP 720-shaped machine with the oracle enabled.
@@ -265,7 +253,6 @@ func New(cfg Config) (*Machine, error) {
 		Clock:      clock,
 		maxRetries: 16,
 		noFast:     cfg.DisableFastPaths,
-		noBulk:     cfg.DisableBulkData,
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		dc, err := cache.New(cache.Config{

@@ -7,10 +7,11 @@ import (
 	"vcache/internal/trace"
 )
 
-// This file is the runtime half of the peer consistency backends
-// (core/backend.go is the model half): the reverse-lookup synonym
-// table of the RLT-VIVT backend and the write-run mode switching of
-// the HYBRID backend. Both are cost/attribution models layered on the
+// This file is the runtime of the peer consistency backends (their
+// kinds are in core/backend.go, the RLT-VIVT table is core's RLTVIVT
+// variant): the reverse-lookup synonym table of the RLT-VIVT backend,
+// the write-run mode switching of the HYBRID backend, and the counters
+// both report. Both are cost/attribution models layered on the
 // same functional state machine — the cache and memory contents under
 // any backend are identical to the CMU scheme's, which is what keeps
 // the oracle, the replay closure, and the fast-path identity proofs
@@ -39,6 +40,24 @@ const rltCapacity = 64
 // write-run heuristic declares the invalidate scheme pathological and
 // switches the page to update mode.
 const hybridWriteRunThreshold = 3
+
+// Counter is one named backend counter.
+type Counter struct {
+	Name  string
+	Value uint64
+}
+
+// BackendCounters returns the counters of backend kind in report
+// order, or nil for the CMU scheme, which has none of its own.
+func (s Stats) BackendCounters(kind core.BackendKind) []Counter {
+	switch kind {
+	case core.BackendRLT:
+		return []Counter{{"assists", s.RLTAssists}, {"inserts", s.RLTInserts}, {"evictions", s.RLTEvictions}}
+	case core.BackendHybrid:
+		return []Counter{{"update-switches", s.HybridUpdateSwitches}, {"reverts", s.HybridReverts}}
+	}
+	return nil
+}
 
 // rltState is the reverse-lookup table occupancy: FIFO over frames
 // with live synonyms, each of which has physPage.inRLT set.

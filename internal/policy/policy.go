@@ -94,10 +94,24 @@ type Features struct {
 
 	// Backend selects the consistency-management backend
 	// (core.BackendCMU for every paper configuration; the peer
-	// backends of ROADMAP item 3 — RLT-VIVT, HYBRID — plug in here).
-	// Orthogonal to Variant: Variant approximates another OS's use of
-	// the same software scheme, Backend swaps the scheme itself.
+	// backends RLT-VIVT and HYBRID plug in here). Orthogonal to
+	// Variant: Variant approximates another OS's use of the same
+	// software scheme, Backend swaps the scheme itself.
 	Backend core.BackendKind
+}
+
+// Aliases is the Table 5 "unaligned aliases" cell: how the
+// configuration treats unaligned aliases.
+func (f Features) Aliases() string {
+	switch {
+	case f.Variant == VariantSun:
+		return "uncached"
+	case f.Backend == core.BackendRLT:
+		return "rlt"
+	case f.Backend == core.BackendHybrid:
+		return "adaptive"
+	}
+	return "yes"
 }
 
 // Config is a named configuration.
@@ -223,10 +237,10 @@ func Table5Systems() []Config {
 	return []Config{CMU(), Utah(), Tut(), Apollo(), Sun()}
 }
 
-// Peer consistency backends (ROADMAP item 3): alternative
-// synonym-management schemes reported side-by-side with A–F and the
-// Table 5 systems. Both run the full F feature set so differences in
-// the tables isolate the backend, not the software optimizations.
+// Peer consistency backends: alternative synonym-management schemes
+// reported side-by-side with A–F and the Table 5 systems. Both run the
+// full F feature set so differences in the tables isolate the backend,
+// not the software optimizations.
 
 // RLT is a VIVT cache with a hardware reverse-lookup synonym table
 // (arXiv 2108.00444): synonym remaps hit the RLT and re-bind lines

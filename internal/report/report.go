@@ -194,16 +194,16 @@ func Table4(benchNames []string, results [][]workload.Result) string {
 // backendLine renders the per-backend counter sub-line for a result run
 // under a non-CMU consistency backend, or "" for CMU rows.
 func backendLine(r workload.Result) string {
-	s := r.PM
-	switch r.Config.Features.Backend {
-	case core.BackendRLT:
-		return fmt.Sprintf("      backend %s: assists %d  inserts %d  evictions %d\n",
-			core.BackendRLT, s.RLTAssists, s.RLTInserts, s.RLTEvictions)
-	case core.BackendHybrid:
-		return fmt.Sprintf("      backend %s: update-switches %d  reverts %d\n",
-			core.BackendHybrid, s.HybridUpdateSwitches, s.HybridReverts)
+	kind := r.Config.Features.Backend
+	counters := r.PM.BackendCounters(kind)
+	if counters == nil {
+		return ""
 	}
-	return ""
+	cells := make([]string, len(counters))
+	for i, c := range counters {
+		cells[i] = fmt.Sprintf("%s %d", c.Name, c.Value)
+	}
+	return fmt.Sprintf("      backend %s: %s\n", kind, strings.Join(cells, "  "))
 }
 
 // TableMP renders the multiprocessor sweep: one benchmark under every
@@ -291,18 +291,9 @@ func Table5(measured map[string]workload.Result) string {
 	}
 	for _, cfg := range append(policy.Table5Systems(), policy.PeerBackends()...) {
 		f := cfg.Features
-		aliases := "yes"
-		switch {
-		case f.Variant == policy.VariantSun:
-			aliases = "uncached"
-		case f.Backend == core.BackendRLT:
-			aliases = "rlt"
-		case f.Backend == core.BackendHybrid:
-			aliases = "adaptive"
-		}
 		cells := []string{
 			fmt.Sprintf("%-8s", cfg.Label),
-			fmt.Sprintf("%-9s", aliases),
+			fmt.Sprintf("%-9s", f.Aliases()),
 			fmt.Sprintf("%-6s", yn(f.LazyUnmap)),
 			fmt.Sprintf("%-7s", yn(f.AlignPages)),
 			fmt.Sprintf("%-8s", yn(f.AlignedPrepare)),
