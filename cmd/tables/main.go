@@ -273,21 +273,24 @@ func microbench(writes int) string {
 func analysis51(ctx context.Context, r *harness.Runner, scale workload.Scale, kc *kernel.Config) string {
 	// For each benchmark: one run under the HP 720 timing, one under the
 	// single-cycle-purge what-if profile.
-	fastTiming := sim.FastPurgeTiming()
+	fast := kernel.DefaultConfig(policy.New())
+	if kc != nil {
+		fast = *kc
+	}
+	fast.Machine.Timing = sim.FastPurgeTiming()
 	var plan harness.Plan
 	for _, w := range workload.Benchmarks() {
 		plan = append(plan,
-			harness.Spec{Workload: w, Config: policy.New(), Scale: scale},
-			harness.Spec{Workload: w, Config: policy.New(), Scale: scale, Timing: &fastTiming})
+			harness.Spec{Workload: w, Config: policy.New(), Scale: scale, Kernel: kc},
+			harness.Spec{Workload: w, Config: policy.New(), Scale: scale, Kernel: &fast})
 	}
-	plan = withKernel(plan, kc)
 	results := mustResults(r.RunContext(ctx, plan))
-	var normal, fast []workload.Result
+	var normal, fastRes []workload.Result
 	for i := 0; i < len(results); i += 2 {
 		normal = append(normal, results[i])
-		fast = append(fast, results[i+1])
+		fastRes = append(fastRes, results[i+1])
 	}
-	return report.Analysis(normal, fast, sim.HP720Timing().ClockHz)
+	return report.Analysis(normal, fastRes, sim.HP720Timing().ClockHz)
 }
 
 // mustResults unpacks plan outcomes, aborting on any run error or any

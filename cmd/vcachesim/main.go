@@ -128,32 +128,28 @@ func main() {
 		return
 	}
 
-	scale := workload.Scale{Name: "custom", Factor: *factor}
-	if err := scale.Validate(); err != nil {
-		fail(fmt.Errorf("-scale: %w", err))
-	}
 	if *cpus < 1 || *cpus > machine.MaxCPUs {
 		fail(fmt.Errorf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus))
 	}
 	if *traceN < 0 || *traceN > maxTraceEvents {
 		fail(fmt.Errorf("-trace must be between 0 and %d, got %d", maxTraceEvents, *traceN))
 	}
-	cfg, err := policy.ByLabel(*cfgName)
-	if err != nil {
-		fail(err)
-	}
 	w, err := workload.ByName(*name)
 	if err != nil {
 		fail(err)
 	}
-	kc := kernel.DefaultConfig(cfg)
-	kc.Machine.CPUs = *cpus
+	spec, err := harness.Resolve(trace.Origin{Workload: w.Name, Config: *cfgName, Scale: "custom", Factor: *factor, CPUs: *cpus}, w)
+	if err != nil {
+		fail(err)
+	}
 	if *cpus > 1 && *quantum > 0 {
 		// Deterministic quantum preemption: processes migrate between
 		// CPUs during the measured phase (recorded as "sched" ops when
 		// -record is on, so replays reproduce the exact interleaving).
-		kc.Sched = kernel.SchedConfig{Quantum: *quantum, Seed: *schedSeed}
+		spec.Kernel.Sched = kernel.SchedConfig{Quantum: *quantum, Seed: *schedSeed}
 	}
+	spec.TraceN = *traceN
+	spec.RecordOps = *record != ""
 	// With -warm-boot the run goes through a one-slot snapshot pool: the
 	// boot is snapshotted post-setup and the measured phase executes on a
 	// fork — the restore span shows up in -phases, the result does not
@@ -162,14 +158,7 @@ func main() {
 	if *warm {
 		pool = harness.NewSnapshotPool(1)
 	}
-	r, recorder, ph, err := harness.ExecTimedPool(context.Background(), harness.Spec{
-		Workload:  w,
-		Config:    cfg,
-		Scale:     scale,
-		Kernel:    &kc,
-		TraceN:    *traceN,
-		RecordOps: *record != "",
-	}, pool)
+	r, recorder, ph, err := harness.ExecTimedPool(context.Background(), spec, pool)
 	if err != nil {
 		fail(err)
 	}

@@ -122,12 +122,9 @@ type Spec struct {
 	Scale    Scale
 	// Kernel optionally overrides the system configuration; nil means
 	// kernel.DefaultConfig(Config). The harness copies it before
-	// applying Config and Timing, so one kernel.Config value may be
-	// shared by many Specs.
+	// applying Config, so one kernel.Config value may be shared by many
+	// Specs.
 	Kernel *kernel.Config
-	// Timing optionally overrides the machine timing profile (the §5.1
-	// single-cycle-purge what-if).
-	Timing *sim.Timing
 	// TraceN, when positive, attaches a ring-buffer recorder keeping
 	// the last TraceN consistency events of the timed phase.
 	TraceN int
@@ -135,7 +132,8 @@ type Spec struct {
 	// recorder (requires TraceN > 0), interleaving one "op" event per
 	// top-level kernel operation with the consistency events. The
 	// resulting export is replayable (see internal/replay); its Origin
-	// block names this spec so a replay can rebuild the same system.
+	// block is this spec's Origin, so a replay can rebuild the same
+	// system.
 	RecordOps bool
 	// Coverage, when non-nil, accumulates the Table 2 state×transition
 	// cells the run exercises (see core.Coverage). Attached per run,
@@ -164,10 +162,54 @@ func (s Spec) kernelConfig() kernel.Config {
 		kc = kernel.DefaultConfig(s.Config)
 	}
 	kc.Policy = s.Config
-	if s.Timing != nil {
-		kc.Machine.Timing = *s.Timing
-	}
 	return kc
+}
+
+// Resolve builds the spec a run description denotes; service requests,
+// vcachesim runs and replays all come through here. It checks the
+// configuration label, the scale (when w has a Setup to size) and the
+// machine size, then builds the default kernel configuration with the
+// origin's CPUs, frames and timing. The scheduler stays off: a recorded
+// run's migrations are in its op log.
+func Resolve(o trace.Origin, w Workload) (Spec, error) {
+	cfg, err := policy.ByLabel(o.Config)
+	if err != nil {
+		return Spec{}, err
+	}
+	scale := Scale{Name: o.Scale, Factor: o.Factor}
+	if w.Setup != nil {
+		if err := scale.Validate(); err != nil {
+			return Spec{}, err
+		}
+	}
+	if err := machine.CheckSize(o.CPUs, o.Frames); err != nil {
+		return Spec{}, err
+	}
+	kc := kernel.DefaultConfig(cfg)
+	if o.CPUs > 0 {
+		kc.Machine.CPUs = o.CPUs
+	}
+	if o.Frames > 0 {
+		kc.Machine.Frames = o.Frames
+	}
+	kc.Machine.Timing = o.Timing.Apply(kc.Machine.Timing)
+	return Spec{Workload: w, Config: cfg, Scale: scale, Kernel: &kc}, nil
+}
+
+// Origin describes the spec's run for a recording; Resolve is its
+// inverse. Timing is nil under the default profile, so a default run's
+// export keeps its bytes.
+func (s Spec) Origin() trace.Origin {
+	kc := s.kernelConfig()
+	return trace.Origin{
+		Workload: s.Workload.Name,
+		Config:   s.Config.Label,
+		Scale:    s.Scale.Name,
+		Factor:   s.Scale.Factor,
+		CPUs:     kc.Machine.CPUs,
+		Frames:   kc.Machine.Frames,
+		Timing:   sim.OverrideOf(machine.DefaultConfig().Timing, kc.Machine.Timing),
+	}
 }
 
 // Phases is the wall-clock breakdown of one Exec: where the run's real
@@ -259,15 +301,8 @@ func measure(s Spec, k *kernel.Kernel, ph *Phases) (Result, *trace.Recorder, err
 		k.M.SetTracer(rec)
 		if s.RecordOps {
 			k.SetOpLog(rec)
-			kc := s.kernelConfig()
-			rec.SetOrigin(&trace.Origin{
-				Workload: s.Workload.Name,
-				Config:   s.Config.Label,
-				Scale:    s.Scale.Name,
-				Factor:   s.Scale.Factor,
-				CPUs:     kc.Machine.CPUs,
-				Frames:   kc.Machine.Frames,
-			})
+			o := s.Origin()
+			rec.SetOrigin(&o)
 		}
 	}
 	if s.Coverage != nil {

@@ -116,7 +116,7 @@ func CXLPCCWorkload(config string, s harness.Scale) (harness.Workload, error) {
 	if err != nil {
 		return harness.Workload{}, err
 	}
-	return pr.Workload()
+	return pr.Workload(), nil
 }
 
 // FromNotes assembles a program from op notes in the replay grammar —

@@ -7,7 +7,6 @@ import (
 	"vcache/internal/fs"
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
-	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/trace"
 	"vcache/internal/vm"
@@ -19,7 +18,7 @@ import (
 type Program struct {
 	// Origin identifies the recorded run: the workload name (whose
 	// Setup phase rebuilds the pre-run state), the policy configuration
-	// label, the scale, and the machine dimensions.
+	// label, the scale, and the machine dimensions and timing.
 	Origin trace.Origin
 	// TraceN is the ring capacity a replay must use to re-export an
 	// identical trace: the original export's retained count, which
@@ -73,36 +72,18 @@ func Parse(ex trace.Export) (*Program, error) {
 }
 
 // Spec builds the harness spec that replays the program under the same
-// system the origin describes: same workload Setup, same configuration,
-// same scale, same machine dimensions, and a trace ring sized so the
-// re-export matches the original byte for byte.
+// system the origin describes — harness.Resolve of the origin, so the
+// same checks and the same kernel configuration as the recorded run —
+// with a trace ring sized so the re-export matches the original byte
+// for byte.
 func (pr *Program) Spec() (harness.Spec, error) {
-	cfg, err := policy.ByLabel(pr.Origin.Config)
+	spec, err := harness.Resolve(pr.Origin, pr.Workload())
 	if err != nil {
-		return harness.Spec{}, fmt.Errorf("replay: %w", err)
-	}
-	w, err := pr.Workload()
-	if err != nil {
-		return harness.Spec{}, err
-	}
-	if err := machine.CheckSize(pr.Origin.CPUs, pr.Origin.Frames); err != nil {
 		return harness.Spec{}, fmt.Errorf("replay: origin %w", err)
 	}
-	kc := kernel.DefaultConfig(cfg)
-	if pr.Origin.CPUs > 0 {
-		kc.Machine.CPUs = pr.Origin.CPUs
-	}
-	if pr.Origin.Frames > 0 {
-		kc.Machine.Frames = pr.Origin.Frames
-	}
-	return harness.Spec{
-		Workload:  w,
-		Config:    cfg,
-		Scale:     harness.Scale{Name: pr.Origin.Scale, Factor: pr.Origin.Factor},
-		Kernel:    &kc,
-		TraceN:    pr.TraceN,
-		RecordOps: true,
-	}, nil
+	spec.TraceN = pr.TraceN
+	spec.RecordOps = true
+	return spec, nil
 }
 
 // Workload wraps the program as a runnable workload: Setup is the
@@ -112,7 +93,7 @@ func (pr *Program) Spec() (harness.Spec, error) {
 // re-exported trace — matches the original. An origin name no workload
 // claims (a scenario program, or a fuzzer witness) gets no Setup: such
 // programs are self-contained, starting from a freshly booted kernel.
-func (pr *Program) Workload() (harness.Workload, error) {
+func (pr *Program) Workload() harness.Workload {
 	w := harness.Workload{Name: pr.Origin.Workload}
 	if base, err := workload.ByName(pr.Origin.Workload); err == nil {
 		w.Setup = base.Setup
@@ -120,7 +101,7 @@ func (pr *Program) Workload() (harness.Workload, error) {
 	w.Run = func(k *kernel.Kernel, _ harness.Scale) error {
 		return pr.Run(k)
 	}
-	return w, nil
+	return w
 }
 
 // Run executes the program's operations, in order, against k.

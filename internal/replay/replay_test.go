@@ -111,30 +111,49 @@ func TestParseRejectsRetainedMismatch(t *testing.T) {
 // TestClosure proves the record→replay→re-export closure: for every
 // configuration and benchmark, replaying an exported trace on a fresh
 // system reproduces the original run exactly — DeepEqual Result,
-// byte-identical re-exported trace JSON.
+// byte-identical re-exported trace JSON. The last row runs under a
+// Section 5.1 what-if timing override, which the origin must carry for
+// the replay to charge the same costs.
 func TestClosure(t *testing.T) {
 	workloads := []string{"stress-42", "afs-bench"}
 	if !testing.Short() {
 		workloads = append(workloads, "latex-paper", "kernel-build")
 	}
+	type row struct {
+		name string
+		cfg  policy.Config
+		kc   *kernel.Config
+	}
+	var rows []row
 	for _, cfg := range policy.Configs() {
 		for _, name := range workloads {
-			t.Run(cfg.Label+"/"+name, func(t *testing.T) {
-				w, err := workload.ByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec := harness.Spec{
-					Workload: w,
-					Config:   cfg,
-					Scale:    workload.Small(),
-					TraceN:   1 << 16,
-				}
-				if err := VerifyClosure(context.Background(), spec); err != nil {
-					t.Fatal(err)
-				}
-			})
+			rows = append(rows, row{name, cfg, nil})
 		}
+	}
+	fast := kernel.DefaultConfig(policy.New())
+	fast.Machine.Timing.LineFlushHit, fast.Machine.Timing.LinePurgeHit = 1, 1
+	rows = append(rows, row{"afs-bench", policy.New(), &fast})
+	for _, r := range rows {
+		label := r.cfg.Label + "/" + r.name
+		if r.kc != nil {
+			label += "/timing"
+		}
+		t.Run(label, func(t *testing.T) {
+			w, err := workload.ByName(r.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := harness.Spec{
+				Workload: w,
+				Config:   r.cfg,
+				Scale:    workload.Small(),
+				Kernel:   r.kc,
+				TraceN:   1 << 16,
+			}
+			if err := VerifyClosure(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

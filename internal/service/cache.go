@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// resultCache is the content-addressed result store: canonical spec hash
+// resultCache is the content-addressed result store: resolved spec hash
 // → rendered response body. Identical requests are byte-identical
 // simulations (the harness determinism guarantee), so a cached body is
 // authoritative for every future request with the same key. Bounded LRU;

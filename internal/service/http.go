@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"vcache/internal/harness"
 	"vcache/internal/policy"
 	"vcache/internal/replay"
 	"vcache/internal/trace"
@@ -127,6 +128,9 @@ func (s *Service) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := pr.Spec()
+	if err == nil {
+		err = s.checkScale(spec)
+	}
 	if err != nil {
 		s.m.inc(&s.m.rejectedInvalid)
 		writeJSONError(w, http.StatusBadRequest, "%v", err)
@@ -137,8 +141,10 @@ func (s *Service) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusServiceUnavailable, "%s", ErrDraining.Error())
 		return
 	}
+	// The replay runs untraced: its response is the result alone.
+	spec.TraceN, spec.RecordOps = 0, false
 	req := RunRequest{Workload: pr.Origin.Workload, Config: pr.Origin.Config}
-	res := &Resolved{Req: req, Key: replayKey(pr), Spec: spec}
+	res := &Resolved{Req: req, Key: replayKey(spec, pr), Spec: spec}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
 	body, outcome, runPhases, err := s.submit(ctx, res)
@@ -165,12 +171,14 @@ func (s *Service) handleReplay(w http.ResponseWriter, r *http.Request) {
 // recording this service produced.
 const maxReplayBody = 64 << 20
 
-// replayKey content-addresses a replay program: origin plus the exact
-// op list. Two uploads of the same recording share one cache entry and
-// one backing run, like two identical /run requests.
-func replayKey(pr *replay.Program) string {
+// replayKey content-addresses a replay program: the resolved system it
+// runs on (spec's SnapshotKey, which covers machine size and timing)
+// plus the exact op list. Two uploads of the same recording share one
+// cache entry and one backing run, like two identical /run requests;
+// two recordings with equal op lists on different machines do not.
+func replayKey(spec harness.Spec, pr *replay.Program) string {
 	h := sha256.New()
-	h.Write([]byte("replay\x00" + pr.Origin.Workload + "\x00" + pr.Origin.Config + "\x00"))
+	h.Write([]byte("replay\x00" + spec.SnapshotKey() + "\x00"))
 	for _, op := range pr.Ops {
 		h.Write([]byte(op.Note()))
 		h.Write([]byte{'\n'})
@@ -206,12 +214,9 @@ func (s *Service) serveOne(ctx context.Context, req RunRequest) served {
 		s.m.inc(&s.m.rejectedInvalid)
 		return served{status: http.StatusBadRequest, errMsg: err.Error(), phases: ph}
 	}
-	if s.cfg.MaxScale > 0 && res.Spec.Scale.Factor > s.cfg.MaxScale {
+	if err := s.checkScale(res.Spec); err != nil {
 		s.m.inc(&s.m.rejectedInvalid)
-		return served{
-			res: res, status: http.StatusBadRequest, phases: ph,
-			errMsg: fmt.Sprintf("scale %g exceeds the service cap %g", res.Spec.Scale.Factor, s.cfg.MaxScale),
-		}
+		return served{res: res, status: http.StatusBadRequest, phases: ph, errMsg: err.Error()}
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -225,6 +230,15 @@ func (s *Service) serveOne(ctx context.Context, req RunRequest) served {
 		return served{outcome: outcome, res: res, status: statusOf(err), errMsg: err.Error(), phases: ph}
 	}
 	return served{body: body, outcome: outcome, res: res, status: http.StatusOK, phases: ph}
+}
+
+// checkScale applies the service's scale cap (Config.MaxScale) to a
+// resolved spec, the same gate for /run, /batch and /replay.
+func (s *Service) checkScale(spec harness.Spec) error {
+	if s.cfg.MaxScale > 0 && spec.Scale.Factor > s.cfg.MaxScale {
+		return fmt.Errorf("scale %g exceeds the service cap %g", spec.Scale.Factor, s.cfg.MaxScale)
+	}
+	return nil
 }
 
 // BatchRequest submits a whole plan of runs in one call.

@@ -86,6 +86,81 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// recordRun POSTs a record:true request and returns the recorded
+// result and the replayable export.
+func recordRun(t *testing.T, srv *httptest.Server, req RunRequest) tracedBody {
+	t.Helper()
+	req.Record = true
+	status, _, body := postRun(t, srv, req)
+	if status != http.StatusOK {
+		t.Fatalf("recorded run %+v: status %d: %s", req, status, body)
+	}
+	var rb tracedBody
+	if err := json.Unmarshal(body, &rb); err != nil {
+		t.Fatal(err)
+	}
+	if rb.Trace == nil || rb.Trace.Origin == nil {
+		t.Fatalf("recorded run %+v carries no replayable trace", req)
+	}
+	return rb
+}
+
+// TestReplayKeyedOnResolvedSystem: two recordings with the same op list
+// on different machines are different replays. afs-bench runs the same
+// operations on 1 and on 2 CPUs (the service arms no scheduler), but
+// the second CPU changes the result, so each /replay must answer with
+// its own recording's result — never the other's cached body.
+func TestReplayKeyedOnResolvedSystem(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 2, EnableReplay: true})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Shutdown(context.Background())
+
+	var recorded []tracedBody
+	for _, cpus := range []int{1, 2} {
+		recorded = append(recorded, recordRun(t, srv, RunRequest{Workload: "afs-bench", Config: "F", Scale: 0.1, CPUs: cpus}))
+	}
+	if bytes.Equal(recorded[0].Result, recorded[1].Result) {
+		t.Fatal("1- and 2-CPU recordings have the same result; the test cannot tell replays apart")
+	}
+	for i, rb := range recorded {
+		status, _, body := postJSON(t, srv, "/replay", rb.Trace)
+		if status != http.StatusOK {
+			t.Fatalf("/replay %d CPU(s): status %d: %s", i+1, status, body)
+		}
+		var pb tracedBody
+		if err := json.Unmarshal(body, &pb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pb.Result, rb.Result) {
+			t.Errorf("/replay of the %d-CPU recording returned another result:\n%s\nwant\n%s", i+1, pb.Result, rb.Result)
+		}
+	}
+}
+
+// TestReplayScaleCap: /replay takes the same Config.MaxScale gate as
+// /run, so an export recorded elsewhere cannot run a scale this daemon
+// refuses.
+func TestReplayScaleCap(t *testing.T) {
+	open := New(Config{MaxConcurrent: 1})
+	openSrv := httptest.NewServer(open.Handler())
+	defer openSrv.Close()
+	defer open.Shutdown(context.Background())
+	rb := recordRun(t, openSrv, RunRequest{Workload: "afs-bench", Config: "F", Scale: 0.1})
+
+	capped := New(Config{MaxConcurrent: 1, MaxScale: 0.05, EnableReplay: true})
+	srv := httptest.NewServer(capped.Handler())
+	defer srv.Close()
+	defer capped.Shutdown(context.Background())
+	status, _, body := postJSON(t, srv, "/replay", rb.Trace)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the service cap") {
+		t.Fatalf("/replay past MaxScale: status %d, want 400 naming the cap: %s", status, body)
+	}
+	if snap := capped.Metrics(); snap.RunsStarted != 0 {
+		t.Fatalf("rejected replay started %d runs", snap.RunsStarted)
+	}
+}
+
 // TestReplayOptIn pins the endpoint's gating: a daemon without
 // Config.EnableReplay answers 404 with the standard JSON error shape
 // and never parses the upload.

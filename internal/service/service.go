@@ -7,7 +7,7 @@
 // runs — identical Specs produce byte-identical Results. This package
 // exploits it the way a serving system exploits idempotence:
 //
-//   - a content-addressed result cache (canonical spec hash → rendered
+//   - a content-addressed result cache (resolved spec hash → rendered
 //     result) makes every repeated run free;
 //   - singleflight deduplication collapses N concurrent identical
 //     requests into exactly one backing simulation;
@@ -211,17 +211,17 @@ func (s *Service) Submit(ctx context.Context, r *Resolved) (body []byte, outcome
 // submit is Submit plus the backing run's phase breakdown (nil when the
 // request was served from the cache or the run never executed).
 //
-// A traced request (TraceN > 0) skips the result cache — the cached
+// A traced request (Spec.TraceN > 0) skips the result cache — the cached
 // body carries no events — and singleflights under a trace-qualified
 // key, so concurrent identical traced requests still collapse into one
 // backing run without ever attaching an untraced caller to a traced
 // body or vice versa.
 func (s *Service) submit(ctx context.Context, r *Resolved) (body []byte, outcome string, phases *RunPhases, err error) {
 	s.m.inc(&s.m.requests)
-	traced := r.TraceN > 0
+	traced := r.Spec.TraceN > 0
 	flightKey := r.Key
 	if traced {
-		flightKey = fmt.Sprintf("%s|trace=%d|record=%t", r.Key, r.TraceN, r.Record)
+		flightKey = fmt.Sprintf("%s|trace=%d|record=%t", r.Key, r.Spec.TraceN, r.Spec.RecordOps)
 	}
 	if !traced {
 		if b, ok := s.cache.get(r.Key); ok {
@@ -286,13 +286,10 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 		<-s.sem
 	}()
 	s.m.inc(&s.m.runsStarted)
-	spec := r.Spec
-	spec.TraceN = r.TraceN
-	spec.RecordOps = r.Record
 	runCtx, cancel := context.WithTimeout(s.base, s.cfg.RunTimeout)
 	defer cancel()
 	start := time.Now()
-	out := s.runner.RunContext(runCtx, harness.Plan{spec})[0]
+	out := s.runner.RunContext(runCtx, harness.Plan{r.Spec})[0]
 	elapsed := time.Since(start)
 	if out.Err != nil {
 		// A run cancelled by the server-side RunTimeout is capacity
@@ -327,7 +324,7 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 		return
 	}
 	body := cacheBody
-	if r.TraceN > 0 {
+	if r.Spec.TraceN > 0 {
 		exp := out.Trace.Export()
 		body, err = json.Marshal(runBody{Key: r.Key, Result: out.Result, Trace: &exp})
 		if err != nil {

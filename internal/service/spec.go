@@ -1,17 +1,13 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"vcache/internal/harness"
-	"vcache/internal/kernel"
-	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/sim"
+	"vcache/internal/trace"
 	"vcache/internal/workload"
 )
 
@@ -29,7 +25,7 @@ type RunRequest struct {
 	Frames int `json:"frames,omitempty"`
 	// Timing overrides individual cycle costs of the machine profile
 	// (the Section 5.1 what-if knobs).
-	Timing *TimingOverride `json:"timing,omitempty"`
+	Timing *sim.TimingOverride `json:"timing,omitempty"`
 	// TimeoutMS bounds how long this request waits for its result
 	// (queueing included). It is part of the request, not of the
 	// simulation: two requests differing only in TimeoutMS are the same
@@ -62,50 +58,25 @@ const MaxTraceEvents = 4096
 // dropped op would make the export unreplayable.
 const RecordTraceEvents = 1 << 16
 
-// TimingOverride adjusts individual cycle costs; nil fields keep the
-// HP 720 profile's values.
-type TimingOverride struct {
-	LineFlushHit    *uint64 `json:"line_flush_hit,omitempty"`
-	LineFlushMiss   *uint64 `json:"line_flush_miss,omitempty"`
-	LinePurgeHit    *uint64 `json:"line_purge_hit,omitempty"`
-	LinePurgeMiss   *uint64 `json:"line_purge_miss,omitempty"`
-	ICachePagePurge *uint64 `json:"icache_page_purge,omitempty"`
-}
-
-// canonical is the fully resolved simulation content a request denotes:
-// every default applied, every override folded into the effective
-// machine configuration. Two requests that resolve to the same canonical
-// value are the same simulation — the content-addressed cache keys on a
-// hash of this struct, so `{"timing":null}` and a timing override that
-// spells out the default cost hash identically.
-type canonical struct {
-	Workload string     `json:"workload"`
-	Config   string     `json:"config"`
-	Scale    float64    `json:"scale"`
-	CPUs     int        `json:"cpus"`
-	Frames   int        `json:"frames"`
-	Timing   sim.Timing `json:"timing"`
-}
-
 // Resolved is a validated request bound to its runnable harness.Spec and
-// content-address key. TraceN is carried outside the Spec (and outside
-// the key) so the same Resolved content hashes identically whether or
-// not events were requested.
+// content-address key. The spec's TraceN and RecordOps carry the
+// request's trace and record fields; the key (Spec.SnapshotKey) leaves
+// them out, so the same content hashes identically whether or not
+// events were requested.
 type Resolved struct {
-	Req    RunRequest
-	Key    string
-	Spec   harness.Spec
-	TraceN int
-	// Record mirrors RunRequest.Record: the backing run records its op
-	// stream and the response trace is a replayable export. Carried
-	// outside the Spec and key like TraceN.
-	Record bool
+	Req  RunRequest
+	Key  string
+	Spec harness.Spec
 }
 
 // Resolve validates a request and binds it to its workload,
 // configuration, effective kernel configuration, and content-address
 // key. All validation errors are reported here, before any simulation
-// state exists.
+// state exists. The request becomes a trace.Origin and goes through
+// harness.Resolve like every other run description; the key is the
+// resolved spec's SnapshotKey, so two requests that resolve to the same
+// system — `{"timing":null}` and a timing override spelling out the
+// default cost, say — share one cache entry.
 func Resolve(req RunRequest) (*Resolved, error) {
 	if req.Workload == "" {
 		return nil, fmt.Errorf("missing workload (one of: %s)", workloadNames())
@@ -117,89 +88,36 @@ func Resolve(req RunRequest) (*Resolved, error) {
 	if req.Config == "" {
 		return nil, fmt.Errorf("missing config (one of: %s)", policy.Labels())
 	}
-	cfg, err := policy.ByLabel(req.Config)
-	if err != nil {
-		return nil, fmt.Errorf("unknown config %q (one of: %s)", req.Config, policy.Labels())
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	if err := (workload.Scale{Factor: scale}).Validate(); err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSize(req.CPUs, req.Frames); err != nil {
-		return nil, err
-	}
-	cpus := req.CPUs
-	if cpus == 0 {
-		cpus = 1
-	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
 	}
 	if req.Trace < 0 || req.Trace > MaxTraceEvents {
 		return nil, fmt.Errorf("trace must be between 0 and %d events, got %d", MaxTraceEvents, req.Trace)
 	}
-
-	kc := kernel.DefaultConfig(cfg)
-	kc.Machine.CPUs = cpus
-	if req.Frames > 0 {
-		kc.Machine.Frames = req.Frames
+	scale, cpus := req.Scale, req.CPUs
+	if scale == 0 {
+		scale = 1.0
 	}
-	if t := req.Timing; t != nil {
-		applyOverride(&kc.Machine.Timing.LineFlushHit, t.LineFlushHit)
-		applyOverride(&kc.Machine.Timing.LineFlushMiss, t.LineFlushMiss)
-		applyOverride(&kc.Machine.Timing.LinePurgeHit, t.LinePurgeHit)
-		applyOverride(&kc.Machine.Timing.LinePurgeMiss, t.LinePurgeMiss)
-		applyOverride(&kc.Machine.Timing.ICachePagePurge, t.ICachePagePurge)
+	if cpus == 0 {
+		cpus = 1
 	}
-
-	key, err := contentKey(canonical{
+	spec, err := harness.Resolve(trace.Origin{
 		Workload: w.Name,
-		Config:   cfg.Label,
-		Scale:    scale,
+		Config:   req.Config,
+		Scale:    "service",
+		Factor:   scale,
 		CPUs:     cpus,
-		Frames:   kc.Machine.Frames,
-		Timing:   kc.Machine.Timing,
-	})
+		Frames:   req.Frames,
+		Timing:   req.Timing,
+	}, w)
 	if err != nil {
 		return nil, err
 	}
-	traceN := req.Trace
-	if req.Record && traceN < RecordTraceEvents {
-		traceN = RecordTraceEvents
+	spec.TraceN, spec.RecordOps = req.Trace, req.Record
+	if req.Record && spec.TraceN < RecordTraceEvents {
+		spec.TraceN = RecordTraceEvents
 	}
-	return &Resolved{
-		Req:    req,
-		Key:    key,
-		TraceN: traceN,
-		Record: req.Record,
-		Spec: harness.Spec{
-			Workload: w,
-			Config:   cfg,
-			Scale:    workload.Scale{Name: "service", Factor: scale},
-			Kernel:   &kc,
-		},
-	}, nil
-}
-
-func applyOverride(dst *uint64, v *uint64) {
-	if v != nil {
-		*dst = *v
-	}
-}
-
-// contentKey hashes the canonical simulation content. JSON of a struct
-// is deterministic (fixed field order), so the hash is stable across
-// processes and restarts.
-func contentKey(c canonical) (string, error) {
-	b, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("canonicalize request: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return &Resolved{Req: req, Key: spec.SnapshotKey(), Spec: spec}, nil
 }
 
 func workloadNames() string {

@@ -2,10 +2,17 @@ package service
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"vcache/internal/harness"
+	"vcache/internal/kernel"
 	"vcache/internal/machine"
+	"vcache/internal/policy"
+	"vcache/internal/sim"
+	"vcache/internal/trace"
+	"vcache/internal/workload"
 )
 
 func TestResolveDefaults(t *testing.T) {
@@ -35,7 +42,7 @@ func TestContentKeyCanonicalization(t *testing.T) {
 	defaultPurge := uint64(7) // the HP 720 profile's LinePurgeHit
 	spelled, err := Resolve(RunRequest{
 		Workload: "kernel-build", Config: "F", Scale: 1.0, CPUs: 1, Frames: 1024,
-		Timing: &TimingOverride{LinePurgeHit: &defaultPurge},
+		Timing: &sim.TimingOverride{LinePurgeHit: &defaultPurge},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +61,7 @@ func TestContentKeyCanonicalization(t *testing.T) {
 	// A real content change must change the key.
 	fast := uint64(1)
 	other, err := Resolve(RunRequest{Workload: "kernel-build", Config: "F",
-		Timing: &TimingOverride{LinePurgeHit: &fast}})
+		Timing: &sim.TimingOverride{LinePurgeHit: &fast}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +176,69 @@ func TestResolvePeerBackendLabels(t *testing.T) {
 			}
 		}
 		keys[label] = r.Key
+	}
+}
+
+// TestOriginRoundTrip: harness.Resolve inverts Spec.Origin. For every
+// shape of run a surface builds — service requests with and without a
+// timing override, vcachesim's origins with the scheduler armed, and
+// harness specs on the default or the fast-purge kernel — resolving the
+// spec's own origin rebuilds the same kernel configuration, scheduler
+// aside (a recording's migrations are in its op log). A default-timing
+// spec's origin carries no timing, so its export keeps its bytes.
+func TestOriginRoundTrip(t *testing.T) {
+	one, seven := uint64(1), uint64(7)
+	var specs []harness.Spec
+	for _, req := range []RunRequest{
+		{Workload: "kernel-build", Config: "F", Timing: &sim.TimingOverride{LinePurgeHit: &seven}},
+		{Workload: "afs-bench", Config: "HYB", Scale: 0.1, CPUs: 4, Frames: 2048},
+		{Workload: "afs-bench", Config: "F", Scale: 0.2, Timing: &sim.TimingOverride{LineFlushHit: &one, LinePurgeHit: &one}},
+		{Workload: "stress-7", Config: "RLT", CPUs: 2, Timing: &sim.TimingOverride{ICachePagePurge: &one}},
+	} {
+		r, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, r.Spec)
+	}
+	if o := specs[0].Origin(); o.Timing != nil {
+		t.Errorf("default-timing origin carries timing %+v", *o.Timing)
+	}
+	w, err := workload.ByName("kernel-build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cpus := range []int{1, 4} {
+		spec, err := harness.Resolve(trace.Origin{Workload: w.Name, Config: "C", Scale: "custom", Factor: 0.1, CPUs: cpus}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Kernel.Sched = kernel.SchedConfig{Quantum: 50000, Seed: 1}
+		specs = append(specs, spec)
+	}
+	fast := kernel.DefaultConfig(policy.New())
+	fast.Machine.Timing = sim.FastPurgeTiming()
+	specs = append(specs,
+		harness.Spec{Workload: w, Config: policy.New(), Scale: workload.Small()},
+		harness.Spec{Workload: w, Config: policy.New(), Scale: workload.Small(), Kernel: &fast})
+
+	for _, spec := range specs {
+		o := spec.Origin()
+		got, err := harness.Resolve(o, spec.Workload)
+		if err != nil {
+			t.Errorf("%s: Resolve(%+v): %v", spec.Label(), o, err)
+			continue
+		}
+		want := kernel.DefaultConfig(spec.Config)
+		if spec.Kernel != nil {
+			want = *spec.Kernel
+		}
+		want.Sched = kernel.SchedConfig{}
+		if !reflect.DeepEqual(*got.Kernel, want) {
+			t.Errorf("%s: origin %+v resolves to kernel\n%+v\nwant\n%+v", spec.Label(), o, *got.Kernel, want)
+		}
+		if !reflect.DeepEqual(got.Origin(), o) {
+			t.Errorf("%s: origin %+v re-resolves to origin %+v", spec.Label(), o, got.Origin())
+		}
 	}
 }

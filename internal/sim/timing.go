@@ -103,3 +103,57 @@ func FastPurgeTiming() Timing {
 func (t Timing) Seconds(cycles uint64) float64 {
 	return float64(cycles) / float64(t.ClockHz)
 }
+
+// TimingOverride adjusts the cycle costs the Section 5.1 what-if
+// analysis varies; nil fields keep the base profile's values. It is the
+// wire form of a run's timing both in a service request and in a
+// recorded trace's origin.
+type TimingOverride struct {
+	LineFlushHit    *uint64 `json:"line_flush_hit,omitempty"`
+	LineFlushMiss   *uint64 `json:"line_flush_miss,omitempty"`
+	LinePurgeHit    *uint64 `json:"line_purge_hit,omitempty"`
+	LinePurgeMiss   *uint64 `json:"line_purge_miss,omitempty"`
+	ICachePagePurge *uint64 `json:"icache_page_purge,omitempty"`
+}
+
+// Apply returns t with every field o sets replaced. A nil o returns t.
+func (o *TimingOverride) Apply(t Timing) Timing {
+	if o != nil {
+		override(&t.LineFlushHit, o.LineFlushHit)
+		override(&t.LineFlushMiss, o.LineFlushMiss)
+		override(&t.LinePurgeHit, o.LinePurgeHit)
+		override(&t.LinePurgeMiss, o.LinePurgeMiss)
+		override(&t.ICachePagePurge, o.ICachePagePurge)
+	}
+	return t
+}
+
+func override(dst, v *uint64) {
+	if v != nil {
+		*dst = *v
+	}
+}
+
+// OverrideOf returns the override that turns base into t: one field per
+// what-if cost that differs, or nil when none does. Costs outside the
+// override's five fields are not described.
+func OverrideOf(base, t Timing) *TimingOverride {
+	o := TimingOverride{
+		LineFlushHit:    differs(base.LineFlushHit, t.LineFlushHit),
+		LineFlushMiss:   differs(base.LineFlushMiss, t.LineFlushMiss),
+		LinePurgeHit:    differs(base.LinePurgeHit, t.LinePurgeHit),
+		LinePurgeMiss:   differs(base.LinePurgeMiss, t.LinePurgeMiss),
+		ICachePagePurge: differs(base.ICachePagePurge, t.ICachePagePurge),
+	}
+	if o == (TimingOverride{}) {
+		return nil
+	}
+	return &o
+}
+
+func differs(base, v uint64) *uint64 {
+	if v == base {
+		return nil
+	}
+	return &v
+}

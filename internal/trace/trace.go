@@ -12,6 +12,7 @@ import (
 	"io"
 
 	"vcache/internal/arch"
+	"vcache/internal/sim"
 )
 
 // Kind classifies an event.
@@ -174,18 +175,21 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Origin describes the run that produced a trace, in just enough detail
-// for internal/replay to reconstruct an equivalent pre-run system:
-// which workload's Setup built the initial state, under which policy
-// configuration and scale, on what machine. Zero-valued machine fields
-// mean the kernel defaults.
+// Origin describes one run: which workload's Setup built the initial
+// state, under which policy configuration and scale, on what machine.
+// It is the one run description: harness.Resolve turns it into a
+// runnable spec for a service request, a vcachesim run and a replay
+// alike, and a recorded trace carries the origin of its run so
+// internal/replay can rebuild the same system. Zero-valued machine
+// fields and a nil Timing mean the kernel defaults.
 type Origin struct {
-	Workload string  `json:"workload"`
-	Config   string  `json:"config"`
-	Scale    string  `json:"scale,omitempty"`
-	Factor   float64 `json:"factor,omitempty"`
-	CPUs     int     `json:"cpus,omitempty"`
-	Frames   int     `json:"frames,omitempty"`
+	Workload string              `json:"workload"`
+	Config   string              `json:"config"`
+	Scale    string              `json:"scale,omitempty"`
+	Factor   float64             `json:"factor,omitempty"`
+	CPUs     int                 `json:"cpus,omitempty"`
+	Frames   int                 `json:"frames,omitempty"`
+	Timing   *sim.TimingOverride `json:"timing,omitempty"`
 }
 
 // Recorder is a ring buffer of events. A nil *Recorder discards

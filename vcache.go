@@ -27,8 +27,6 @@
 package vcache
 
 import (
-	"fmt"
-
 	"vcache/internal/cache"
 	"vcache/internal/kernel"
 	"vcache/internal/policy"
@@ -53,15 +51,9 @@ func Policies() []Policy { return policy.Configs() }
 // Table5Policies returns the five systems of the paper's Table 5.
 func Table5Policies() []Policy { return policy.Table5Systems() }
 
-// PolicyByLabel resolves "A".."F", "CMU", "Utah", "Tut", "Apollo", "Sun".
-func PolicyByLabel(label string) (Policy, error) {
-	for _, c := range append(policy.Configs(), policy.Table5Systems()...) {
-		if c.Label == label {
-			return c, nil
-		}
-	}
-	return Policy{}, fmt.Errorf("vcache: unknown policy %q", label)
-}
+// PolicyByLabel resolves any label vcachesim and the service accept:
+// "A".."F", the Table 5 systems and the peer backends "RLT" and "HYB".
+func PolicyByLabel(label string) (Policy, error) { return policy.ByLabel(label) }
 
 // Kernel is the simulated operating system (see internal/kernel).
 type Kernel = kernel.Kernel
