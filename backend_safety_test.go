@@ -31,21 +31,23 @@ func backendConfig(t *testing.T, kind core.BackendKind) policy.Config {
 	return policy.Config{}
 }
 
-// TestEveryBackendFastPathSafe: oracle off (the configuration where the
-// bulk paths actually engage), fast vs reference pipeline, the Results
-// of every backend must be deeply equal — every cycle, every counter.
+// TestEveryBackendFastPathSafe: fast vs reference pipeline, with the
+// oracle off and on, the Results of every backend must be deeply equal
+// — every cycle, every counter, every oracle check.
 func TestEveryBackendFastPathSafe(t *testing.T) {
 	for kind := range core.NumBackends {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := backendConfig(t, kind)
 			for _, w := range []harness.Workload{workload.Stress(7, 300), workload.KernelBuild()} {
-				s := harness.Spec{Workload: w, Config: cfg, Scale: workload.Small()}
-				fast := runWith(t, s, false, true)
-				slow := runWith(t, s, false, false)
-				if !reflect.DeepEqual(fast, slow) {
-					t.Errorf("%s: backend %v diverges between bulk and reference paths\nfast: %+v\nslow: %+v",
-						s.Label(), kind, fast, slow)
+				for _, oracle := range []bool{false, true} {
+					s := harness.Spec{Workload: w, Config: cfg, Scale: workload.Small()}
+					fast := runWith(t, s, oracle, true)
+					slow := runWith(t, s, oracle, false)
+					if !reflect.DeepEqual(fast, slow) {
+						t.Errorf("%s oracle=%t: backend %v diverges between bulk and reference paths\nfast: %+v\nslow: %+v",
+							s.Label(), oracle, kind, fast, slow)
+					}
 				}
 			}
 		})
@@ -58,13 +60,14 @@ func TestEveryBackendFastPathSafe(t *testing.T) {
 // microbenchmark's unaligned setup does; 12 full-page writes alternating
 // between them, so the mode switch lands in the first word of a page
 // run; a full-page write and read through each alias; then a fork whose
-// child and parent write their copy-on-write heaps. It returns the
-// machine and pmap statistics and the cycle count.
-func hybridUpdateRun(t *testing.T, cpus int, fast bool) (machine.Stats, pmap.Stats, uint64) {
+// child and parent write their copy-on-write heaps. With oracle set the
+// oracle checks the run. It returns the machine and pmap statistics,
+// the cycle count and the oracle's check count (0 without the oracle).
+func hybridUpdateRun(t *testing.T, cpus int, oracle, fast bool) (machine.Stats, pmap.Stats, uint64, uint64) {
 	t.Helper()
 	kc := kernel.DefaultConfig(policy.Hybrid())
 	kc.Machine.CPUs = cpus
-	kc.Machine.WithOracle = false
+	kc.Machine.WithOracle = oracle
 	kc.Machine.DisableFastPaths = !fast
 	k, err := kernel.New(kc)
 	if err != nil {
@@ -104,23 +107,33 @@ func hybridUpdateRun(t *testing.T, cpus int, fast bool) (machine.Stats, pmap.Sta
 	must(k.TouchHeap(child, 0, words))
 	must(k.TouchHeap(p, 0, words))
 	must(k.TouchHeap(p, 1, words))
-	return k.M.Stats(), k.PM.Stats(), k.M.Clock.Cycles()
+	if v := k.M.Oracle.Violations(); len(v) != 0 {
+		t.Errorf("%d CPU(s), oracle=%t, fast=%t: %d stale transfers, first %v", cpus, oracle, fast, len(v), v[0])
+	}
+	return k.M.Stats(), k.PM.Stats(), k.M.Clock.Cycles(), k.M.Oracle.Checks()
 }
 
 // TestHybridUpdateModeFastPathIdentity: a HYBRID page switched to update
 // mode inside a page run leaves the fast and reference paths in the
-// same state, on one CPU and on two.
+// same state, on one CPU and on two, with the oracle off and on (oracle
+// checks included and no stale transfer on either path).
 func TestHybridUpdateModeFastPathIdentity(t *testing.T) {
 	for _, cpus := range []int{1, 2} {
-		fm, fp, fc := hybridUpdateRun(t, cpus, true)
-		rm, rp, rc := hybridUpdateRun(t, cpus, false)
-		if fp.HybridUpdateSwitches == 0 {
-			t.Fatalf("%d CPU(s): the run never reached update mode", cpus)
-		}
-		t.Logf("%d CPU(s): %d update switches, %d reverts, %d cycles", cpus, fp.HybridUpdateSwitches, fp.HybridReverts, fc)
-		if fm != rm || fp != rp || fc != rc {
-			t.Errorf("%d CPU(s): fast and reference paths diverge\nmachine %+v\n     vs %+v\npmap    %+v\n     vs %+v\ncycles  %d vs %d",
-				cpus, fm, rm, fp, rp, fc, rc)
+		for _, oracle := range []bool{false, true} {
+			fm, fp, fc, fo := hybridUpdateRun(t, cpus, oracle, true)
+			rm, rp, rc, ro := hybridUpdateRun(t, cpus, oracle, false)
+			if fp.HybridUpdateSwitches == 0 {
+				t.Fatalf("%d CPU(s), oracle=%t: the run never reached update mode", cpus, oracle)
+			}
+			if oracle && fo == 0 {
+				t.Fatalf("%d CPU(s): the oracle checked nothing", cpus)
+			}
+			t.Logf("%d CPU(s), oracle=%t: %d update switches, %d reverts, %d cycles, %d oracle checks",
+				cpus, oracle, fp.HybridUpdateSwitches, fp.HybridReverts, fc, fo)
+			if fm != rm || fp != rp || fc != rc || fo != ro {
+				t.Errorf("%d CPU(s), oracle=%t: fast and reference paths diverge\nmachine %+v\n     vs %+v\npmap    %+v\n     vs %+v\ncycles  %d vs %d\nchecks  %d vs %d",
+					cpus, oracle, fm, rm, fp, rp, fc, rc, fo, ro)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Hot-path benchmarks: how fast the simulator itself runs, fast paths
 // on versus the word-at-a-time reference pipeline, with the oracle off
-// (the benchmarking configuration — checking every word would dominate
-// the measurement; fastpath_test.go proves the Results are identical
-// either way). The end-to-end number with its spread is perfbench's
+// as in perfbench's kernel-build cells (the fast paths engage with it on
+// too; fastpath_test.go proves the Results identical either way, oracle
+// on or off). The end-to-end number with its spread is perfbench's
 // ns_per_simcycle; these targets compare the two pipelines directly:
 //
 //	go test -run '^$' -bench HotPath .

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"vcache/internal/arch"
+	"vcache/internal/oracle"
 )
 
 // Bulk page operations: the line-granular fast paths behind the pmap's
@@ -19,7 +20,9 @@ import (
 // a bulk pass cannot reproduce. CanBulk gates on exactly those
 // conditions; the caller additionally guarantees (and the machine layer
 // re-checks) that a copy's source and destination windows have distinct
-// cache colors.
+// cache colors. The oracle o (nil when off) sees every word as the word
+// loop would: a copy's frames differ, so observing then recording a
+// line keeps the loop's order.
 
 // CanBulk reports whether this cache's bulk page operations are
 // observably identical to the word-at-a-time reference sequence.
@@ -31,7 +34,7 @@ func (c *Cache) CanBulk() bool {
 // 1..words-1 of the page at (va, pa). Word 0 must already have gone
 // through the full Write path (resolving faults and ensuring the first
 // line is resident), which is why the tail starts mid-line.
-func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
+func (c *Cache) BulkZeroTail(o *oracle.Oracle, va arch.VA, pa arch.PA, words uint64) {
 	wpl := c.geom.WordsPerLine()
 	for w := uint64(1); w < words; {
 		lineStart := w &^ (wpl - 1)
@@ -44,6 +47,9 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 		// resident — kept for exactness on any caller.)
 		i := c.access(va+arch.VA(off), pa+arch.PA(off), end-w, true, w != lineStart, 0)
 		clear(c.data[i : i+int(end-w)])
+		if o != nil {
+			o.RecordWrites(pa+arch.PA(off), c.data[i:i+int(end-w)])
+		}
 		w = end
 	}
 }
@@ -53,7 +59,7 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 // Word 0 of both pages must already have gone through the full
 // Read/Write path. The source and destination must select disjoint sets
 // (distinct cache colors) — the caller verifies this.
-func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA, words uint64) {
+func (c *Cache) BulkCopyTail(o *oracle.Oracle, sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA, words uint64) {
 	wpl := c.geom.WordsPerLine()
 	for w := uint64(1); w < words; {
 		lineStart := w &^ (wpl - 1)
@@ -66,6 +72,10 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 		src := c.access(sva+arch.VA(off), spa+arch.PA(off), end-w, false, true, 0)
 		dst := c.access(dva+arch.VA(off), dpa+arch.PA(off), end-w, true, w != lineStart, c.data[src])
 		copy(c.data[dst:dst+int(end-w)], c.data[src:src+int(end-w)])
+		if o != nil {
+			o.ObserveWords(oracle.CPURead, spa+arch.PA(off), c.data[src:src+int(end-w)])
+			o.RecordWrites(dpa+arch.PA(off), c.data[src:src+int(end-w)])
+		}
 		w = end
 	}
 }

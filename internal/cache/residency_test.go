@@ -282,7 +282,7 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 			va, pa := pickPage()
 			for _, r := range []residencyRig{got, want} {
 				r.c.Write(va, pa, 0)
-				r.c.BulkZeroTail(va, pa, wpp)
+				r.c.BulkZeroTail(nil, va, pa, wpp)
 			}
 		case k == 13 && got.c.CanBulk():
 			op = "bulk-copy"
@@ -294,7 +294,7 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 			for _, r := range []residencyRig{got, want} {
 				v := r.c.Read(sva, spa)
 				r.c.Write(dva, dpa, v)
-				r.c.BulkCopyTail(sva, spa, dva, dpa, wpp)
+				r.c.BulkCopyTail(nil, sva, spa, dva, dpa, wpp)
 			}
 		case k == 14 && rnd.Bool(0.1):
 			op = "purge-all"

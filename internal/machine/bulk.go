@@ -23,14 +23,14 @@ import (
 // the cache's line-access primitive (through the Bulk*Tail methods, or
 // AccessLine for Strided), which charges exactly what that line's
 // word-by-word accesses charge. BulkZeroPage and BulkCopyPage also move
-// the tail's data a line at a time, so they are observation-identical
-// to the word loop — same Result bytes, cache/TLB statistics and memory
-// images — only when their guards hold: no oracle (it records every
-// word), a write-back virtually indexed data cache (cache.CanBulk), and
-// cacheable translations. Strided keeps every word's oracle call and
-// next() value and loads or stores each word through the cache
-// (write-through included), so it needs neither guard. When a guard
-// fails the word loop finishes the job, so oracle mode and the cache
+// the tail's data a line at a time, handing the oracle each line's
+// words, so they are observation-identical to the word loop — same
+// Result bytes, oracle checks, cache/TLB statistics and memory images —
+// only when their guards hold: a write-back virtually indexed data
+// cache (cache.CanBulk) and cacheable translations. Strided keeps every
+// word's oracle call and next() value and loads or stores each word
+// through the cache (write-through included), so it needs neither
+// guard. When a guard fails the word loop finishes the job, so the cache
 // variants keep the exact slow path; DisableFastPaths turns all three
 // off.
 //
@@ -65,7 +65,7 @@ import (
 
 // canBulkData reports whether the machine-level bulk data paths apply.
 func (m *Machine) canBulkData() bool {
-	return !m.noFast && m.Oracle == nil && m.cpus[0].DCache.CanBulk()
+	return !m.noFast && m.cpus[0].DCache.CanBulk()
 }
 
 // BulkZeroPage zero-fills the page mapped at (space, base), base
@@ -95,7 +95,7 @@ func (m *Machine) BulkZeroPage(space arch.SpaceID, base arch.VA) (uint64, error)
 	// take one probe per held peer each.
 	line, lines := m.Geom.LineSize, m.Geom.PageSize/m.Geom.LineSize-1
 	m.snoop(m.peers(pa), base+arch.VA(line), pa+arch.PA(line), lines, true)
-	cpu.DCache.BulkZeroTail(base, pa, words)
+	cpu.DCache.BulkZeroTail(m.Oracle, base, pa, words)
 	return words, nil
 }
 
@@ -155,7 +155,7 @@ func (m *Machine) BulkCopyPage(sspace arch.SpaceID, sbase arch.VA, dspace arch.S
 	line, lines := m.Geom.LineSize, m.Geom.PageSize/m.Geom.LineSize-1
 	m.snoop(m.peers(spa), sbase+arch.VA(line), spa+arch.PA(line), lines, false)
 	m.snoop(m.peers(dpa), dbase+arch.VA(line), dpa+arch.PA(line), lines, true)
-	cpu.DCache.BulkCopyTail(sbase, spa, dbase, dpa, words)
+	cpu.DCache.BulkCopyTail(m.Oracle, sbase, spa, dbase, dpa, words)
 	return words, nil
 }
 

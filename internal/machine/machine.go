@@ -182,9 +182,9 @@ type Config struct {
 	// pmap's zero-fill and page copy, the file system's buffer zeroing,
 	// the read(2)/write(2) copy), no strided run batching (the kernel's
 	// heap, text, mapped-page and file-content loops and the Unix
-	// server's channel exchange), and no DMA word-range moves. The fast
-	// paths are observation-identical, so this exists only for
-	// benchmarking them and for the identity tests proving it.
+	// server's channel exchange), and no DMA word-range moves. It alone
+	// selects that pipeline; the fast paths are observation-identical, so
+	// it exists only for benchmarking them and the identity tests.
 	DisableFastPaths bool
 }
 
@@ -570,9 +570,8 @@ func (m *Machine) DMAWrite(pa arch.PA, data []uint64) {
 	m.emitDMA(pa, len(data), "write")
 	t := m.Clock.Timing()
 	m.Clock.Charge(sim.CatDMA, t.DMASetup+t.DMAPerWord*uint64(len(data)))
-	if m.Oracle == nil && !m.noFast {
-		// The cycle charge above is already closed-form; with no oracle
-		// recording each word, the transfer is a straight memory move.
+	if !m.noFast {
+		m.Oracle.RecordWrites(pa, data)
 		m.Mem.WriteWords(pa, data)
 		return
 	}
@@ -592,8 +591,9 @@ func (m *Machine) DMARead(pa arch.PA, n int) []uint64 {
 	t := m.Clock.Timing()
 	m.Clock.Charge(sim.CatDMA, t.DMASetup+t.DMAPerWord*uint64(n))
 	out := make([]uint64, n)
-	if m.Oracle == nil && !m.noFast {
+	if !m.noFast {
 		m.Mem.ReadWords(pa, out)
+		m.Oracle.ObserveWords(oracle.DeviceRead, pa, out)
 		return out
 	}
 	for i := range out {

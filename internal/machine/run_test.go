@@ -374,6 +374,12 @@ func TestStridedMatchesWordLoop(t *testing.T) {
 	}
 }
 
+// TestBulkCopyPageMatchesWordLoop pits BulkCopyPage against the word
+// loop with the oracle off and on. With it on, the bulk tail observes
+// every source word and records every destination word, so the twins
+// must agree on the oracle's checks, violations and shadow too; the
+// stale-alias cases dirty the source frame through an unaligned alias,
+// so the violation lists compared are not empty.
 func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 	words := uint64(512)
 	type copyCase struct {
@@ -387,7 +393,12 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 		pending  spaceWalker
 		onFault  func(*Machine, Fault)
 		wantBulk uint64 // words the bulk call must perform
+		// srcAlias, when set, maps the source frame in space 1 at
+		// another color, and CPU 0 dirties lines through it last: the
+		// copy then reads words the oracle flags as stale.
+		srcAlias arch.VPN
 	}
+	aliasSrc := spaceWalker{{1, srcVPN + 1}: {PFN: 20, Prot: arch.ProtReadWrite}}
 	cases := []copyCase{
 		{name: "cross-space", cpus: 1, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN, wantBulk: words},
 		{name: "same-space", cpus: 1, ways: 1, sspace: 1, svpn: srcVPN, dvpn: dstVPN,
@@ -407,50 +418,102 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 			extra: spaceWalker{{1, dstVPN}: {PFN: 20, Prot: arch.ProtReadWrite}}, wantBulk: 1},
 		{name: "uncached-dest", cpus: 1, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
 			extra: spaceWalker{{1, dstVPN}: {PFN: 30, Prot: arch.ProtReadWrite, Uncached: true}}, wantBulk: 1},
+		{name: "stale-alias-source", cpus: 1, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
+			extra: aliasSrc, srcAlias: srcVPN + 1, wantBulk: words},
+		{name: "stale-alias-source-2cpu", cpus: 2, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
+			extra: aliasSrc, srcAlias: srcVPN + 1, wantBulk: words},
 	}
 	for _, cc := range cases {
 		t.Run(cc.name, func(t *testing.T) {
-			tc := twinConfig{cpus: cc.cpus, ways: cc.ways}
+			for _, withOracle := range []bool{false, true} {
+				t.Run(fmt.Sprintf("oracle=%t", withOracle), func(t *testing.T) {
+					tc := twinConfig{cpus: cc.cpus, ways: cc.ways, oracle: withOracle}
+					run := func(noFast bool) observation {
+						m := buildTwin(t, tc, noFast, userTable(cc.extra), cc.pending, cc.onFault)
+						// Source data partly dirty in CPU 0's cache, partly in
+						// the peer's; destination lines cached clean and dirty
+						// in the peer; conflicting dirty lines in the
+						// destination's sets.
+						ops := linesOf(m, 0, cc.sspace, cc.svpn, 0)
+						ops = append(ops, linesOf(m, 1, cc.sspace, cc.svpn, m.Geom.WordsPerLine())...)
+						if cc.pending == nil {
+							ops = append(ops, linesOf(m, 1, 1, cc.dvpn, 0)...)
+						}
+						ops = append(ops, linesOf(m, 0, 1, victimVPN, m.Geom.WordsPerLine())...)
+						// On four CPUs: peer 2 holds nothing of either frame;
+						// peer 3 holds a few clean destination lines and a few
+						// dirty source lines.
+						wpl := m.Geom.WordsPerLine()
+						ops = append(ops, linesOf(m, 2, 1, nextVPN, 0)...)
+						for l := uint64(3); l < 128; l += 16 {
+							ops = append(ops, primeOp{3, 1, cc.dvpn, l * wpl, false}, primeOp{3, cc.sspace, cc.svpn, (l + 5) * wpl, true})
+						}
+						if cc.srcAlias != 0 {
+							for l := uint64(2); l < 128; l += 7 {
+								ops = append(ops, primeOp{0, 1, cc.srcAlias, l*wpl + 1, true})
+							}
+						}
+						prime(t, m, ops)
+						sbase, dbase := m.Geom.PageBase(cc.svpn), m.Geom.PageBase(cc.dvpn)
+						start := uint64(0)
+						if !noFast {
+							n, err := m.BulkCopyPage(cc.sspace, sbase, 1, dbase)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if n != cc.wantBulk {
+								t.Errorf("BulkCopyPage performed %d words, want %d", n, cc.wantBulk)
+							}
+							start = n
+						}
+						for i := start; i < words; i++ {
+							off := arch.VA(i * arch.WordSize)
+							v, err := m.Read(cc.sspace, sbase+off)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := m.Write(1, dbase+off, v); err != nil {
+								t.Fatal(err)
+							}
+						}
+						return observe(m)
+					}
+					fast, ref := run(false), run(true)
+					compareObservations(t, fast, ref)
+					if withOracle && cc.srcAlias != 0 && len(fast.Violations) == 0 {
+						t.Error("the copy of a source with a dirty unaligned alias observed no stale word")
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestBulkZeroPageWithOracle: with the oracle on, BulkZeroPage performs
+// the whole page and matches the word loop on every observable, the
+// oracle's shadow included, on one CPU and with a peer holding dirty
+// lines of the frame.
+func TestBulkZeroPageWithOracle(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%dcpu", cpus), func(t *testing.T) {
+			tc := twinConfig{cpus: cpus, ways: 1, oracle: true}
 			run := func(noFast bool) observation {
-				m := buildTwin(t, tc, noFast, userTable(cc.extra), cc.pending, cc.onFault)
-				// Source data partly dirty in CPU 0's cache, partly in
-				// the peer's; destination lines cached clean and dirty
-				// in the peer; conflicting dirty lines in the
-				// destination's sets.
-				ops := linesOf(m, 0, cc.sspace, cc.svpn, 0)
-				ops = append(ops, linesOf(m, 1, cc.sspace, cc.svpn, m.Geom.WordsPerLine())...)
-				if cc.pending == nil {
-					ops = append(ops, linesOf(m, 1, 1, cc.dvpn, 0)...)
-				}
-				ops = append(ops, linesOf(m, 0, 1, victimVPN, m.Geom.WordsPerLine())...)
-				// On four CPUs: peer 2 holds nothing of either frame;
-				// peer 3 holds a few clean destination lines and a few
-				// dirty source lines.
-				wpl := m.Geom.WordsPerLine()
-				ops = append(ops, linesOf(m, 2, 1, nextVPN, 0)...)
-				for l := uint64(3); l < 128; l += 16 {
-					ops = append(ops, primeOp{3, 1, cc.dvpn, l * wpl, false}, primeOp{3, cc.sspace, cc.svpn, (l + 5) * wpl, true})
-				}
-				prime(t, m, ops)
-				sbase, dbase := m.Geom.PageBase(cc.svpn), m.Geom.PageBase(cc.dvpn)
+				m := buildTwin(t, tc, noFast, userTable(nil), nil, nil)
+				primeRun(t, m)
+				base := m.Geom.PageBase(runVPN)
 				start := uint64(0)
 				if !noFast {
-					n, err := m.BulkCopyPage(cc.sspace, sbase, 1, dbase)
+					n, err := m.BulkZeroPage(1, base)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if n != cc.wantBulk {
-						t.Errorf("BulkCopyPage performed %d words, want %d", n, cc.wantBulk)
+					if n != m.Geom.WordsPerPage() {
+						t.Fatalf("BulkZeroPage performed %d of %d words with the oracle on", n, m.Geom.WordsPerPage())
 					}
 					start = n
 				}
-				for i := start; i < words; i++ {
-					off := arch.VA(i * arch.WordSize)
-					v, err := m.Read(cc.sspace, sbase+off)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Write(1, dbase+off, v); err != nil {
+				for i := start; i < m.Geom.WordsPerPage(); i++ {
+					if err := m.Write(1, base+arch.VA(i*arch.WordSize), 0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -458,5 +521,48 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 			}
 			compareObservations(t, run(false), run(true))
 		})
+	}
+}
+
+// TestDMAMatchesWordLoop: the DMA range moves record and observe through
+// the oracle word for word. A device read of a frame whose dirty lines
+// sit in a cache (CPU 0's unaligned alias, and on two CPUs the peer's
+// aligned lines) gets stale memory, and the twins must agree on every
+// violation; a device write spanning two frames must leave the same
+// shadow and memory.
+func TestDMAMatchesWordLoop(t *testing.T) {
+	for _, cpus := range []int{1, 2} {
+		for _, withOracle := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%dcpu/oracle=%t", cpus, withOracle), func(t *testing.T) {
+				tc := twinConfig{cpus: cpus, ways: 1, oracle: withOracle}
+				var reads [2][]uint64
+				run := func(noFast bool) observation {
+					m := buildTwin(t, tc, noFast, userTable(nil), nil, nil)
+					primeRun(t, m)
+					wpp := m.Geom.WordsPerPage()
+					out := m.DMARead(m.Geom.FrameBase(7), int(wpp))
+					if noFast {
+						reads[1] = out
+					} else {
+						reads[0] = out
+					}
+					data := make([]uint64, wpp+88)
+					for i := range data {
+						data[i] = uint64(i)<<16 | 0xd
+					}
+					m.DMAWrite(m.Geom.FrameBase(30)+arch.PA(100*arch.WordSize), data)
+					m.DMARead(m.Geom.FrameBase(31)+arch.PA(8*arch.WordSize), 64)
+					return observe(m)
+				}
+				fast, ref := run(false), run(true)
+				compareObservations(t, fast, ref)
+				if !reflect.DeepEqual(reads[0], reads[1]) {
+					t.Error("DMARead delivered different words on the fast path")
+				}
+				if withOracle && len(fast.Violations) == 0 {
+					t.Error("the device read of a frame with dirty cached lines observed no stale word")
+				}
+			})
+		}
 	}
 }

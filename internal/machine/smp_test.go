@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"vcache/internal/arch"
@@ -160,19 +161,24 @@ func TestBroadcastOps(t *testing.T) {
 // back because CPUs > 1) and stay exact: the per-line peer snoops, sent
 // only to the peers holding the frame, must leave every cache, the
 // memory image, the statistics and the cycle count identical to the
-// word-at-a-time reference loop run on a twin machine.
+// word-at-a-time reference loop run on a twin machine. With the oracle
+// on, the two must also agree on its checks, violations and shadow.
 func TestSMPBulkFastPathExact(t *testing.T) {
 	for _, cpus := range []int{2, 4} {
-		t.Run(fmt.Sprintf("%dcpu", cpus), func(t *testing.T) { testSMPBulkFastPathExact(t, cpus) })
+		t.Run(fmt.Sprintf("%dcpu", cpus), func(t *testing.T) {
+			for _, withOracle := range []bool{false, true} {
+				t.Run(fmt.Sprintf("oracle=%t", withOracle), func(t *testing.T) { testSMPBulkFastPathExact(t, cpus, withOracle) })
+			}
+		})
 	}
 }
 
-func testSMPBulkFastPathExact(t *testing.T, cpus int) {
+func testSMPBulkFastPathExact(t *testing.T, cpus int, withOracle bool) {
 	build := func(noFast bool) *Machine {
 		cfg := DefaultConfig()
 		cfg.Frames = 64
 		cfg.CPUs = cpus
-		cfg.WithOracle = false // the oracle correctly forces the slow path
+		cfg.WithOracle = withOracle
 		cfg.DisableFastPaths = noFast
 		m, err := New(cfg)
 		if err != nil {
@@ -273,7 +279,17 @@ func testSMPBulkFastPathExact(t *testing.T, cpus int) {
 			if a, b := fast.Mem.ReadWord(pa), slow.Mem.ReadWord(pa); a != b {
 				t.Fatalf("memory at %#x: fast %d, reference %d", uint64(pa), a, b)
 			}
+			if a, b := fast.Oracle.Expected(pa), slow.Oracle.Expected(pa); a != b {
+				t.Fatalf("oracle shadow at %#x: fast %d, reference %d", uint64(pa), a, b)
+			}
 		}
+	}
+	if fast.Oracle.Checks() != slow.Oracle.Checks() || !reflect.DeepEqual(fast.Oracle.Violations(), slow.Oracle.Violations()) {
+		t.Errorf("oracle: fast %d checks %v, reference %d checks %v",
+			fast.Oracle.Checks(), fast.Oracle.Violations(), slow.Oracle.Checks(), slow.Oracle.Violations())
+	}
+	if withOracle && fast.Oracle.Checks() == 0 {
+		t.Error("the oracle checked nothing")
 	}
 }
 

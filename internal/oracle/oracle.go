@@ -133,6 +133,16 @@ func (o *Oracle) RecordWrite(pa arch.PA, v uint64) {
 	ch[i&chunkMask] = v
 }
 
+// RecordWrites is RecordWrite of each vs[k] at pa plus k words, in order.
+func (o *Oracle) RecordWrites(pa arch.PA, vs []uint64) {
+	if o == nil {
+		return
+	}
+	for k, v := range vs {
+		o.RecordWrite(pa+arch.PA(k)*arch.WordSize, v)
+	}
+}
+
 // Observe checks a value delivered by the memory system to a consumer.
 func (o *Oracle) Observe(c Consumer, pa arch.PA, got uint64) {
 	if o == nil {
@@ -146,6 +156,16 @@ func (o *Oracle) Observe(c Consumer, pa arch.PA, got uint64) {
 		if o.FailFast != nil {
 			o.FailFast(v)
 		}
+	}
+}
+
+// ObserveWords is Observe of each got[k] at pa plus k words, in order.
+func (o *Oracle) ObserveWords(c Consumer, pa arch.PA, got []uint64) {
+	if o == nil {
+		return
+	}
+	for k, v := range got {
+		o.Observe(c, pa+arch.PA(k)*arch.WordSize, v)
 	}
 }
 

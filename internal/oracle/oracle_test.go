@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,5 +127,89 @@ func TestShadowChunksAllocatedOnWrite(t *testing.T) {
 	c.Observe(CPURead, 0, 11)
 	if len(c.Violations()) != 0 {
 		t.Errorf("clone flagged its own writes: %v", c.Violations())
+	}
+}
+
+// TestRangeMethodsMatchWordCalls: RecordWrites and ObserveWords over a
+// range that crosses a shadow chunk are the per-word RecordWrite and
+// Observe calls in word order — the same shadow, one check per word,
+// and the stale words' violations (PA, Got, Want) in word order, with
+// FailFast firing on the first stale word.
+func TestRangeMethodsMatchWordCalls(t *testing.T) {
+	const n = 24
+	base := arch.PA((chunkMask + 1 - n/2) * arch.WordSize) // straddles chunks 0 and 1
+	vs := make([]uint64, n)
+	for k := range vs {
+		vs[k] = uint64(100 + k)
+	}
+	got := slices.Clone(vs)
+	got[7], got[8], got[19] = 1, 2, 3 // stale words in the middle of the range
+
+	ranged, words := New(2<<chunkShift), New(2<<chunkShift)
+	var first *Violation
+	ranged.FailFast = func(v Violation) {
+		if first == nil {
+			first = &v
+		}
+	}
+	ranged.RecordWrites(base, vs)
+	ranged.ObserveWords(DeviceRead, base, got)
+	for k := range vs {
+		words.RecordWrite(base+arch.PA(k)*arch.WordSize, vs[k])
+	}
+	for k := range got {
+		words.Observe(DeviceRead, base+arch.PA(k)*arch.WordSize, got[k])
+	}
+
+	if ranged.Checks() != n || words.Checks() != n {
+		t.Errorf("Checks = %d (word calls %d), want %d", ranged.Checks(), words.Checks(), n)
+	}
+	want := []Violation{
+		{DeviceRead, base + 7*arch.WordSize, 1, 107},
+		{DeviceRead, base + 8*arch.WordSize, 2, 108},
+		{DeviceRead, base + 19*arch.WordSize, 3, 119},
+	}
+	if !slices.Equal(ranged.Violations(), want) || !slices.Equal(words.Violations(), want) {
+		t.Errorf("violations = %v (word calls %v), want %v", ranged.Violations(), words.Violations(), want)
+	}
+	if first == nil || *first != want[0] {
+		t.Errorf("FailFast saw %v first, want %v", first, want[0])
+	}
+	for k := -1; k <= n; k++ {
+		pa := base + arch.PA(k)*arch.WordSize
+		if ranged.Expected(pa) != words.Expected(pa) {
+			t.Errorf("shadow at %#x = %d, word calls %d", uint64(pa), ranged.Expected(pa), words.Expected(pa))
+		}
+	}
+
+	// An empty range is a no-op, and a nil oracle ignores ranges.
+	ranged.ObserveWords(CPURead, base, nil)
+	ranged.RecordWrites(base, nil)
+	if ranged.Checks() != n {
+		t.Errorf("empty range counted: Checks = %d", ranged.Checks())
+	}
+	var none *Oracle
+	none.RecordWrites(0, vs)
+	none.ObserveWords(CPURead, 0, got)
+	if none.Checks() != 0 || none.Violations() != nil {
+		t.Error("nil oracle recorded a range")
+	}
+}
+
+// TestRangeOutOfRangePanics: a range whose last word lies past the
+// shadow panics like a word call at that address.
+func TestRangeOutOfRangePanics(t *testing.T) {
+	for name, call := range map[string]func(*Oracle){
+		"RecordWrites": func(o *Oracle) { o.RecordWrites(0, make([]uint64, 9)) },
+		"ObserveWords": func(o *Oracle) { o.ObserveWords(CPURead, 0, make([]uint64, 9)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Error("no panic")
+				}
+			}()
+			call(New(8))
+		})
 	}
 }

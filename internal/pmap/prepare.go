@@ -180,12 +180,12 @@ func (p *Pmap) ZeroPage(f arch.PFN, eventualVPN arch.VPN) error {
 	base := p.geom.PageBase(wvpn)
 	// Fast path: the consistency work is already hoisted (prepareWrite
 	// ran CacheControl once for the whole page), so the word loop is
-	// pure data movement the machine can perform in bulk. Traced runs
-	// and uncached frames keep the reference loop; the machine applies
-	// its own guards (oracle, cache variant) and reports how much it
-	// handled.
+	// pure data movement the machine can perform in bulk, traced or not
+	// (only the first word can fault). Uncached frames keep the
+	// reference loop; the machine applies its own guards (cache variant)
+	// and reports how much it handled.
 	start := uint64(0)
-	if p.tracer == nil && !p.phys[f].uncached {
+	if !p.phys[f].uncached {
 		n, err := p.m.BulkZeroPage(arch.KernelSpace, base)
 		if err != nil {
 			return fmt.Errorf("pmap: zero-fill frame %d: %w", f, err)
@@ -218,7 +218,7 @@ func (p *Pmap) CopyPage(src, dst arch.PFN, eventualVPN arch.VPN) error {
 	// data movement. The machine falls back (returning how many words it
 	// performed) when its guards fail.
 	start := uint64(0)
-	if p.tracer == nil && !p.phys[src].uncached && !p.phys[dst].uncached {
+	if !p.phys[src].uncached && !p.phys[dst].uncached {
 		n, err := p.m.BulkCopyPage(arch.KernelSpace, sbase, arch.KernelSpace, dbase)
 		if err != nil {
 			if n == 0 {

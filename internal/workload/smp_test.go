@@ -68,7 +68,10 @@ func TestMultiprocessorBenchmarks(t *testing.T) {
 // per-word snoops of the strided runs, must reproduce the reference's
 // cross-CPU write-backs and invalidations bit for bit — cycles, stats,
 // fault counts, everything. kernel-build adds the read(2)/write(2) page
-// copies and text execution the torture workload runs only rarely.
+// copies and text execution the torture workload runs only rarely. Each
+// pair runs with the oracle off, as perfbench's multiprocessor cell
+// ships, and on, where the bulk paths also record and observe every
+// word through it.
 func TestMPFastPathIdentity(t *testing.T) {
 	cpuCounts := []int{2, 4}
 	if testing.Short() {
@@ -83,25 +86,23 @@ func TestMPFastPathIdentity(t *testing.T) {
 		for _, cfg := range policy.Configs() {
 			for _, r := range runs {
 				t.Run(fmt.Sprintf("%s/%dcpu%s", cfg.Label, cpus, r.suffix), func(t *testing.T) {
-					run := func(disable bool) Result {
-						kc := kernel.DefaultConfig(cfg)
-						kc.Machine.CPUs = cpus
-						// The oracle records every word, so its presence
-						// (correctly) disables the bulk zero and copy —
-						// turn it off on both sides or the comparison is
-						// vacuous.
-						kc.Machine.WithOracle = false
-						kc.Machine.DisableFastPaths = disable
-						kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
-						res, err := Run(r.w, cfg, r.scale, kc)
-						if err != nil {
-							t.Fatal(err)
+					for _, oracle := range []bool{false, true} {
+						run := func(disable bool) Result {
+							kc := kernel.DefaultConfig(cfg)
+							kc.Machine.CPUs = cpus
+							kc.Machine.WithOracle = oracle
+							kc.Machine.DisableFastPaths = disable
+							kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
+							res, err := Run(r.w, cfg, r.scale, kc)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res
 						}
-						return res
-					}
-					fast, slow := run(false), run(true)
-					if !reflect.DeepEqual(fast, slow) {
-						t.Errorf("fast-path Result differs from DisableFastPaths reference:\nfast: %+v\nslow: %+v", fast, slow)
+						fast, slow := run(false), run(true)
+						if !reflect.DeepEqual(fast, slow) {
+							t.Errorf("oracle=%t: fast-path Result differs from DisableFastPaths reference:\nfast: %+v\nslow: %+v", oracle, fast, slow)
+						}
 					}
 				})
 			}
