@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vcache/internal/arch"
-	"vcache/internal/core"
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
 	"vcache/internal/machine"
@@ -20,7 +19,7 @@ import (
 )
 
 // backendConfig finds the policy configuration that runs under kind.
-func backendConfig(t *testing.T, kind core.BackendKind) policy.Config {
+func backendConfig(t *testing.T, kind policy.Backend) policy.Config {
 	t.Helper()
 	for _, cfg := range policy.All() {
 		if cfg.Features.Backend == kind {
@@ -35,7 +34,7 @@ func backendConfig(t *testing.T, kind core.BackendKind) policy.Config {
 // oracle off and on, the Results of every backend must be deeply equal
 // — every cycle, every counter, every oracle check.
 func TestEveryBackendFastPathSafe(t *testing.T) {
-	for kind := range core.NumBackends {
+	for kind := range policy.NumBackends {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := backendConfig(t, kind)

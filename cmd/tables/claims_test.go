@@ -1,0 +1,112 @@
+package main
+
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// table4Row is one configuration row of a Table 4 block.
+type table4Row struct {
+	elapsed                  string // seconds, as printed
+	consistencyFaults        uint64
+	flushes, purges          uint64
+	dmaReadFlushes, dToICopy uint64
+}
+
+// printedTable4 parses the Table 4 block of benchmark bench out of the tables
+// output, keyed by configuration label.
+func printedTable4(t *testing.T, out []byte, bench string) map[string]table4Row {
+	t.Helper()
+	_, block, ok := strings.Cut(string(out), "\n"+bench+"\n")
+	if !ok {
+		t.Fatalf("no Table 4 block for %s", bench)
+	}
+	block, _, _ = strings.Cut(block, "\n\n")
+	rows := map[string]table4Row{}
+	for _, line := range strings.Split(block, "\n")[2:] {
+		f := strings.Fields(line)
+		if len(f) < 14 || f[0] == "backend" {
+			continue
+		}
+		// The 13 columns after the truncated name: elapsed, mapping,
+		// consistency and modify faults, flush count and cycles, purge
+		// count and cycles, icache purge count and cycles, DMA-read
+		// flushes, DMA-write purges, d→i copies.
+		n := f[len(f)-13:]
+		num := func(i int) uint64 {
+			v, err := strconv.ParseUint(n[i], 10, 64)
+			if err != nil {
+				t.Fatalf("%s row %q column %d: %v", bench, line, i, err)
+			}
+			return v
+		}
+		rows[f[0]] = table4Row{
+			elapsed:           n[0],
+			consistencyFaults: num(2),
+			flushes:           num(4),
+			purges:            num(6),
+			dmaReadFlushes:    num(10),
+			dToICopy:          num(12),
+		}
+	}
+	for _, label := range []string{"A", "B", "C", "D", "E", "F"} {
+		if _, ok := rows[label]; !ok {
+			t.Fatalf("%s: no row for configuration %s", bench, label)
+		}
+	}
+	return rows
+}
+
+// TestPaperClaims states the paper's Table 4 and §2.5 claims
+// (EXPERIMENTS E4–E7) as assertions on the full-scale tables run that
+// the full golden also checks, so a change that updates the goldens on
+// purpose must still keep them.
+func TestPaperClaims(t *testing.T) {
+	out := fullTables(t)
+	for _, bench := range []string{"afs-bench", "latex-paper", "kernel-build"} {
+		rows := printedTable4(t, out, bench)
+		// Under F every remaining page flush has a cause no software
+		// scheme can avoid: a device reads the page, or data becomes
+		// instructions.
+		if f := rows["F"]; f.flushes != f.dmaReadFlushes+f.dToICopy {
+			t.Errorf("%s F: %d flushes, want DMA-read flushes + d→i copies = %d + %d",
+				bench, f.flushes, f.dmaReadFlushes, f.dToICopy)
+		}
+		// The old system cleans eagerly, so no dirty data survives to
+		// be copied into instruction space.
+		if a := rows["A"]; a.dToICopy != 0 {
+			t.Errorf("%s A: %d d→i copies, want 0", bench, a.dToICopy)
+		}
+		// Lazy unmap alone does not remove a consistency fault;
+		// aligning multiply mapped pages removes most of them.
+		a, b, c := rows["A"].consistencyFaults, rows["B"].consistencyFaults, rows["C"].consistencyFaults
+		if a != b || c >= b {
+			t.Errorf("%s consistency faults A %d, B %d, C %d: want A = B > C", bench, a, b, c)
+		}
+	}
+
+	// need_data turns flushes of dead dirty data into purges one for
+	// one, and the 720 purges no faster than it flushes, so elapsed
+	// time does not move.
+	kb := printedTable4(t, out, "kernel-build")
+	d, e := kb["D"], kb["E"]
+	if fell, rose := int64(d.flushes)-int64(e.flushes), int64(e.purges)-int64(d.purges); fell <= 0 || fell != rose {
+		t.Errorf("kernel-build D→E: flushes fell by %d and purges rose by %d, want the same positive count", fell, rose)
+	}
+	if d.elapsed != e.elapsed {
+		t.Errorf("kernel-build D→E: elapsed %s s → %s s, want equal", d.elapsed, e.elapsed)
+	}
+
+	// §2.5: unaligned aliases cost the paper's fraction of a second
+	// against over two minutes, at least 200×.
+	_, rest, ok := strings.Cut(string(out), "unaligned/aligned slowdown: ")
+	x, _, _ := strings.Cut(rest, "x")
+	slowdown, err := strconv.Atoi(x)
+	if !ok || err != nil {
+		t.Fatalf("no §2.5 slowdown line: %q (%v)", x, err)
+	}
+	if slowdown < 200 {
+		t.Errorf("§2.5 unaligned/aligned slowdown %d×, want at least 200×", slowdown)
+	}
+}

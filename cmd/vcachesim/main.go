@@ -150,6 +150,17 @@ func main() {
 	}
 	spec.TraceN = *traceN
 	spec.RecordOps = *record != ""
+	// Open the trace destinations before the run, so an unwritable path
+	// fails through fail (under -json, one error object and nothing
+	// else on stdout) instead of after the result is printed.
+	traceOut, err := createOutput(*traceJSON)
+	if err != nil {
+		fail(err)
+	}
+	recordOut, err := createOutput(*record)
+	if err != nil {
+		fail(err)
+	}
 	// With -warm-boot the run goes through a one-slot snapshot pool: the
 	// boot is snapshotted post-setup and the measured phase executes on a
 	// fork — the restore span shows up in -phases, the result does not
@@ -182,13 +193,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *traceJSON != "" {
-		if err := writeTraceJSON(*traceJSON, recorder); err != nil {
+	if traceOut != nil {
+		if err := writeTraceJSON(traceOut, recorder); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if *record != "" {
-		if err := writeTraceJSON(*record, recorder); err != nil {
+	if recordOut != nil {
+		if err := writeTraceJSON(recordOut, recorder); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "recorded %d ops to %s\n", countOps(recorder.Export()), *record)
@@ -235,24 +246,31 @@ func countOps(ex trace.Export) int {
 	return n
 }
 
-// writeTraceJSON emits the recorder's structured export — the same wire
-// form the service returns for a traced /run request — to path, or to
-// stdout when path is "-".
-func writeTraceJSON(path string, recorder *trace.Recorder) error {
-	var out *os.File
-	if path == "-" {
-		out = os.Stdout
-	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+// createOutput opens a -trace-json or -record destination: nil for no
+// path, stdout for "-", otherwise the created file.
+func createOutput(path string) (*os.File, error) {
+	switch path {
+	case "":
+		return nil, nil
+	case "-":
+		return os.Stdout, nil
 	}
+	return os.Create(path)
+}
+
+// writeTraceJSON emits the recorder's structured export — the same wire
+// form the service returns for a traced /run request — to out, and
+// closes out unless it is stdout.
+func writeTraceJSON(out *os.File, recorder *trace.Recorder) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(recorder.Export())
+	err := enc.Encode(recorder.Export())
+	if out != os.Stdout {
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 func printResult(r workload.Result) {

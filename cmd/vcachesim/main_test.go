@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -75,6 +76,18 @@ func TestBadTraceIsAnError(t *testing.T) {
 	for _, n := range []string{"-1", "-5", "1048577", "100000000000"} {
 		if msg, ok := jsonError(t, "-trace", n, "-scale", "0.01"); ok && msg != "-trace must be between 0 and 1048576, got "+n {
 			t.Errorf("-trace %s: error %q, want the -trace error", n, msg)
+		}
+	}
+}
+
+// TestUnwritableOutputIsAnError: an unwritable -record or -trace-json
+// path is a JSON error before the run, not a result on stdout followed
+// by a plain error on stderr.
+func TestUnwritableOutputIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "y.json")
+	for _, flag := range []string{"-record", "-trace-json"} {
+		if msg, ok := jsonError(t, flag, path, "-scale", "0.01"); ok && !strings.Contains(msg, path) {
+			t.Errorf("%s %s: error %q does not name the path", flag, path, msg)
 		}
 	}
 }

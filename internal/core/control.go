@@ -90,15 +90,6 @@ type Controller struct {
 	hw    Hardware
 	mt    MappingTable
 	stats Stats
-	// dirtyDisplaced, when set, is called after stanza 2 removes a
-	// dirty cache page because a different page (or a device) needs the
-	// data. It is the signal the hybrid backend's write-run heuristic
-	// counts: each displacement is one alternation of the page's active
-	// writer. The hook must not re-enter CacheControl; owners queue any
-	// mode switch and apply it after the algorithm returns. Hooks are
-	// deliberately not carried by Clone — the owning pmap reinstalls
-	// them against the fork (see pmap.Clone).
-	dirtyDisplaced func(f arch.PFN, w arch.CachePage, op Operation)
 }
 
 // NewController returns a controller issuing cache operations to hw and
@@ -120,19 +111,16 @@ func (ctl *Controller) Clone(hw Hardware, mt MappingTable) *Controller {
 // ResetStats zeroes the counters.
 func (ctl *Controller) ResetStats() { ctl.stats = Stats{} }
 
-// SetDirtyDisplacedHook installs (or clears, with nil) the stanza-2
-// displacement callback. See the field comment for the contract.
-func (ctl *Controller) SetDirtyDisplacedHook(fn func(f arch.PFN, w arch.CachePage, op Operation)) {
-	ctl.dirtyDisplaced = fn
-}
-
 // CacheControl ensures the consistency state of physical frame f permits
 // operation op on target cache page c, updating st in place. For DMA
-// operations, pass arch.NoCachePage as the target.
+// operations, pass arch.NoCachePage as the target. It reports whether
+// stanza 2 displaced a dirty cache page: a different page (or a device)
+// needed the data, which is the writer alternation the hybrid backend's
+// write-run heuristic counts.
 //
 // This is a direct transcription of Figure 1: the six stanzas appear in
 // order, with the stanza-by-stanza comments from the paper.
-func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage, op Operation, opts Options) {
+func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage, op Operation, opts Options) (displaced bool) {
 	ctl.stats.Invocations++
 
 	// Stanza 2: remove the contents of a dirty cache page when it is
@@ -164,9 +152,7 @@ func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage,
 			// unobserved and a subsequent unaligned read could
 			// miss the flush it needs.)
 			ctl.mt.ClearModified(f, w)
-			if ctl.dirtyDisplaced != nil {
-				ctl.dirtyDisplaced(f, w, op)
-			}
+			displaced = true
 		}
 	}
 
@@ -223,6 +209,7 @@ func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage,
 			ctl.mt.SetProtection(m, arch.ProtRead)
 		}
 	}
+	return displaced
 }
 
 // NoteModified implements the paper's modified-bit optimization: "the

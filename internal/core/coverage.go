@@ -73,38 +73,16 @@ func Cells() []Cell {
 
 // Coverage counts how many times each Table 2 cell has been exercised.
 // It is observed from the pmap layer at every consistency-algorithm
-// entry point; a nil *Coverage discards everything.
-//
-// A map is bound to one consistency backend: the cell derivation in
-// Observe encodes the backend's transition-table invariants (e.g. what
-// a Stale bit means), so cells observed under one backend must never be
-// attributed to another. The pmap layer rejects a map whose backend
-// does not match the running configuration, and Mask/Merge keep maps of
-// different backends from silently aliasing.
+// entry point; a nil *Coverage discards everything. Observe derives a
+// cell from the page state alone, and no backend calls it for an
+// uncached page, so a cell names the same event under every backend and
+// one map may accumulate runs of several.
 type Coverage struct {
-	counts  [NumCells]uint64
-	backend BackendKind
+	counts [NumCells]uint64
 }
 
-// NewCoverage returns an empty map bound to the CMU backend (the
-// paper's Table 2 — the kind every pre-backend caller meant).
+// NewCoverage returns an empty map.
 func NewCoverage() *Coverage { return &Coverage{} }
-
-// NewCoverageFor returns an empty map bound to backend kind k.
-func NewCoverageFor(k BackendKind) *Coverage {
-	if k >= NumBackends {
-		panic(fmt.Sprintf("core: unknown backend kind %d", uint8(k)))
-	}
-	return &Coverage{backend: k}
-}
-
-// Backend returns the kind this map's cells are attributed to.
-func (cv *Coverage) Backend() BackendKind {
-	if cv == nil {
-		return BackendCMU
-	}
-	return cv.backend
-}
 
 // Note records one exercise of (op, role, state).
 func (cv *Coverage) Note(op Operation, r Role, s State) {
@@ -205,15 +183,12 @@ func (cv *Coverage) Missing() []Cell {
 
 // Mask packs covered-cell membership into one word (NumCells = 48 fits
 // a uint64), for cheap novelty tests: a run is coverage-novel against
-// an accumulated map iff run.Mask() &^ acc.Mask() != 0. The backend
-// kind is stamped into the high bits (56+), so masks from different
-// backends never report spurious overlap — a CMU-bound map keeps the
-// exact pre-backend mask values (kind 0 stamps nothing).
+// an accumulated map iff run.Mask() &^ acc.Mask() != 0.
 func (cv *Coverage) Mask() uint64 {
 	if cv == nil {
 		return 0
 	}
-	m := uint64(cv.backend) << maskBackendShift
+	var m uint64
 	for i, c := range cv.counts {
 		if c > 0 {
 			m |= 1 << uint(i)
@@ -222,18 +197,10 @@ func (cv *Coverage) Mask() uint64 {
 	return m
 }
 
-// maskBackendShift places the backend kind above the 48 cell bits.
-const maskBackendShift = 56
-
-// Merge adds other's counts into cv. Maps bound to different backends
-// must not be merged — their cells mean different table rows — so a
-// kind mismatch panics (it is a programming error, not input).
+// Merge adds other's counts into cv.
 func (cv *Coverage) Merge(other *Coverage) {
 	if cv == nil || other == nil {
 		return
-	}
-	if cv.backend != other.backend {
-		panic(fmt.Sprintf("core: merging %v coverage into %v coverage", other.backend, cv.backend))
 	}
 	for i := range cv.counts {
 		cv.counts[i] += other.counts[i]

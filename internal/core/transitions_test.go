@@ -226,6 +226,64 @@ func TestVariantPIOnlyDMACreatesWork(t *testing.T) {
 	}
 }
 
+// TestCMUBackendMatchesTable2 proves the base WriteBackVI variant — the
+// table of the CMU backend and of HYB's invalidate mode — is Table 2
+// verbatim: same Transition for every operation × state × role.
+func TestCMUBackendMatchesTable2(t *testing.T) {
+	for _, op := range Operations {
+		for _, s := range States {
+			if got, want := VariantTarget(WriteBackVI, op, s), TargetTransition(op, s); got != want {
+				t.Errorf("CMU Target(%s, %s) = %v, want %v", op, s, got, want)
+			}
+			if got, want := VariantOther(WriteBackVI, op, s), OtherTransition(op, s); got != want {
+				t.Errorf("CMU Other(%s, %s) = %v, want %v", op, s, got, want)
+			}
+		}
+	}
+}
+
+// TestRLTBackendRewritesCPUMaintenance pins the RLT-VIVT table (the
+// RLTVIVT variant): every CPU-operation cell whose action is a flush or
+// purge becomes a remap with the same next state, and every other cell
+// — DMA operations, explicit flush/purge requests, and cells with no
+// maintenance action — is Table 2's. Device transfers read memory
+// directly, so a reverse-lookup structure inside the cache cannot
+// replace the write-back a DMA read needs.
+func TestRLTBackendRewritesCPUMaintenance(t *testing.T) {
+	if !RLTVIVT.VirtuallyIndexed() || !RLTVIVT.WriteBack() || !VariantHasOtherColumn(RLTVIVT) {
+		t.Fatal("the RLT variant is a virtually indexed write-back cache with an unaligned column")
+	}
+	rewrites := 0
+	for _, op := range Operations {
+		for _, s := range States {
+			for _, role := range []struct {
+				got, base Transition
+			}{
+				{VariantTarget(RLTVIVT, op, s), TargetTransition(op, s)},
+				{VariantOther(RLTVIVT, op, s), OtherTransition(op, s)},
+			} {
+				cpu := op == CPURead || op == CPUWrite
+				maint := role.base.Action == DoFlush || role.base.Action == DoPurge
+				if cpu && maint {
+					rewrites++
+					if role.got.Action != DoRemap {
+						t.Errorf("RLT %s/%s: action %v, want remap", op, s, role.got.Action)
+					}
+					if role.got.Next != role.base.Next {
+						t.Errorf("RLT %s/%s: next state %v, want %v (remap is functionally the same transition)",
+							op, s, role.got.Next, role.base.Next)
+					}
+				} else if role.got != role.base {
+					t.Errorf("RLT %s/%s: non-CPU-maintenance cell changed: %v != %v", op, s, role.got, role.base)
+				}
+			}
+		}
+	}
+	if rewrites == 0 {
+		t.Fatal("RLT variant rewrote no cells")
+	}
+}
+
 func TestFoldDMA(t *testing.T) {
 	if FoldDMA(DMARead) != CPURead || FoldDMA(DMAWrite) != CPUWrite {
 		t.Error("DMA operations must fold onto CPU operations")

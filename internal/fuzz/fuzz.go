@@ -83,15 +83,13 @@ type Report struct {
 }
 
 // runProgram executes pr on a fresh system with a private coverage map
-// attached and no tracing (witness export happens separately). The map
-// is bound to the program's configured backend so cells cannot be
-// misattributed across transition tables.
+// attached and no tracing (witness export happens separately).
 func runProgram(ctx context.Context, pr *replay.Program) (harness.Result, *core.Coverage, error) {
 	spec, err := pr.Spec()
 	if err != nil {
 		return harness.Result{}, nil, err
 	}
-	cov := core.NewCoverageFor(spec.Config.Features.Backend)
+	cov := core.NewCoverage()
 	spec.TraceN = 0
 	spec.RecordOps = false
 	spec.Coverage = cov
@@ -119,39 +117,18 @@ func Witness(ctx context.Context, pr *replay.Program) (trace.Export, error) {
 	return rec.Export(), nil
 }
 
-// campaignBackend resolves the single consistency backend a campaign's
-// configurations share. A campaign accumulates one coverage map, and a
-// map is bound to one backend's transition tables — mixing backends in
-// one campaign would merge cells that mean different table rows, so it
-// is rejected up front.
-func campaignBackend(labels []string) (core.BackendKind, error) {
-	kind := core.BackendCMU
-	for i, label := range labels {
-		cfg, err := policy.ByLabel(label)
-		if err != nil {
-			return 0, fmt.Errorf("fuzz: %w", err)
-		}
-		if i == 0 {
-			kind = cfg.Features.Backend
-		} else if cfg.Features.Backend != kind {
-			return 0, fmt.Errorf("fuzz: configs mix consistency backends (%v and %v); run one campaign per backend",
-				kind, cfg.Features.Backend)
-		}
-	}
-	return kind, nil
-}
-
 // Run executes a campaign: first the handcrafted seed programs (the
 // deterministic recipes for the model's hard-to-reach cells), then
 // generated programs until the budget is exhausted or the coverage map
 // is full.
 func Run(ctx context.Context, opts Options) (*Report, error) {
 	opts.defaults()
-	kind, err := campaignBackend(opts.Configs)
-	if err != nil {
-		return nil, err
+	for _, label := range opts.Configs {
+		if _, err := policy.ByLabel(label); err != nil {
+			return nil, fmt.Errorf("fuzz: %w", err)
+		}
 	}
-	rep := &Report{Coverage: core.NewCoverageFor(kind)}
+	rep := &Report{Coverage: core.NewCoverage()}
 
 	try := func(pr *replay.Program, generated bool) error {
 		if err := ctx.Err(); err != nil {

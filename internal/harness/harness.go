@@ -305,13 +305,7 @@ func measure(s Spec, k *kernel.Kernel, ph *Phases) (Result, *trace.Recorder, err
 			rec.SetOrigin(&o)
 		}
 	}
-	if s.Coverage != nil {
-		if got, want := s.Coverage.Backend(), s.Config.Features.Backend; got != want {
-			return Result{}, nil, fmt.Errorf("%s/%s: coverage map is bound to backend %v but the run uses %v — cells would be misattributed; build the map with core.NewCoverageFor",
-				s.Workload.Name, s.Config.Label, got, want)
-		}
-		k.PM.SetCoverage(s.Coverage)
-	}
+	k.PM.SetCoverage(s.Coverage)
 	start := time.Now()
 	if s.Workload.Run != nil {
 		if err := s.Workload.Run(k, s.Scale); err != nil {

@@ -49,11 +49,7 @@ func (p *Pmap) Access(space arch.SpaceID, vpn arch.VPN, acc machine.Access, newM
 
 	c := p.dcolor(vpn)
 	p.observe(op, f, c)
-	p.accessIsNew = newMapping
-	p.rltCPUOp = true
-	p.ctl.CacheControl(f, &pp.state, c, op, core.Options{NeedData: true})
-	p.rltCPUOp = false
-	p.accessIsNew = false
+	p.control(f, c, op, core.Options{NeedData: true}, newMapping, true)
 
 	if op == core.CPUWrite {
 		// The faulting store is about to land: record the modified
@@ -93,10 +89,7 @@ func (p *Pmap) ModifyFault(space arch.SpaceID, vpn arch.VPN) error {
 	c := p.dcolor(vpn)
 	p.observe(core.CPUWrite, f, c)
 	if !p.ctl.NoteModified(&pp.state, c) {
-		p.accessIsNew = false
-		p.rltCPUOp = true
-		p.ctl.CacheControl(f, &pp.state, c, core.CPUWrite, core.Options{NeedData: true})
-		p.rltCPUOp = false
+		p.control(f, c, core.CPUWrite, core.Options{NeedData: true}, false, true)
 	}
 	p.noteFrameWritten(pp)
 	if !p.feat.LazyUnmap {
@@ -116,8 +109,7 @@ func (p *Pmap) accessExecute(space arch.SpaceID, vpn arch.VPN, e *pte) error {
 	pp := &p.phys[f]
 	if !pp.uncached {
 		p.observe(core.DMARead, f, arch.NoCachePage)
-		p.accessIsNew = false
-		p.ctl.CacheControl(f, &pp.state, arch.NoCachePage, core.DMARead, core.Options{NeedData: true})
+		p.control(f, arch.NoCachePage, core.DMARead, core.Options{NeedData: true}, false, false)
 		ic := p.icolor(vpn)
 		if pp.iStale.Get(ic) {
 			p.purgeICachePage(ic, f)

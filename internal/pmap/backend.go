@@ -1,14 +1,17 @@
 package pmap
 
 import (
+	"slices"
+
 	"vcache/internal/arch"
 	"vcache/internal/core"
+	"vcache/internal/policy"
 	"vcache/internal/sim"
 	"vcache/internal/trace"
 )
 
 // This file is the runtime of the peer consistency backends (their
-// kinds are in core/backend.go, the RLT-VIVT table is core's RLTVIVT
+// kinds are policy.Backend, the RLT-VIVT table is core's RLTVIVT
 // variant): the reverse-lookup synonym table of the RLT-VIVT backend,
 // the write-run mode switching of the HYBRID backend, and the counters
 // both report. Both are cost/attribution models layered on the
@@ -25,8 +28,10 @@ import (
 //     current — the update propagation), reusing the Sun variant's
 //     uncached machinery; invalidate mode is the unmodified algorithm.
 //
-// installBackendHooks is called from New and from snapshot Clone (the
-// controller hook and RLT occupancy are per-pmap state).
+// Both hang off the pmap's one entry to the algorithm, control
+// (pmap.go): it marks the flushes and purges an RLT may assist and
+// counts the hybrid's dirty-page displacements from CacheControl's
+// result.
 
 // rltCapacity is the number of physical pages the simulated
 // reverse-lookup table tracks. The RLT covers pages with live synonyms
@@ -49,43 +54,23 @@ type Counter struct {
 
 // BackendCounters returns the counters of backend kind in report
 // order, or nil for the CMU scheme, which has none of its own.
-func (s Stats) BackendCounters(kind core.BackendKind) []Counter {
+func (s Stats) BackendCounters(kind policy.Backend) []Counter {
 	switch kind {
-	case core.BackendRLT:
+	case policy.BackendRLT:
 		return []Counter{{"assists", s.RLTAssists}, {"inserts", s.RLTInserts}, {"evictions", s.RLTEvictions}}
-	case core.BackendHybrid:
+	case policy.BackendHybrid:
 		return []Counter{{"update-switches", s.HybridUpdateSwitches}, {"reverts", s.HybridReverts}}
 	}
 	return nil
 }
 
-// rltState is the reverse-lookup table occupancy: FIFO over frames
-// with live synonyms, each of which has physPage.inRLT set.
-type rltState struct {
-	order []arch.PFN
-}
-
-// installBackendHooks applies the backend's runtime configuration to
-// this pmap. Idempotent; called from New and after snapshot Clone
-// (controller hooks are deliberately not carried across Clone).
-func (p *Pmap) installBackendHooks() {
-	switch p.feat.Backend {
-	case core.BackendRLT:
-		if p.rlt == nil {
-			p.rlt = &rltState{}
-		}
-	case core.BackendHybrid:
-		p.ctl.SetDirtyDisplacedHook(p.hybridDirtyDisplaced)
-	}
-}
-
 // rltAssisted reports whether the consistency operation now being
-// issued is covered by the RLT: the table is present, the operation is
+// issued is covered by the RLT: the backend is RLT, the operation is
 // driven by a CPU access (device-driven flushes/purges cannot be
 // remapped away — the device reads memory, not the cache), and the
 // frame has a live entry.
 func (p *Pmap) rltAssisted(f arch.PFN) bool {
-	return p.rlt != nil && p.rltCPUOp && p.phys[f].inRLT
+	return p.feat.Backend == policy.BackendRLT && p.rltCPUOp && p.phys[f].inRLT
 }
 
 // rltAssist performs the functional flush/purge and converts its cost
@@ -115,18 +100,15 @@ func (p *Pmap) rltAssist(c arch.CachePage, f arch.PFN, flush bool) {
 // rltEnsure gives frame f an RLT entry once it has live synonyms,
 // evicting the oldest entry if the table is full. Called from Enter.
 func (p *Pmap) rltEnsure(f arch.PFN) {
-	if p.rlt == nil {
+	if p.feat.Backend != policy.BackendRLT || len(p.phys[f].mappings) < 2 || p.phys[f].inRLT {
 		return
 	}
-	if len(p.phys[f].mappings) < 2 || p.phys[f].inRLT {
-		return
-	}
-	p.rlt.order = append(p.rlt.order, f)
+	p.rlt = append(p.rlt, f)
 	p.phys[f].inRLT = true
 	p.stats.RLTInserts++
-	if len(p.rlt.order) > rltCapacity {
-		victim := p.rlt.order[0]
-		p.rlt.order = p.rlt.order[1:]
+	if len(p.rlt) > rltCapacity {
+		victim := p.rlt[0]
+		p.rlt = p.rlt[1:]
 		p.phys[victim].inRLT = false
 		p.rltEvict(victim)
 	}
@@ -136,15 +118,12 @@ func (p *Pmap) rltEnsure(f arch.PFN) {
 // set collapses (Remove) or the page dies (FreeFrame), the remaining
 // single mapping is plain VIVT and software's lazy scheme takes over.
 func (p *Pmap) rltDrop(f arch.PFN) {
-	if p.rlt == nil || !p.phys[f].inRLT {
+	if !p.phys[f].inRLT {
 		return
 	}
 	p.phys[f].inRLT = false
-	for i, v := range p.rlt.order {
-		if v == f {
-			p.rlt.order = append(p.rlt.order[:i], p.rlt.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(p.rlt, f); i >= 0 {
+		p.rlt = slices.Delete(p.rlt, i, i+1)
 	}
 }
 
@@ -167,18 +146,13 @@ func (p *Pmap) rltEvict(f arch.PFN) {
 	p.stats.RLTEvictions++
 }
 
-// hybridDirtyDisplaced is the controller's stanza-2 hook under the
-// HYBRID backend: each time a CPU access through one color displaces
-// the page's dirty data cached under another color, the page's writer
-// alternated — the access pattern invalidate-based schemes are worst
-// at. Crossing the write-run threshold queues the page for a switch to
-// update mode; the switch itself must not run inside CacheControl
-// (stanzas 3–6 still read the state), so it is applied from
-// hybridApplyPending after the algorithm returns.
-func (p *Pmap) hybridDirtyDisplaced(f arch.PFN, w arch.CachePage, op core.Operation) {
-	if op != core.CPURead && op != core.CPUWrite {
-		return
-	}
+// hybridDirtyDisplaced counts one writer alternation on frame f: a CPU
+// access through one color displaced the page's dirty data cached under
+// another, the access pattern invalidate-based schemes are worst at.
+// Crossing the write-run threshold queues the page for a switch to
+// update mode, which hybridApplyPending applies once the fault or
+// access that queued it has finished its own consistency work.
+func (p *Pmap) hybridDirtyDisplaced(f arch.PFN) {
 	pp := &p.phys[f]
 	if pp.uncached || p.synonymColors(pp) < 2 {
 		return
@@ -217,26 +191,19 @@ func (p *Pmap) hybridApplyPending() {
 	}
 }
 
-// hybridSwitchToUpdate puts frame f into update mode: both caches are
-// cleaned (the D side via cleanFrame, the I side by purging every
-// mapped or stale page — unlike Sun, hybrid pages can later revert to
-// cached, so no stale I-line may survive the uncached epoch), then the
-// frame and all its translations become uncacheable. Memory is current
-// from here on — every store goes straight through, which is the
-// "update" propagation of the hybrid protocol.
+// hybridSwitchToUpdate puts frame f into update mode: uncacheFrame
+// cleans the data cache and makes the frame and all its translations
+// uncacheable, as Sun does, and the instruction cache is cleaned too by
+// purging every mapped or stale page — unlike Sun, hybrid pages can
+// later revert to cached, so no stale I-line may survive the uncached
+// epoch. Memory is current from here on — every store goes straight
+// through, which is the "update" propagation of the hybrid protocol.
 func (p *Pmap) hybridSwitchToUpdate(pp *physPage, f arch.PFN) {
-	p.cleanFrame(pp, f, true)
+	p.uncacheFrame(pp, f)
 	ip := pp.iMapped | pp.iStale
 	ip.ForEach(func(c arch.CachePage) { p.purgeICachePage(c, f) })
 	pp.iMapped, pp.iStale = 0, 0
-	pp.uncached = true
 	pp.hybridAlt = 0
-	for _, m := range pp.mappings {
-		if te := p.pt.lookup(m.Space, m.VPN); te != nil {
-			te.uncached = true
-			p.m.InvalidateTLB(m.Space, m.VPN)
-		}
-	}
 	p.stats.HybridUpdateSwitches++
 }
 
@@ -248,7 +215,7 @@ func (p *Pmap) hybridSwitchToUpdate(pp *physPage, f arch.PFN) {
 // pure bookkeeping: re-enable caching and force the next access
 // through the algorithm.
 func (p *Pmap) hybridReevaluate(pp *physPage, f arch.PFN) {
-	if p.feat.Backend != core.BackendHybrid || p.synonymColors(pp) >= 2 {
+	if p.feat.Backend != policy.BackendHybrid || p.synonymColors(pp) >= 2 {
 		return
 	}
 	pp.hybridAlt = 0

@@ -72,7 +72,7 @@ func TestRLTDropOnSynonymCollapse(t *testing.T) {
 		t.Fatalf("synonym working set of 1 frame evicted from a %d-entry table", rltCapacity)
 	}
 	r.p.Remove(1, 0x11)
-	if got := len(r.p.rlt.order); got != 0 {
+	if got := len(r.p.rlt); got != 0 {
 		t.Fatalf("RLT still holds %d entries after synonym collapse", got)
 	}
 	after := r.p.Stats()
@@ -104,7 +104,7 @@ func TestRLTCapacityEviction(t *testing.T) {
 	if s.RLTEvictions == 0 {
 		t.Fatalf("%d synonym frames in a %d-entry RLT caused no evictions", rltCapacity+8, rltCapacity)
 	}
-	if got := len(r.p.rlt.order); got > rltCapacity {
+	if got := len(r.p.rlt); got > rltCapacity {
 		t.Fatalf("RLT holds %d entries, capacity %d", got, rltCapacity)
 	}
 	if r.m.Clock.CyclesIn(sim.CatRLTEvict) == 0 {
@@ -151,22 +151,56 @@ func TestHybridWriteRunSwitchAndRevert(t *testing.T) {
 	r.checkOracle(t)
 }
 
-// TestBackendHooksSurviveClone: a cloned pmap must re-install its
-// backend hooks against its own state — RLT contents carry over,
-// hybrid pending switches are not shared with the parent.
-func TestBackendHooksSurviveClone(t *testing.T) {
-	r := newRig(t, policy.RLT().Features)
-	aliasPingPong(t, r, 6)
-	if len(r.p.rlt.order) == 0 {
-		t.Fatal("parent RLT empty before clone")
-	}
-	p2 := r.p.Clone(r.m.Clone())
-	if got, want := len(p2.rlt.order), len(r.p.rlt.order); got != want {
-		t.Fatalf("cloned RLT has %d entries, parent %d", got, want)
-	}
-	// Mutating the clone's RLT must not touch the parent.
-	p2.rltDrop(p2.rlt.order[0])
-	if len(r.p.rlt.order) == len(p2.rlt.order) {
-		t.Fatal("clone and parent share RLT state")
-	}
+// TestBackendStateSurvivesClone: a cloned pmap carries its own backend
+// state. RLT contents carry over and are not shared with the parent; a
+// hybrid page cloned in the middle of a write run reaches update mode at
+// the threshold on the fork only.
+func TestBackendStateSurvivesClone(t *testing.T) {
+	t.Run("RLT", func(t *testing.T) {
+		r := newRig(t, policy.RLT().Features)
+		aliasPingPong(t, r, 6)
+		if len(r.p.rlt) == 0 {
+			t.Fatal("parent RLT empty before clone")
+		}
+		p2 := r.p.Clone(r.m.Clone())
+		if got, want := len(p2.rlt), len(r.p.rlt); got != want {
+			t.Fatalf("cloned RLT has %d entries, parent %d", got, want)
+		}
+		// Mutating the clone's RLT must not touch the parent.
+		p2.rltDrop(p2.rlt[0])
+		if len(r.p.rlt) == len(p2.rlt) {
+			t.Fatal("clone and parent share RLT state")
+		}
+	})
+	t.Run("HYB", func(t *testing.T) {
+		r := newRig(t, policy.Hybrid().Features)
+		f, _ := r.p.AllocFrame(arch.NoCachePage)
+		r.p.Enter(1, 0x10, f, arch.ProtReadWrite, KindUser)
+		r.p.Enter(1, 0x11, f, arch.ProtReadWrite, KindUser)
+		// Every write after the first displaces the other alias's dirty
+		// data: one displacement short of the threshold.
+		for i := 0; i < hybridWriteRunThreshold; i++ {
+			r.write(t, 1, arch.VPN(0x10+i&1), 0, uint64(i))
+		}
+		if got := r.p.phys[f].hybridAlt; got != hybridWriteRunThreshold-1 {
+			t.Fatalf("write run at %d displacements before the clone, want %d", got, hybridWriteRunThreshold-1)
+		}
+		m2 := r.m.Clone()
+		fork := &rig{m: m2, p: r.p.Clone(m2), al: r.al}
+		m2.SetFaultHandler(fork)
+		fork.write(t, 1, arch.VPN(0x10+hybridWriteRunThreshold&1), 0, 99)
+		if !fork.p.phys[f].uncached || fork.p.Stats().HybridUpdateSwitches != 1 {
+			t.Fatalf("fork: uncached %t after %d switches, want update mode after 1",
+				fork.p.phys[f].uncached, fork.p.Stats().HybridUpdateSwitches)
+		}
+		if pp := r.p.phys[f]; pp.uncached || pp.hybridAlt != hybridWriteRunThreshold-1 || r.p.Stats().HybridUpdateSwitches != 0 {
+			t.Fatalf("the fork's write run reached the parent: uncached %t, %d displacements, %d switches",
+				pp.uncached, pp.hybridAlt, r.p.Stats().HybridUpdateSwitches)
+		}
+		if got := fork.read(t, 1, 0x10, 0); got != 99 {
+			t.Fatalf("fork reads %d through the other alias, want 99", got)
+		}
+		fork.checkOracle(t)
+		r.checkOracle(t)
+	})
 }

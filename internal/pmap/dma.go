@@ -24,8 +24,7 @@ func (p *Pmap) PrepareDMAWrite(f arch.PFN) {
 		return
 	}
 	p.observe(core.DMAWrite, f, arch.NoCachePage)
-	p.accessIsNew = false
-	p.ctl.CacheControl(f, &pp.state, arch.NoCachePage, core.DMAWrite, core.Options{NeedData: false})
+	p.control(f, arch.NoCachePage, core.DMAWrite, core.Options{NeedData: false}, false, false)
 	p.noteFrameWritten(pp)
 	if !p.feat.LazyUnmap {
 		p.eagerResolveStale(pp, f)
@@ -41,6 +40,5 @@ func (p *Pmap) PrepareDMARead(f arch.PFN) {
 		return
 	}
 	p.observe(core.DMARead, f, arch.NoCachePage)
-	p.accessIsNew = false
-	p.ctl.CacheControl(f, &pp.state, arch.NoCachePage, core.DMARead, core.Options{NeedData: true})
+	p.control(f, arch.NoCachePage, core.DMARead, core.Options{NeedData: true}, false, false)
 }

@@ -84,6 +84,12 @@ func (p *Pmap) sunEnter(pp *physPage, f arch.PFN, e *pte) {
 	if !unaligned {
 		return
 	}
+	p.uncacheFrame(pp, f)
+}
+
+// uncacheFrame cleans frame f out of the data cache and makes the frame
+// and every translation of it bypass the cache.
+func (p *Pmap) uncacheFrame(pp *physPage, f arch.PFN) {
 	p.cleanFrame(pp, f, true)
 	pp.uncached = true
 	for _, m := range pp.mappings {

@@ -225,18 +225,19 @@ type Pmap struct {
 	tracer *trace.Recorder // nil: tracing off
 	cov    *core.Coverage  // nil: coverage collection off
 
-	// accessIsNew marks the current Access as resolving a brand-new
-	// mapping, for purge-cause attribution (Section 5.1: ~80% of
-	// purges stem from new mappings).
+	// accessIsNew and rltCPUOp attribute the flushes and purges of the
+	// CacheControl run now in progress (see control): to a brand-new
+	// mapping, for the Section 5.1 breakdown (~80% of purges stem from
+	// new mappings), and to a CPU access an RLT may assist. Both are
+	// false outside control.
 	accessIsNew bool
+	rltCPUOp    bool
 
 	// Backend runtime state (backend.go). rlt is the reverse-lookup
-	// table occupancy (RLT backend only); rltCPUOp marks that the
-	// consistency operations now being issued are driven by a CPU
-	// access and therefore assistable; hybridPending queues update-mode
-	// switches the controller hook may not apply mid-algorithm.
-	rlt           *rltState
-	rltCPUOp      bool
+	// table occupancy under the RLT backend, FIFO over frames with live
+	// synonyms, each of which has physPage.inRLT set; hybridPending
+	// queues the update-mode switches CacheControl runs have earned.
+	rlt           []arch.PFN
 	hybridPending []arch.PFN
 }
 
@@ -256,7 +257,6 @@ func New(m *machine.Machine, alloc *mem.Allocator, feat policy.Features) *Pmap {
 	p.iColors = m.ICache.CachePages()
 	p.ctl = core.NewController(p, p)
 	p.windows = newWindowPool(p.geom)
-	p.installBackendHooks()
 	m.SetWalker(p)
 	return p
 }
@@ -269,17 +269,22 @@ func (p *Pmap) SetTracer(r *trace.Recorder) { p.tracer = r }
 
 // SetCoverage attaches a Table 2 consistency-state coverage map (nil
 // detaches). Like the tracer it is per-run state: Clone does not carry
-// it, and the harness attaches it after any snapshot fork. The map
-// must be bound to the running backend — cells derived here encode the
-// backend's table invariants, so attaching a mismatched map would
-// silently misattribute them (the harness surfaces this as an error
-// before it can reach the panic).
-func (p *Pmap) SetCoverage(cv *core.Coverage) {
-	if cv != nil && cv.Backend() != p.feat.Backend {
-		panic(fmt.Sprintf("pmap: coverage map bound to backend %v attached to a %v run",
-			cv.Backend(), p.feat.Backend))
+// it, and the harness attaches it after any snapshot fork.
+func (p *Pmap) SetCoverage(cv *core.Coverage) { p.cov = cv }
+
+// control runs the CacheControl algorithm for frame f; every pmap call
+// goes through here. newMapping attributes the purges it issues to a
+// new mapping (the Section 5.1 breakdown), and cpuOp marks its flushes
+// and purges as driven by a CPU access, which an RLT may assist. Under
+// HYBRID a CPU operation that displaced the page's dirty data is one
+// alternation of the page's writer.
+func (p *Pmap) control(f arch.PFN, c arch.CachePage, op core.Operation, opts core.Options, newMapping, cpuOp bool) {
+	p.accessIsNew, p.rltCPUOp = newMapping, cpuOp
+	displaced := p.ctl.CacheControl(f, &p.phys[f].state, c, op, opts)
+	p.accessIsNew, p.rltCPUOp = false, false
+	if displaced && p.feat.Backend == policy.BackendHybrid && (op == core.CPURead || op == core.CPUWrite) {
+		p.hybridDirtyDisplaced(f)
 	}
-	p.cov = cv
 }
 
 // observe records the Table 2 cells one consistency-algorithm

@@ -103,9 +103,7 @@ func (p *Pmap) prepareWrite(f arch.PFN, color arch.CachePage) arch.VPN {
 		// was bound to a recycled physical page — the "new mapping"
 		// cause of Section 5.1.
 		p.observe(core.CPUWrite, f, p.dcolor(wvpn))
-		p.accessIsNew = true
-		p.ctl.CacheControl(f, &pp.state, p.dcolor(wvpn), core.CPUWrite, opts)
-		p.accessIsNew = false
+		p.control(f, p.dcolor(wvpn), core.CPUWrite, opts, true, false)
 		if !p.feat.LazyUnmap {
 			p.eagerResolveStale(pp, f)
 		}
@@ -148,7 +146,7 @@ func (p *Pmap) prepareRead(f arch.PFN, avoid arch.CachePage) arch.VPN {
 	p.Enter(arch.KernelSpace, wvpn, f, arch.ProtReadWrite, KindWindow)
 	if !pp.uncached {
 		p.observe(core.CPURead, f, p.dcolor(wvpn))
-		p.ctl.CacheControl(f, &pp.state, p.dcolor(wvpn), core.CPURead, core.Options{NeedData: true})
+		p.control(f, p.dcolor(wvpn), core.CPURead, core.Options{NeedData: true}, false, false)
 		if !p.feat.LazyUnmap {
 			p.eagerResolveStale(pp, f)
 		}

@@ -24,8 +24,6 @@ package policy
 import (
 	"fmt"
 	"strings"
-
-	"vcache/internal/core"
 )
 
 // Variant selects a fundamentally different consistency style for the
@@ -56,6 +54,51 @@ func (v Variant) String() string {
 		return "tut"
 	default:
 		return "sun"
+	}
+}
+
+// Backend selects the consistency-management scheme, the axis
+// orthogonal to Variant: a Variant approximates another system's use of
+// the paper's software scheme, a Backend swaps the scheme itself. Every
+// backend runs the same Figure 1 state machine, so memory and cache
+// contents are the same under all of them; the peer backends differ in
+// cycle attribution and per-page mode, whose runtime is
+// internal/pmap/backend.go.
+//
+//   - CMU — the paper's software scheme: lazy flush/purge driven by the
+//     Table 2 state machine.
+//   - RLT-VIVT — a VIVT cache with a hardware reverse-lookup synonym
+//     table (arXiv 2108.00444): a remap to a synonym address hits the
+//     table and re-binds the line instead of software flushing or
+//     purging it. Its table is core's RLTVIVT variant.
+//   - HYBRID — update/invalidate transitions selected per page by a
+//     write-run heuristic (arXiv 1502.00101). Its invalidate mode is
+//     Table 2 verbatim; an update-mode page is uncached, so it has no
+//     line to transition.
+type Backend uint8
+
+const (
+	// BackendCMU is the paper's software flush/purge scheme (the zero
+	// value, so every configuration literal without a backend is CMU).
+	BackendCMU Backend = iota
+	// BackendRLT is the reverse-lookup synonym-table VIVT backend.
+	BackendRLT
+	// BackendHybrid is the per-page update/invalidate hybrid backend.
+	BackendHybrid
+	// NumBackends is the number of backends.
+	NumBackends
+)
+
+func (b Backend) String() string {
+	switch b {
+	case BackendCMU:
+		return "CMU"
+	case BackendRLT:
+		return "RLT-VIVT"
+	case BackendHybrid:
+		return "HYBRID"
+	default:
+		return fmt.Sprintf("Backend(%d)", uint8(b))
 	}
 }
 
@@ -92,12 +135,9 @@ type Features struct {
 	// Variant selects the Table 5 strategy; VariantCMU for A–F.
 	Variant Variant
 
-	// Backend selects the consistency-management backend
-	// (core.BackendCMU for every paper configuration; the peer
-	// backends RLT-VIVT and HYBRID plug in here). Orthogonal to
-	// Variant: Variant approximates another OS's use of the same
-	// software scheme, Backend swaps the scheme itself.
-	Backend core.BackendKind
+	// Backend selects the consistency-management scheme: BackendCMU
+	// for every paper configuration, a peer backend for RLT and HYB.
+	Backend Backend
 }
 
 // Aliases is the Table 5 "unaligned aliases" cell: how the
@@ -106,9 +146,9 @@ func (f Features) Aliases() string {
 	switch {
 	case f.Variant == VariantSun:
 		return "uncached"
-	case f.Backend == core.BackendRLT:
+	case f.Backend == BackendRLT:
 		return "rlt"
-	case f.Backend == core.BackendHybrid:
+	case f.Backend == BackendHybrid:
 		return "adaptive"
 	}
 	return "yes"
@@ -249,7 +289,7 @@ func Table5Systems() []Config {
 func RLT() Config {
 	c := ConfigF()
 	c.Label, c.Name = "RLT", "RLT-VIVT (reverse-lookup synonym table)"
-	c.Features.Backend = core.BackendRLT
+	c.Features.Backend = BackendRLT
 	return c
 }
 
@@ -260,7 +300,7 @@ func RLT() Config {
 func Hybrid() Config {
 	c := ConfigF()
 	c.Label, c.Name = "HYB", "hybrid update/invalidate (write-run)"
-	c.Features.Backend = core.BackendHybrid
+	c.Features.Backend = BackendHybrid
 	return c
 }
 

@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestConfigsAreCumulative verifies the A→F ladder turns exactly one
 // feature on per step, in the paper's order.
@@ -91,5 +94,31 @@ func TestTable5Systems(t *testing.T) {
 func TestVariantStrings(t *testing.T) {
 	if VariantCMU.String() != "cmu" || VariantTut.String() != "tut" || VariantSun.String() != "sun" {
 		t.Error("variant names wrong")
+	}
+}
+
+// TestBackendRegistry pins the backends: each has its own name, CMU is
+// the zero value, so every configuration literal without a backend
+// still denotes the paper's algorithm, and every backend is reachable
+// from a label.
+func TestBackendRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for b := range NumBackends {
+		name := b.String()
+		if name == fmt.Sprintf("Backend(%d)", uint8(b)) || seen[name] {
+			t.Errorf("backend %d has no name of its own: %q", uint8(b), name)
+		}
+		seen[name] = true
+	}
+	var zero Backend
+	if zero != BackendCMU {
+		t.Fatal("the zero Backend must be CMU")
+	}
+	reached := map[Backend]bool{}
+	for _, c := range All() {
+		reached[c.Features.Backend] = true
+	}
+	if len(reached) != int(NumBackends) {
+		t.Errorf("labels reach %d of %d backends", len(reached), NumBackends)
 	}
 }
