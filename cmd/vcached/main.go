@@ -21,6 +21,7 @@ import (
 	"flag"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -34,6 +35,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vcached: ")
+	// A bad flag is one line on stderr, not the flag list; -h prints it.
+	flag.CommandLine.Init("vcached", flag.ContinueOnError)
+	flag.CommandLine.Usage = func() {}
 	addr := flag.String("addr", ":8080", "listen address")
 	concurrency := flag.Int("concurrency", 0, "max backing simulations at once (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "max runs waiting for a slot before 429")
@@ -47,7 +51,12 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	enableReplay := flag.Bool("enable-replay", false, "open the /replay endpoint: POST a recorded trace export to re-execute it")
 	quiet := flag.Bool("quiet", false, "suppress the structured per-request log")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		flag.PrintDefaults()
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
 
 	// A negative pool size is a misconfiguration, not "disabled": fail
 	// loudly instead of silently running without warm boots.
@@ -72,9 +81,18 @@ func main() {
 		Log:            logW,
 	})
 
-	// The debug surface lives on its own listener so pprof handlers are
-	// never reachable through the public serving address.
+	// Both listeners bind before either serves, so an address in use is
+	// the one error line. The debug surface lives on its own listener so
+	// pprof handlers are never reachable through the public address.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
 		dmux := http.NewServeMux()
 		dmux.HandleFunc("/debug/pprof/", pprof.Index)
 		dmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -83,20 +101,20 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.Handle("/metrics", svc.MetricsHandler())
 		go func() {
-			log.Printf("debug surface on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
+			log.Printf("debug surface on %s", dln.Addr())
+			if err := http.Serve(dln, dmux); err != nil {
 				log.Printf("debug listener: %v", err)
 			}
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s", *addr)
-		errc <- srv.ListenAndServe()
+		log.Printf("listening on %s", ln.Addr())
+		errc <- srv.Serve(ln)
 	}()
 	select {
 	case err := <-errc:

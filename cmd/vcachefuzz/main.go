@@ -34,6 +34,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vcachefuzz: ")
+	// A bad flag is one line on stderr, not the flag list; -h prints it.
+	flag.CommandLine.Init("vcachefuzz", flag.ContinueOnError)
+	flag.CommandLine.Usage = func() {}
 	seed := flag.Uint64("seed", 1, "campaign seed (same seed, same campaign)")
 	budget := flag.Int("budget", 0, "generated programs to try (0 = default)")
 	steps := flag.Int("steps", 0, "ops per generated program (0 = default)")
@@ -41,7 +44,21 @@ func main() {
 	corpus := flag.String("corpus", "", "directory to write minimized witness exports into")
 	selftest := flag.Bool("selftest", false, "require full Table 2 coverage and clean witness replays; exit non-zero otherwise")
 	quiet := flag.Bool("quiet", false, "suppress per-finding progress lines")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		flag.PrintDefaults()
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
+	if *budget < 0 || *steps < 0 {
+		log.Fatalf("-budget and -steps must be >= 0 (0 = default), got %d and %d", *budget, *steps)
+	}
+	// An unusable corpus directory fails before the campaign, not after.
+	if *corpus != "" {
+		if err := os.MkdirAll(*corpus, 0o755); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	opts := fuzz.Options{Seed: *seed, Budget: *budget, Steps: *steps}
 	if *configs != "" {
@@ -77,9 +94,6 @@ func main() {
 			witnessed++
 		}
 		if *corpus != "" {
-			if err := os.MkdirAll(*corpus, 0o755); err != nil {
-				log.Fatal(err)
-			}
 			kind := "novel"
 			if f.Violating {
 				kind = "violation"

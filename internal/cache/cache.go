@@ -94,30 +94,36 @@ type Stats struct {
 	PagePurges  uint64
 }
 
-type line struct {
-	valid bool
-	dirty bool
-	tag   arch.PA // line-aligned physical address
-	lru   uint64
-}
+// A line's state is one tag word: its line-aligned physical tag OR-ed
+// with validBit and dirtyBit. A line tag's low bits are always zero
+// (arch.Geometry.Validate enforces LineSize >= WordSize), and an invalid
+// line's word is 0.
+const (
+	validBit arch.PA = 1
+	dirtyBit arch.PA = 2
+)
 
 // Cache is a simulated cache. It is not safe for concurrent use.
 //
-// Lines are stored flat: way w of set s is line s*ways+w, and line i's
-// words are data[i<<wordShift:][:words per line]. Every size is a power
+// Lines are stored flat: way w of set s is line s*ways+w, tags[i] is
+// line i's tag word, and its words are data[i<<wordShift:][:words per
+// line]. lru[i] is line i's last-use stamp; it exists only when ways > 1,
+// since a direct-mapped set has no choice to make. Every size is a power
 // of two (arch.Geometry.Validate and New enforce it), so set selection,
 // tags and frame tests are shifts and masks.
 //
 // resident[f] counts the valid lines of physical frame f — the reverse
 // index a page flush or purge, and a peer snoop, consult before scanning
 // (a frame with no resident line needs no scan at all). fill is the only
-// place a line becomes valid; every invalidation decrements the count.
+// place a line becomes valid, and drop (PurgeAll aside) the only place
+// one becomes invalid, so the two keep the counts.
 type Cache struct {
 	cfg       Config
 	geom      arch.Geometry
 	mem       *mem.Memory
 	clock     *sim.Clock
-	lines     []line
+	tags      []arch.PA
+	lru       []uint64
 	data      []uint64
 	resident  []uint32
 	ways      int
@@ -152,12 +158,17 @@ func New(cfg Config, m *mem.Memory, clock *sim.Clock) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: %d ways leave %d-byte ways, smaller than a %d-byte page",
 			cfg.Name, cfg.Ways, way, geom.PageSize)
 	}
+	var lru []uint64
+	if cfg.Ways > 1 {
+		lru = make([]uint64, total)
+	}
 	return &Cache{
 		cfg:       cfg,
 		geom:      geom,
 		mem:       m,
 		clock:     clock,
-		lines:     make([]line, total),
+		tags:      make([]arch.PA, total),
+		lru:       lru,
 		data:      make([]uint64, total*geom.WordsPerLine()),
 		resident:  make([]uint32, m.Frames()),
 		ways:      cfg.Ways,
@@ -177,7 +188,8 @@ func (c *Cache) Clone(m *mem.Memory, clock *sim.Clock) *Cache {
 	c2 := *c
 	c2.mem = m
 	c2.clock = clock
-	c2.lines = slices.Clone(c.lines)
+	c2.tags = slices.Clone(c.tags)
+	c2.lru = slices.Clone(c.lru)
 	c2.data = slices.Clone(c.data)
 	c2.resident = slices.Clone(c.resident)
 	return &c2
@@ -225,7 +237,7 @@ func (c *Cache) word(i int, pa arch.PA) int {
 func (c *Cache) lookup(si uint64, tag arch.PA) int {
 	lo := int(si) * c.ways
 	for i := lo; i < lo+c.ways; i++ {
-		if c.lines[i].valid && c.lines[i].tag == tag {
+		if c.tags[i]&^dirtyBit == tag|validBit {
 			return i
 		}
 	}
@@ -233,15 +245,16 @@ func (c *Cache) lookup(si uint64, tag arch.PA) int {
 }
 
 // victim picks the replacement line in set si: an invalid way if any,
-// otherwise the least recently used.
+// otherwise the least recently used. Only a set-associative cache calls
+// it; a direct-mapped set has one line.
 func (c *Cache) victim(si uint64) int {
 	lo := int(si) * c.ways
 	v := lo
 	for i := lo; i < lo+c.ways; i++ {
-		if !c.lines[i].valid {
+		if c.tags[i] == 0 {
 			return i
 		}
-		if c.lines[i].lru < c.lines[v].lru {
+		if c.lru[i] < c.lru[v] {
 			v = i
 		}
 	}
@@ -255,23 +268,29 @@ func (c *Cache) victim(si uint64) int {
 // data is read from memory only when load is set: a bulk store that
 // overwrites the whole line skips the dead read (but not its charge).
 func (c *Cache) fill(i int, tag arch.PA, load bool) {
-	ln := &c.lines[i]
-	if ln.valid {
-		if ln.dirty {
-			c.mem.WriteLine(ln.tag, c.words(i))
-			c.stats.WriteBacks++
-			c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
-		}
-		c.resident[c.frameOf(ln.tag)]--
+	if c.tags[i] != 0 && c.drop(i, true) {
+		c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
 	}
 	c.resident[c.frameOf(tag)]++
-	ln.valid = true
-	ln.dirty = false
-	ln.tag = tag
+	c.tags[i] = tag | validBit
 	if load {
 		c.mem.ReadLine(tag, c.words(i))
 	}
 	c.clock.Charge(sim.CatAccess, c.clock.Timing().CacheMissFill)
+}
+
+// drop invalidates the valid line i, writing it back first if flush is
+// set and it is dirty, and reports whether it wrote the line back.
+func (c *Cache) drop(i int, flush bool) bool {
+	tw := c.tags[i]
+	c.tags[i] = 0
+	c.resident[c.frameOf(tw)]--
+	if !flush || tw&dirtyBit == 0 {
+		return false
+	}
+	c.mem.WriteLine(c.lineTag(tw), c.words(i))
+	c.stats.WriteBacks++
+	return true
 }
 
 // Line names the run of accesses AccessLine has just performed: the
@@ -282,27 +301,32 @@ type Line int
 // (va, pa): loads, or stores when write is set, the first of which
 // stores v at pa (Store performs the others). It is the one place a CPU
 // access is accounted, and it charges exactly what k word-by-word Read
-// or Write calls to that line charge: k reads or writes, k ticks and
-// CacheHit charges, one miss and its fill (then k-1 hits) or k hits,
-// the final LRU stamp, and for stores the dirty bit or, write-through,
-// the count and charge of k memory stores. k is at least 1. The fill
-// reads memory only when load is set: a bulk store that overwrites the
-// whole line skips the dead read (but not its charge). It returns the
-// index in data of pa's word.
+// or Write calls to that line charge: k reads or writes, k CacheHit
+// charges, one miss and its fill (then k-1 hits) or k hits, k ticks and
+// the final LRU stamp (set-associative only), and for stores the dirty
+// bit or, write-through, the count and charge of k memory stores. k is
+// at least 1. The fill reads memory only when load is set: a bulk store
+// that overwrites the whole line skips the dead read (but not its
+// charge). It returns the index in data of pa's word.
 func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write, load bool, v uint64) int {
 	si, tag := c.setIndex(va, pa), c.lineTag(pa)
 	i := c.lookup(si, tag)
 	if i < 0 {
 		c.stats.Misses++
 		c.stats.Hits += k - 1
-		i = c.victim(si)
+		if c.lru == nil {
+			i = int(si)
+		} else {
+			i = c.victim(si)
+		}
 		c.fill(i, tag, load)
 	} else {
 		c.stats.Hits += k
 	}
-	c.tick += k
-	ln := &c.lines[i]
-	ln.lru = c.tick
+	if c.lru != nil {
+		c.tick += k
+		c.lru[i] = c.tick
+	}
 	t := c.clock.Timing()
 	charge := t.CacheHit * k
 	w := c.word(i, pa)
@@ -319,7 +343,7 @@ func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write, load bool, v uin
 		c.mem.WriteWord(pa, v)
 	default:
 		c.stats.Writes += k
-		ln.dirty = true
+		c.tags[i] |= dirtyBit
 		c.data[w] = v
 	}
 	c.clock.Charge(sim.CatAccess, charge)
@@ -369,14 +393,7 @@ func (c *Cache) FlushLine(va arch.VA, pa arch.PA) bool {
 	tag := c.lineTag(pa)
 	t := c.clock.Timing()
 	if i := c.lookup(si, tag); i >= 0 {
-		ln := &c.lines[i]
-		if ln.dirty {
-			c.mem.WriteLine(ln.tag, c.words(i))
-			c.stats.WriteBacks++
-		}
-		ln.valid = false
-		ln.dirty = false
-		c.resident[c.frameOf(tag)]--
+		c.drop(i, true)
 		c.clock.Charge(sim.CatFlush, t.LineFlushHit)
 		return true
 	}
@@ -391,9 +408,7 @@ func (c *Cache) PurgeLine(va arch.VA, pa arch.PA) bool {
 	tag := c.lineTag(pa)
 	t := c.clock.Timing()
 	if i := c.lookup(si, tag); i >= 0 {
-		c.lines[i].valid = false
-		c.lines[i].dirty = false
-		c.resident[c.frameOf(tag)]--
+		c.drop(i, false)
 		c.clock.Charge(sim.CatPurge, t.LinePurgeHit)
 		return true
 	}
@@ -419,9 +434,9 @@ func (c *Cache) pageSets(cp arch.CachePage, f arch.PFN) (lo, hi uint64) {
 	return lo, hi
 }
 
-// frameHolds reports whether tag lies within frame f.
-func (c *Cache) frameHolds(f arch.PFN, tag arch.PA) bool {
-	return c.frameOf(tag) == uint64(f)
+// frameHolds reports whether the tag word tw is a valid line of frame f.
+func (c *Cache) frameHolds(f arch.PFN, tw arch.PA) bool {
+	return tw != 0 && c.frameOf(tw) == uint64(f)
 }
 
 // dropFrame invalidates every line of frame f in sets [lo, hi), writing
@@ -438,18 +453,11 @@ func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, flush bool) uint64 {
 	}
 	hits := uint32(0)
 	for i := int(lo) * c.ways; i < int(hi)*c.ways && hits < left; i++ {
-		ln := &c.lines[i]
-		if ln.valid && c.frameHolds(f, ln.tag) {
-			if flush && ln.dirty {
-				c.mem.WriteLine(ln.tag, c.words(i))
-				c.stats.WriteBacks++
-			}
-			ln.valid = false
-			ln.dirty = false
+		if c.frameHolds(f, c.tags[i]) {
+			c.drop(i, flush)
 			hits++
 		}
 	}
-	c.resident[f] -= hits
 	return uint64(hits)
 }
 
@@ -484,10 +492,7 @@ func (c *Cache) PurgePage(cp arch.CachePage, f arch.PFN) {
 // "Initially, at power up, all cache lines for all virtual addresses are
 // in the empty state (the cache can be purged to ensure this)").
 func (c *Cache) PurgeAll() {
-	for i := range c.lines {
-		c.lines[i].valid = false
-		c.lines[i].dirty = false
-	}
+	clear(c.tags)
 	clear(c.resident)
 }
 
@@ -497,25 +502,19 @@ func (c *Cache) PurgeAll() {
 // Present reports whether pa's line is valid anywhere in the cache, and
 // whether any such copy is dirty.
 func (c *Cache) Present(pa arch.PA) (present, dirty bool) {
-	tag := c.lineTag(pa)
-	for i := range c.lines {
-		if ln := &c.lines[i]; ln.valid && ln.tag == tag {
-			present = true
-			dirty = dirty || ln.dirty
-		}
-	}
-	return present, dirty
+	copies, dirtyCopies := c.CopiesOf(pa)
+	return copies > 0, dirtyCopies > 0
 }
 
 // CopiesOf returns the number of distinct valid lines holding pa and how
 // many of them are dirty. More than one dirty copy means writes can be
 // lost in either order — the alias hazard of Section 2.2.
 func (c *Cache) CopiesOf(pa arch.PA) (copies, dirty int) {
-	tag := c.lineTag(pa)
-	for i := range c.lines {
-		if ln := &c.lines[i]; ln.valid && ln.tag == tag {
+	tw := c.lineTag(pa) | validBit
+	for _, t := range c.tags {
+		if t&^dirtyBit == tw {
 			copies++
-			if ln.dirty {
+			if t&dirtyBit != 0 {
 				dirty++
 			}
 		}
@@ -525,8 +524,8 @@ func (c *Cache) CopiesOf(pa arch.PA) (copies, dirty int) {
 
 // DirtyInFrame reports whether any valid dirty line of frame f is cached.
 func (c *Cache) DirtyInFrame(f arch.PFN) bool {
-	for i := range c.lines {
-		if ln := &c.lines[i]; ln.valid && ln.dirty && c.frameHolds(f, ln.tag) {
+	for _, t := range c.tags {
+		if t&dirtyBit != 0 && c.frameHolds(f, t) {
 			return true
 		}
 	}
@@ -552,10 +551,10 @@ func (c *Cache) Holds(f arch.PFN) bool { return c.resident[f] != 0 }
 // cache holds the line dirty, it is written back to memory (and kept,
 // now clean) so the reader's fill observes current data.
 func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
-	if i := c.lookup(si, tag); i >= 0 && c.lines[i].dirty {
+	if i := c.lookup(si, tag); i >= 0 && c.tags[i]&dirtyBit != 0 {
 		c.mem.WriteLine(tag, c.words(i))
 		c.stats.WriteBacks++
-		c.lines[i].dirty = false
+		c.tags[i] &^= dirtyBit
 	}
 }
 
@@ -564,13 +563,7 @@ func (c *Cache) SnoopRead(si uint64, tag arch.PA) {
 // writer gains exclusive ownership.
 func (c *Cache) SnoopInvalidate(si uint64, tag arch.PA) {
 	if i := c.lookup(si, tag); i >= 0 {
-		if c.lines[i].dirty {
-			c.mem.WriteLine(tag, c.words(i))
-			c.stats.WriteBacks++
-		}
-		c.lines[i].valid = false
-		c.lines[i].dirty = false
-		c.resident[c.frameOf(tag)]--
+		c.drop(i, true)
 	}
 }
 

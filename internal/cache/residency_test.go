@@ -22,14 +22,12 @@ func refFlushPage(c *Cache, cp arch.CachePage, f arch.PFN) {
 	for si := lo; si < hi; si++ {
 		hit := false
 		for i := int(si) * c.ways; i < int(si+1)*c.ways; i++ {
-			ln := &c.lines[i]
-			if ln.valid && c.frameHolds(f, ln.tag) {
-				if ln.dirty {
-					c.mem.WriteLine(ln.tag, c.words(i))
+			if tw := c.tags[i]; c.frameHolds(f, tw) {
+				if tw&dirtyBit != 0 {
+					c.mem.WriteLine(c.lineTag(tw), c.words(i))
 					c.stats.WriteBacks++
 				}
-				ln.valid = false
-				ln.dirty = false
+				c.tags[i] = 0
 				hit = true
 			}
 		}
@@ -47,9 +45,8 @@ func refPurgePage(c *Cache, cp arch.CachePage, f arch.PFN) {
 	lo, hi := c.pageSets(cp, f)
 	if c.cfg.ConstantPagePurge {
 		for i := int(lo) * c.ways; i < int(hi)*c.ways; i++ {
-			if ln := &c.lines[i]; ln.valid && c.frameHolds(f, ln.tag) {
-				ln.valid = false
-				ln.dirty = false
+			if c.frameHolds(f, c.tags[i]) {
+				c.tags[i] = 0
 			}
 		}
 		c.clock.Charge(sim.CatPurge, t.ICachePagePurge)
@@ -58,10 +55,8 @@ func refPurgePage(c *Cache, cp arch.CachePage, f arch.PFN) {
 	for si := lo; si < hi; si++ {
 		hit := false
 		for i := int(si) * c.ways; i < int(si+1)*c.ways; i++ {
-			ln := &c.lines[i]
-			if ln.valid && c.frameHolds(f, ln.tag) {
-				ln.valid = false
-				ln.dirty = false
+			if c.frameHolds(f, c.tags[i]) {
+				c.tags[i] = 0
 				hit = true
 			}
 		}
@@ -74,30 +69,29 @@ func refPurgePage(c *Cache, cp arch.CachePage, f arch.PFN) {
 }
 
 func refSnoopRead(c *Cache, si uint64, tag arch.PA) {
-	if i := c.lookup(si, tag); i >= 0 && c.lines[i].dirty {
+	if i := c.lookup(si, tag); i >= 0 && c.tags[i]&dirtyBit != 0 {
 		c.mem.WriteLine(tag, c.words(i))
 		c.stats.WriteBacks++
-		c.lines[i].dirty = false
+		c.tags[i] &^= dirtyBit
 	}
 }
 
 func refSnoopInvalidate(c *Cache, si uint64, tag arch.PA) {
 	if i := c.lookup(si, tag); i >= 0 {
-		if c.lines[i].dirty {
+		if c.tags[i]&dirtyBit != 0 {
 			c.mem.WriteLine(tag, c.words(i))
 			c.stats.WriteBacks++
 		}
-		c.lines[i].valid = false
-		c.lines[i].dirty = false
+		c.tags[i] = 0
 	}
 }
 
-// recount rebuilds the per-frame residency counts from the lines.
+// recount rebuilds the per-frame residency counts from the tag words.
 func recount(c *Cache) []uint32 {
 	n := make([]uint32, len(c.resident))
-	for _, ln := range c.lines {
-		if ln.valid {
-			n[c.frameOf(ln.tag)]++
+	for _, tw := range c.tags {
+		if tw&validBit != 0 {
+			n[c.frameOf(tw)]++
 		}
 	}
 	return n
@@ -135,7 +129,7 @@ func (r residencyRig) clone() residencyRig {
 // full-scan loops above through the same seeded random sequence of every
 // operation that installs or drops a line, cloning both partway. After
 // every operation the counts must equal a full recount, and the two
-// caches must agree on lines, data, stats, per-category cycles and the
+// caches must agree on tag words, LRU stamps, data, stats, per-category cycles and the
 // memory image.
 func TestResidencyMatchesFullScan(t *testing.T) {
 	geom := arch.HP720()
@@ -201,8 +195,11 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 				}
 			}
 		}
-		if !slices.Equal(got.c.lines, want.c.lines) {
-			t.Fatalf("op %d (%s): lines differ from the full-scan reference", step, op)
+		if !slices.Equal(got.c.tags, want.c.tags) {
+			t.Fatalf("op %d (%s): tag words differ from the full-scan reference", step, op)
+		}
+		if !slices.Equal(got.c.lru, want.c.lru) {
+			t.Fatalf("op %d (%s): LRU stamps differ from the full-scan reference", step, op)
 		}
 		if !slices.Equal(got.c.data, want.c.data) {
 			t.Fatalf("op %d (%s): line data differs from the full-scan reference", step, op)

@@ -339,12 +339,14 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 	// the failure mode's duration happens to be (RunTimeout, mostly) and
 	// make vcached_run_latency_ms_count disagree with runs_completed.
 	s.m.observeRun(r.Spec.Workload.Name, r.Spec.Config.Label, elapsed)
-	s.m.inc(&s.m.runsCompleted)
 	// Cache before releasing the flight key: a completed key is always
 	// findable in cache or flight map, never neither. The cached body is
 	// always the trace-free form, so a traced run warms the cache for
-	// untraced requests with byte-identical content.
+	// untraced requests with byte-identical content. The run is counted
+	// after the put, so a request that sees it counted hits the cache,
+	// and before the finish, so a waiter that returns sees it counted.
 	s.cache.put(r.Key, cacheBody)
+	s.m.inc(&s.m.runsCompleted)
 	c.phases = phases
 	s.flight.finish(flightKey, c, body, nil)
 }
