@@ -68,6 +68,9 @@ func mpKernel(cpus int) *kernel.Config {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tables: ")
+	// A bad flag is one line on stderr, not the flag list; -h prints it.
+	flag.CommandLine.Init("tables", flag.ContinueOnError)
+	flag.CommandLine.Usage = func() {}
 	table := flag.Int("table", 0, "print only this table (1, 4 or 5)")
 	micro := flag.Bool("micro", false, "print only the alias microbenchmark")
 	analysis := flag.Bool("analysis", false, "print only the Section 5.1 analysis")
@@ -79,7 +82,12 @@ func main() {
 	writes := flag.Int("writes", 200000, "alias microbenchmark write count")
 	jobs := flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		flag.PrintDefaults()
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
 
 	scale := workload.Scale{Name: "custom", Factor: *factor}
 	if err := scale.Validate(); err != nil {

@@ -62,3 +62,22 @@ func TestBadWritesIsAnError(t *testing.T) {
 		wantFlagError(t, "-writes must be at least 1, got "+writes, "-micro", "-writes", writes)
 	}
 }
+
+// TestBadFlagIsOneError: an unknown flag or a malformed value is one
+// line on stderr and a non-zero exit, not the flag list.
+func TestBadFlagIsOneError(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-table", "x"}, {"-scale", "0.01", "-no-such-flag"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "TABLES_AS_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("%v: exit %v, want a non-zero status", args, err)
+		}
+		if msg := stderr.String(); len(out) != 0 || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: stdout %q stderr %q, want one error line on stderr", args, out, msg)
+		}
+	}
+}

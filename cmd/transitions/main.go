@@ -17,9 +17,17 @@ import (
 )
 
 func main() {
+	// A bad flag is one line on stderr, not the flag list; -h prints it.
+	flag.CommandLine.Init("transitions", flag.ContinueOnError)
+	flag.CommandLine.Usage = func() {}
 	table := flag.Int("table", 0, "print only this table (2 or 3); default both")
 	variants := flag.Bool("variants", false, "also print the Section 3.3 architecture variants")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		flag.PrintDefaults()
+		return
+	} else if err != nil {
+		os.Exit(2)
+	}
 
 	switch *table {
 	case 0:

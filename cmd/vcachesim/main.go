@@ -47,8 +47,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"strconv"
+	"strings"
 
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
@@ -67,6 +70,10 @@ const maxTraceEvents = 1 << 20
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vcachesim: ")
+	// A bad flag is one error, not the flag list; -h prints the list.
+	flag.CommandLine.Init("vcachesim", flag.ContinueOnError)
+	flag.CommandLine.Usage = func() {}
+	flag.CommandLine.SetOutput(io.Discard)
 	name := flag.String("workload", "kernel-build", "benchmark to run (see -list)")
 	cfgName := flag.String("config", "F", "configuration label, one of: "+policy.Labels())
 	factor := flag.Float64("scale", 1.0, "workload scale factor")
@@ -81,7 +88,25 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON")
 	record := flag.String("record", "", "record the run's operations and write the replayable trace export to this file")
 	replayFile := flag.String("replay", "", "re-execute a recorded trace export, verify closure, and print its result")
-	flag.Parse()
+	fail := func(err error) {
+		if *jsonOut {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(map[string]string{"error": err.Error()})
+			os.Exit(1)
+		}
+		log.Fatal(err)
+	}
+	if err := flag.CommandLine.Parse(os.Args[1:]); err == flag.ErrHelp {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.PrintDefaults()
+		return
+	} else if err != nil {
+		// The parse stops at the bad flag, so a -json after it is not
+		// set yet; read it from the arguments.
+		*jsonOut = jsonRequested(os.Args[1:])
+		fail(err)
+	}
 	if *traceJSON != "" && *traceN == 0 {
 		*traceN = 256
 	}
@@ -99,16 +124,6 @@ func main() {
 			fmt.Printf("  %-7s %s\n", c.Label, c.Name)
 		}
 		return
-	}
-
-	fail := func(err error) {
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(map[string]string{"error": err.Error()})
-			os.Exit(1)
-		}
-		log.Fatal(err)
 	}
 
 	if *replayFile != "" {
@@ -208,6 +223,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "CONSISTENCY VIOLATIONS: %d stale transfers observed\n", r.OracleViolations)
 		os.Exit(1)
 	}
+}
+
+// jsonRequested reports whether args turn -json on, as the flag package
+// would read them: -json or --json, optionally with a boolean value, the
+// last occurrence before any "--" winning.
+func jsonRequested(args []string) bool {
+	on := false
+	for _, a := range args {
+		if a == "--" {
+			break
+		}
+		flagText, isFlag := strings.CutPrefix(a, "-")
+		name, val, hasVal := strings.Cut(strings.TrimPrefix(flagText, "-"), "=")
+		if !isFlag || name != "json" {
+			continue
+		}
+		b, err := strconv.ParseBool(val)
+		on = !hasVal || err != nil || b
+	}
+	return on
 }
 
 // runReplay re-executes a recorded trace export on a fresh system and

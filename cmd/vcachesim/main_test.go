@@ -91,3 +91,36 @@ func TestUnwritableOutputIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFlagIsOneError: an unknown flag or a malformed value is one
+// JSON error object on stdout when -json is given — before or after the
+// bad flag — and otherwise one line on stderr; never the flag list.
+func TestBadFlagIsOneError(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-scale", "x"}} {
+		if msg, ok := jsonError(t, args...); ok && !strings.Contains(msg, args[0]) {
+			t.Errorf("%v -json: error %q does not name the flag", args, msg)
+		}
+		for _, a := range [][]string{append([]string{"-json"}, args...), args} {
+			cmd := exec.Command(os.Args[0], a...)
+			cmd.Env = append(os.Environ(), "VCACHESIM_AS_MAIN=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+				t.Errorf("%v: exit %v, want a non-zero status", a, err)
+			}
+			var body struct {
+				Error string `json:"error"`
+			}
+			msg := stderr.String()
+			if a[0] == "-json" {
+				if json.Unmarshal(out, &body) != nil || body.Error == "" || msg != "" {
+					t.Errorf("%v: stdout %q stderr %q, want one JSON error object and no stderr", a, out, msg)
+				}
+			} else if len(out) != 0 || strings.Count(msg, "\n") != 1 {
+				t.Errorf("%v: stdout %q stderr %q, want one error line on stderr", a, out, msg)
+			}
+		}
+	}
+}

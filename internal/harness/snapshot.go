@@ -215,6 +215,10 @@ func (p *SnapshotPool) Stats() SnapshotPoolStats {
 // copies every piece of machine state the workload can observe — which
 // TestSnapshotForkIdentity proves against the DisableSnapshots
 // reference path.
+//
+// Every run, cold or warm, releases its kernel when measure returns (see
+// kernel.Release), so the next run draws its pages from the page pool; a
+// Workload must not keep the kernel past its Run.
 func ExecTimedPool(ctx context.Context, s Spec, pool *SnapshotPool) (Result, *trace.Recorder, Phases, error) {
 	var ph Phases
 	if err := ctx.Err(); err != nil {
@@ -265,6 +269,8 @@ func ExecTimedPool(ctx context.Context, s Spec, pool *SnapshotPool) (Result, *tr
 		k.SetInterrupt(ctx.Err)
 	}
 	res, rec, err := measure(s, k, &ph)
+	// k is never a pooled image (those are only forked), so this is safe.
+	k.Release()
 	if err != nil {
 		return Result{}, nil, ph, err
 	}

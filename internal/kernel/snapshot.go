@@ -58,6 +58,16 @@ func (k *Kernel) Clone() *Kernel {
 	return k2
 }
 
+// Release hands the kernel's private memory pages and its oracle shadow
+// to the page pool once it has finished running, so the next run's
+// copy-on-write and shadow pages reuse them. The kernel must not run
+// afterwards; any memory access panics. Releasing a snapshot image
+// panics (see mem.Memory.Release).
+func (k *Kernel) Release() {
+	k.M.Mem.Release()
+	k.M.Oracle.Release()
+}
+
 // Snapshot freezes the kernel into an immutable, forkable image. The
 // original kernel must not run afterwards — its memory becomes the
 // shared backing store of every fork (mem.Freeze), which is also what

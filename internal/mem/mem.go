@@ -15,6 +15,13 @@
 // harness's warm-boot path. A page is allocated on its first write and
 // reads as zero until then, so a machine costs O(written pages) to boot.
 //
+// Page storage is recycled through one process-wide pool (NewPage,
+// FreePage): Release hands a finished machine's private pages back, and
+// the next machine's copy-on-write and first-write pages are drawn from
+// it. Only pages a Memory owns are released — shared pages still back a
+// fork parent or sibling — and a frozen snapshot image is never
+// released, because forks that outlive it read its pages.
+//
 // The allocator supports two modes mirroring the paper's Section 5.1
 // discussion: a single free list (frames come back in effectively random
 // cache colors, which is what makes new-mapping purges so frequent), and
@@ -25,6 +32,8 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"vcache/internal/arch"
 )
@@ -87,10 +96,67 @@ func (m *Memory) privatize(pg uint64) {
 	if m.owned[pg] {
 		return
 	}
-	private := make([]uint64, m.wmask+1)
-	copy(private, m.pages[pg])
-	m.pages[pg] = private
+	m.pages[pg] = NewPage(int(m.wmask+1), m.pages[pg])
 	m.owned[pg] = true
+}
+
+// pagePool holds page-sized word slices handed back by FreePage. The
+// pool is explicit rather than driven by finalizers: a page may be
+// recycled only by the code that knows no one else can read it.
+//
+// freed records that a page was ever handed back. sync.Pool allocates
+// its per-processor array again on the first Get after every GC, so a
+// process that never frees a page does not ask the pool at all.
+var (
+	pagePool sync.Pool
+	freed    atomic.Bool
+)
+
+// NewPage returns a page of n words holding a copy of src, or zeros when
+// src is nil. A recycled page is overwritten or cleared; a fresh one is
+// allocated (zeroed by make). A pooled page of another length is
+// dropped.
+func NewPage(n int, src []uint64) []uint64 {
+	if freed.Load() {
+		if p, _ := pagePool.Get().(*[]uint64); p != nil && len(*p) == n {
+			page := *p
+			if src != nil {
+				copy(page, src)
+			} else {
+				clear(page)
+			}
+			return page
+		}
+	}
+	page := make([]uint64, n)
+	copy(page, src)
+	return page
+}
+
+// FreePage hands page back to the pool for a later NewPage. The caller
+// must hold the only reference to it.
+func FreePage(page []uint64) {
+	if page != nil {
+		freed.Store(true)
+		pagePool.Put(&page)
+	}
+}
+
+// Release hands every page this Memory owns to the page pool and drops
+// its page table, so any later access panics instead of reading a page
+// another machine may be writing. Shared pages are left to their other
+// holders. Releasing a frozen snapshot image panics: its forks read its
+// pages.
+func (m *Memory) Release() {
+	if m.frozen {
+		panic("mem: Release of a frozen snapshot image")
+	}
+	for i, page := range m.pages {
+		if m.owned[i] {
+			FreePage(page)
+		}
+	}
+	m.pages, m.owned = nil, nil
 }
 
 // Fork returns a copy-on-write child sharing every page with m. The

@@ -20,9 +20,9 @@ package oracle
 
 import (
 	"fmt"
-	"slices"
 
 	"vcache/internal/arch"
+	"vcache/internal/mem"
 )
 
 // Consumer identifies who observed a transfer.
@@ -68,7 +68,9 @@ type Oracle struct {
 	// chunks holds the shadow in page-sized slices, each allocated on
 	// its first RecordWrite; a nil chunk reads as zero, like an unwritten
 	// page of mem.Memory. A machine that writes a few pages therefore
-	// pays, and its Clone copies, only those pages.
+	// pays, and its Clone copies, only those pages. Chunks come from
+	// mem's page pool, and every chunk belongs to this oracle alone
+	// (Clone copies), so Release may hand them all back.
 	chunks     [][]uint64
 	words      uint64
 	violations []Violation
@@ -102,8 +104,8 @@ func (o *Oracle) idx(pa arch.PA) uint64 {
 }
 
 // rangeError is the panic value for an address outside the shadow. It
-// formats only when printed, which keeps idx — and with it RecordWrite,
-// called on every store — within the compiler's inlining budget.
+// formats only when printed, which keeps idx within the compiler's
+// inlining budget.
 type rangeError arch.PA
 
 func (e rangeError) Error() string {
@@ -119,15 +121,19 @@ func (o *Oracle) at(i uint64) uint64 {
 }
 
 // RecordWrite notes that a write of v to pa became the logically current
-// value (CPU store or DMA device write).
+// value (CPU store or DMA device write). It is only the nil check, so
+// that it inlines into every store and an unchecked machine pays no call.
 func (o *Oracle) RecordWrite(pa arch.PA, v uint64) {
-	if o == nil {
-		return
+	if o != nil {
+		o.record(pa, v)
 	}
+}
+
+func (o *Oracle) record(pa arch.PA, v uint64) {
 	i := o.idx(pa)
 	ch := o.chunks[i>>chunkShift]
 	if ch == nil {
-		ch = make([]uint64, chunkMask+1)
+		ch = mem.NewPage(chunkMask+1, nil)
 		o.chunks[i>>chunkShift] = ch
 	}
 	ch[i&chunkMask] = v
@@ -180,7 +186,7 @@ func (o *Oracle) Clone() *Oracle {
 	chunks := make([][]uint64, len(o.chunks))
 	for i, ch := range o.chunks {
 		if ch != nil {
-			chunks[i] = slices.Clone(ch)
+			chunks[i] = mem.NewPage(len(ch), ch)
 		}
 	}
 	return &Oracle{
@@ -189,6 +195,19 @@ func (o *Oracle) Clone() *Oracle {
 		violations: append([]Violation(nil), o.violations...),
 		checks:     o.checks,
 	}
+}
+
+// Release hands every shadow chunk to mem's page pool and drops the
+// shadow, so any later record or check panics. A nil oracle does
+// nothing.
+func (o *Oracle) Release() {
+	if o == nil {
+		return
+	}
+	for _, ch := range o.chunks {
+		mem.FreePage(ch)
+	}
+	o.chunks = nil
 }
 
 // Checks returns how many transfers were checked.

@@ -213,3 +213,38 @@ func TestRangeOutOfRangePanics(t *testing.T) {
 		})
 	}
 }
+
+// TestReleaseLeavesClonesIntact: Clone copies every chunk, so releasing
+// the original — and reusing its chunks as another oracle's zeroed
+// shadow — never changes a clone, and the released oracle panics
+// instead of checking against a recycled chunk.
+func TestReleaseLeavesClonesIntact(t *testing.T) {
+	const words = 4 << chunkShift
+	o := New(words)
+	for i := 0; i < words; i += 3 {
+		o.RecordWrite(arch.PA(i*arch.WordSize), uint64(i)+1)
+	}
+	c := o.Clone()
+	o.Release()
+	for range 8 {
+		n := New(words)
+		for i := 0; i < words; i += chunkMask + 1 {
+			n.RecordWrite(arch.PA(i*arch.WordSize), 0)
+		}
+	}
+	for i := 0; i < words; i++ {
+		want := uint64(0)
+		if i%3 == 0 {
+			want = uint64(i) + 1
+		}
+		if got := c.Expected(arch.PA(i * arch.WordSize)); got != want {
+			t.Fatalf("clone word %d = %d after the original's release, want %d", i, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Observe after Release did not panic")
+		}
+	}()
+	o.Observe(CPURead, 0, 1)
+}

@@ -1,14 +1,16 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
+	"vcache/internal/harness"
 	"vcache/internal/kernel"
 	"vcache/internal/policy"
 )
 
-// Per-layer microbenchmarks above the cache: the pmap consistency fault
-// and a warm-boot fork. Run with
+// Per-layer microbenchmarks above the cache: the pmap consistency fault,
+// a warm-boot fork and a whole warm run. Run with
 //
 //	go test -run '^$' -bench . ./internal/workload
 
@@ -54,6 +56,40 @@ func BenchmarkSnapshotFork(b *testing.B) {
 				if s.Fork() == nil {
 					b.Fatal("nil fork")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkWarmRun times one whole warm run of kernel-build under F (Full
+// scale) through harness.ExecTimedPool — fork the pooled image, run,
+// collect, and release the run's pages to the page pool — with the
+// oracle off and on. B/op is what a run allocates while the pool holds
+// the pages of the run before it.
+func BenchmarkWarmRun(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		oracle bool
+	}{{"oracle-off", false}, {"oracle-on", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg, err := policy.ByLabel("F")
+			if err != nil {
+				b.Fatal(err)
+			}
+			kc := kernel.DefaultConfig(cfg)
+			kc.Machine.WithOracle = tc.oracle
+			s := harness.Spec{Workload: KernelBuild(), Config: cfg, Scale: Full(), Kernel: &kc}
+			pool := harness.NewSnapshotPool(1)
+			run := func() {
+				if _, _, _, err := harness.ExecTimedPool(context.Background(), s, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // builds the pooled image
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				run()
 			}
 		})
 	}
