@@ -8,13 +8,8 @@ import (
 	"reflect"
 	"testing"
 
-	"vcache/internal/arch"
 	"vcache/internal/harness"
-	"vcache/internal/kernel"
-	"vcache/internal/machine"
-	"vcache/internal/pmap"
 	"vcache/internal/policy"
-	"vcache/internal/vm"
 	"vcache/internal/workload"
 )
 
@@ -50,89 +45,5 @@ func TestEveryBackendFastPathSafe(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// hybridUpdateRun drives the HYBRID backend into update mode through the
-// kernel, which no benchmark does (HYB aligns shared pages as F does):
-// one object mapped at two pages one cache colour apart, as the §2.5
-// microbenchmark's unaligned setup does; 12 full-page writes alternating
-// between them, so the mode switch lands in the first word of a page
-// run; a full-page write and read through each alias; then a fork whose
-// child and parent write their copy-on-write heaps. With oracle set the
-// oracle checks the run. It returns the machine and pmap statistics,
-// the cycle count and the oracle's check count (0 without the oracle).
-func hybridUpdateRun(t *testing.T, cpus int, oracle, fast bool) (machine.Stats, pmap.Stats, uint64, uint64) {
-	t.Helper()
-	kc := kernel.DefaultConfig(policy.Hybrid())
-	kc.Machine.CPUs = cpus
-	kc.Machine.WithOracle = oracle
-	kc.Machine.DisableFastPaths = !fast
-	k, err := kernel.New(kc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := k.Spawn(nil, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geom := k.Geometry()
-	obj := k.VM.NewObject()
-	var alias [2]arch.VPN
-	for i, vpn := range []arch.VPN{0x40000, 0x40000 + arch.VPN(geom.DCachePages()) + 1} {
-		r, err := k.VM.MapObject(p.Space, obj, 0, 1, vpn, arch.NoCachePage, arch.ProtReadWrite, false, vm.KindShared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alias[i] = r.Start
-	}
-	words := int(geom.WordsPerPage())
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(k.TouchHeap(p, 0, words))
-	for i := range 12 {
-		must(k.WritePage(p, alias[i%2], words))
-	}
-	for _, vpn := range alias {
-		must(k.WritePage(p, vpn, words))
-		must(k.ReadPage(p, vpn, words))
-	}
-	child, err := k.Fork(p)
-	must(err)
-	must(k.TouchHeap(child, 0, words))
-	must(k.TouchHeap(p, 0, words))
-	must(k.TouchHeap(p, 1, words))
-	if v := k.M.Oracle.Violations(); len(v) != 0 {
-		t.Errorf("%d CPU(s), oracle=%t, fast=%t: %d stale transfers, first %v", cpus, oracle, fast, len(v), v[0])
-	}
-	return k.M.Stats(), k.PM.Stats(), k.M.Clock.Cycles(), k.M.Oracle.Checks()
-}
-
-// TestHybridUpdateModeFastPathIdentity: a HYBRID page switched to update
-// mode inside a page run leaves the fast and reference paths in the
-// same state, on one CPU and on two, with the oracle off and on (oracle
-// checks included and no stale transfer on either path).
-func TestHybridUpdateModeFastPathIdentity(t *testing.T) {
-	for _, cpus := range []int{1, 2} {
-		for _, oracle := range []bool{false, true} {
-			fm, fp, fc, fo := hybridUpdateRun(t, cpus, oracle, true)
-			rm, rp, rc, ro := hybridUpdateRun(t, cpus, oracle, false)
-			if fp.HybridUpdateSwitches == 0 {
-				t.Fatalf("%d CPU(s), oracle=%t: the run never reached update mode", cpus, oracle)
-			}
-			if oracle && fo == 0 {
-				t.Fatalf("%d CPU(s): the oracle checked nothing", cpus)
-			}
-			t.Logf("%d CPU(s), oracle=%t: %d update switches, %d reverts, %d cycles, %d oracle checks",
-				cpus, oracle, fp.HybridUpdateSwitches, fp.HybridReverts, fc, fo)
-			if fm != rm || fp != rp || fc != rc || fo != ro {
-				t.Errorf("%d CPU(s), oracle=%t: fast and reference paths diverge\nmachine %+v\n     vs %+v\npmap    %+v\n     vs %+v\ncycles  %d vs %d\nchecks  %d vs %d",
-					cpus, oracle, fm, rm, fp, rp, fc, rc, fo, ro)
-			}
-		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"vcache/internal/policy"
+	"vcache/internal/workload"
 )
 
 // table4Row is one configuration row of a Table 4 block.
@@ -12,6 +15,7 @@ type table4Row struct {
 	consistencyFaults        uint64
 	flushes, purges          uint64
 	dmaReadFlushes, dToICopy uint64
+	columns                  string // all 13 columns, as printed
 }
 
 // printedTable4 parses the Table 4 block of benchmark bench out of the tables
@@ -48,12 +52,48 @@ func printedTable4(t *testing.T, out []byte, bench string) map[string]table4Row 
 			purges:            num(6),
 			dmaReadFlushes:    num(10),
 			dToICopy:          num(12),
+			columns:           strings.Join(n, " "),
 		}
 	}
 	for _, label := range []string{"A", "B", "C", "D", "E", "F"} {
 		if _, ok := rows[label]; !ok {
 			t.Fatalf("%s: no row for configuration %s", bench, label)
 		}
+	}
+	return rows
+}
+
+// microRow is one row of the §2.5 microbenchmark block.
+type microRow struct {
+	writes  int
+	elapsed float64 // seconds
+}
+
+// printedMicro parses the §2.5 microbenchmark block out of the tables
+// output, keyed by its row names: "aligned", "unaligned" and the label
+// of each further unaligned run.
+func printedMicro(t *testing.T, out []byte) map[string]microRow {
+	t.Helper()
+	_, block, ok := strings.Cut(string(out), "\nmapping ")
+	if !ok {
+		t.Fatal("no §2.5 microbenchmark block")
+	}
+	block, _, _ = strings.Cut(block, "\n\n")
+	rows := map[string]microRow{}
+	for _, line := range strings.Split(block, "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) != 6 {
+			t.Fatalf("§2.5 row %q: want 6 columns", line)
+		}
+		writes, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatalf("§2.5 row %q: %v", line, err)
+		}
+		elapsed, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			t.Fatalf("§2.5 row %q: %v", line, err)
+		}
+		rows[f[0]] = microRow{writes, elapsed}
 	}
 	return rows
 }
@@ -84,6 +124,12 @@ func TestPaperClaims(t *testing.T) {
 		if a != b || c >= b {
 			t.Errorf("%s consistency faults A %d, B %d, C %d: want A = B > C", bench, a, b, c)
 		}
+		// These benchmarks have no unaligned synonym for an RLT to
+		// re-bind, so the peer backend prints F's row. (cxl-pcc does:
+		// there RLT assists 4 of F's 200 flushes.)
+		if r, f := rows["RLT"].columns, rows["F"].columns; r != f {
+			t.Errorf("%s: RLT row %q differs from F's %q on a synonym-free workload", bench, r, f)
+		}
 	}
 
 	// need_data turns flushes of dead dirty data into purges one for
@@ -108,5 +154,30 @@ func TestPaperClaims(t *testing.T) {
 	}
 	if slowdown < 200 {
 		t.Errorf("§2.5 unaligned/aligned slowdown %d×, want at least 200×", slowdown)
+	}
+
+	// §2.5 across the answers to an unaligned alias: software
+	// flush/purge on every write (F) costs most, a reverse-lookup table
+	// that re-binds the line (RLT) less, and an uncached frame (Sun)
+	// least.
+	micro := printedMicro(t, out)
+	f, rlt, sun := micro["unaligned"], micro["RLT"], micro["Sun"]
+	if !(f.elapsed > rlt.elapsed && rlt.elapsed > sun.elapsed) {
+		t.Errorf("§2.5 unaligned elapsed F %.4f s, RLT %.4f s, Sun %.4f s: want F > RLT > Sun",
+			f.elapsed, rlt.elapsed, sun.elapsed)
+	}
+	// Aligned aliases need no consistency work, so the one printed
+	// aligned row stands for every configuration: their cycles tie.
+	var fCycles uint64
+	for i, cfg := range []policy.Config{policy.New(), policy.RLT(), policy.Sun()} {
+		r, err := workload.RunAliasMicro(cfg, micro["aligned"].writes, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fCycles = r.Cycles
+		} else if r.Cycles != fCycles {
+			t.Errorf("§2.5 aligned: %s takes %d cycles, F %d: want a tie", cfg.Label, r.Cycles, fCycles)
+		}
 	}
 }

@@ -17,7 +17,7 @@
 //	tables -sweep        # the parameter sweeps (memory size, purge cost)
 //	tables -mp           # the multiprocessor table (1/2/4 CPUs × A–F)
 //	tables -cpus 4       # run the standard tables on a 4-CPU machine
-//	tables -configs F,RLT,HYB  # restrict Table 4 to these configuration rows
+//	tables -configs F,RLT  # restrict Table 4 to these configuration rows
 //	tables -scale 0.3    # scale the workloads down for a quick look
 //	tables -j 8          # run up to 8 simulations in parallel
 //	tables -v            # log per-run progress to stderr
@@ -77,7 +77,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "print only the parameter sweeps (memory size, purge cost)")
 	mp := flag.Bool("mp", false, "print only the multiprocessor table (1/2/4 CPUs × A–F)")
 	cpus := flag.Int("cpus", 1, "simulated CPU count for the standard tables (>1 adds deterministic preemption)")
-	configsFlag := flag.String("configs", "", "comma-separated configuration labels for Table 4 rows (default: A-F plus the peer backends; valid: "+policy.Labels()+")")
+	configsFlag := flag.String("configs", "", "comma-separated configuration labels for Table 4 rows (default: A-F plus the peer backend; valid: "+policy.Labels()+")")
 	factor := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full)")
 	writes := flag.Int("writes", 200000, "alias microbenchmark write count")
 	jobs := flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
@@ -266,16 +266,23 @@ func tableMP(ctx context.Context, r *harness.Runner, scale workload.Scale) strin
 	return report.TableMP(w.Name, cpuCounts, grouped)
 }
 
+// microbench runs the §2.5 alias microbenchmark: configuration F
+// aligned and unaligned, then unaligned under the RLT backend and Sun's
+// uncached frames, the two other answers to an unaligned alias.
 func microbench(writes int) string {
 	aligned, err := workload.RunAliasMicro(policy.New(), writes, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	unaligned, err := workload.RunAliasMicro(policy.New(), writes, false)
-	if err != nil {
-		log.Fatal(err)
+	var unaligned []workload.AliasMicroResult
+	for _, cfg := range []policy.Config{policy.New(), policy.RLT(), policy.Sun()} {
+		r, err := workload.RunAliasMicro(cfg, writes, false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		unaligned = append(unaligned, r)
 	}
-	return report.Micro(aligned, unaligned)
+	return report.Micro(aligned, unaligned...)
 }
 
 func analysis51(ctx context.Context, r *harness.Runner, scale workload.Scale, kc *kernel.Config) string {

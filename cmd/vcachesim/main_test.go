@@ -80,6 +80,16 @@ func TestBadTraceIsAnError(t *testing.T) {
 	}
 }
 
+// TestUnknownConfigIsAnError: a label that names no configuration — the
+// deleted HYB backend's included — is one JSON error naming the label.
+func TestUnknownConfigIsAnError(t *testing.T) {
+	for _, label := range []string{"HYB", "NOPE"} {
+		if msg, ok := jsonError(t, "-config", label, "-scale", "0.01"); ok && !strings.Contains(msg, `unknown configuration "`+label+`"`) {
+			t.Errorf("-config %s: error %q does not name the unknown label", label, msg)
+		}
+	}
+}
+
 // TestUnwritableOutputIsAnError: an unwritable -record or -trace-json
 // path is a JSON error before the run, not a result on stdout followed
 // by a plain error on stderr.

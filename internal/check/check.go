@@ -180,9 +180,6 @@ type Result struct {
 	Sequences int
 	Steps     int
 	Checks    uint64
-	// UpdateMode counts the sequences in which the HYBRID backend
-	// switched a page to its uncached update mode.
-	UpdateMode int
 }
 
 // Explore runs every operation sequence of exactly `depth` steps under
@@ -225,9 +222,6 @@ func Explore(feat policy.Features, depth int) (Result, error) {
 			return res, fmt.Errorf("sequence %v: stale transfer on final read: %v", names(ops, idx), v[0])
 		}
 		res.Checks += w.m.Oracle.Checks()
-		if w.p.Stats().HybridUpdateSwitches > 0 {
-			res.UpdateMode++
-		}
 
 		// Odometer.
 		i := depth - 1

@@ -8,8 +8,8 @@ import (
 
 // TestExploreShallow exhaustively checks every 3-step operation
 // sequence under every selectable configuration — A–F, the Table 5
-// systems and the peer backends (12³ = 1728 sequences each, with a
-// 3-read epilogue). Only HYB may, and must, reach its update mode.
+// systems and the peer backend (12³ = 1728 sequences each, with a
+// 3-read epilogue).
 func TestExploreShallow(t *testing.T) {
 	for _, cfg := range policy.All() {
 		cfg := cfg
@@ -24,9 +24,6 @@ func TestExploreShallow(t *testing.T) {
 			if res.Checks == 0 {
 				t.Error("oracle never engaged")
 			}
-			if hybrid := cfg.Label == policy.Hybrid().Label; hybrid != (res.UpdateMode > 0) {
-				t.Errorf("%d sequences reached update mode under %s", res.UpdateMode, cfg.Label)
-			}
 		})
 	}
 }
@@ -34,14 +31,15 @@ func TestExploreShallow(t *testing.T) {
 // TestExploreDeep checks every 5-step sequence (248,832 per policy,
 // including CPU migration between any two steps) for the two extreme
 // policies, the fully eager original and the fully lazy optimized
-// system, and for HYB, whose uncached update mode changes what the
-// caches hold rather than only what consistency costs. Run with -short
-// to skip.
+// system, and for Sun, whose uncached frames change what the caches
+// hold rather than only what consistency costs (the checker's unaligned
+// alias pair makes its frame uncached before the first step). Run with
+// -short to skip.
 func TestExploreDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive depth-5 exploration skipped in -short mode")
 	}
-	for _, cfg := range []policy.Config{policy.Old(), policy.New(), policy.Hybrid()} {
+	for _, cfg := range []policy.Config{policy.Old(), policy.New(), policy.Sun()} {
 		cfg := cfg
 		t.Run(cfg.Label, func(t *testing.T) {
 			res, err := Explore(cfg.Features, 5)
@@ -52,11 +50,8 @@ func TestExploreDeep(t *testing.T) {
 			if res.Sequences != want {
 				t.Errorf("explored %d sequences, want %d", res.Sequences, want)
 			}
-			if hybrid := cfg.Label == policy.Hybrid().Label; hybrid != (res.UpdateMode > 0) {
-				t.Errorf("%d sequences reached update mode under %s", res.UpdateMode, cfg.Label)
-			}
-			t.Logf("%s: %d sequences, %d steps, %d oracle checks, %d reaching update mode",
-				cfg.Label, res.Sequences, res.Steps, res.Checks, res.UpdateMode)
+			t.Logf("%s: %d sequences, %d steps, %d oracle checks",
+				cfg.Label, res.Sequences, res.Steps, res.Checks)
 		})
 	}
 }

@@ -113,14 +113,11 @@ func (ctl *Controller) ResetStats() { ctl.stats = Stats{} }
 
 // CacheControl ensures the consistency state of physical frame f permits
 // operation op on target cache page c, updating st in place. For DMA
-// operations, pass arch.NoCachePage as the target. It reports whether
-// stanza 2 displaced a dirty cache page: a different page (or a device)
-// needed the data, which is the writer alternation the hybrid backend's
-// write-run heuristic counts.
+// operations, pass arch.NoCachePage as the target.
 //
 // This is a direct transcription of Figure 1: the six stanzas appear in
 // order, with the stanza-by-stanza comments from the paper.
-func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage, op Operation, opts Options) (displaced bool) {
+func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage, op Operation, opts Options) {
 	ctl.stats.Invocations++
 
 	// Stanza 2: remove the contents of a dirty cache page when it is
@@ -152,7 +149,6 @@ func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage,
 			// unobserved and a subsequent unaligned read could
 			// miss the flush it needs.)
 			ctl.mt.ClearModified(f, w)
-			displaced = true
 		}
 	}
 
@@ -209,7 +205,6 @@ func (ctl *Controller) CacheControl(f arch.PFN, st *PageState, c arch.CachePage,
 			ctl.mt.SetProtection(m, arch.ProtRead)
 		}
 	}
-	return displaced
 }
 
 // NoteModified implements the paper's modified-bit optimization: "the

@@ -309,47 +309,6 @@ func TestCacheControlPreservesInvariants(t *testing.T) {
 	}
 }
 
-// TestCacheControlReportsDisplacement: CacheControl reports a
-// displacement exactly when stanza 2 removes a dirty cache page — a CPU
-// access through another color, or any DMA — whether it flushes or
-// purges it.
-func TestCacheControlReportsDisplacement(t *testing.T) {
-	const target = arch.CachePage(1)
-	cases := []struct {
-		name   string
-		dirty  bool
-		at     arch.CachePage // the dirty or mapped color
-		cpuHit bool           // a CPU access through target leaves it in place
-	}{
-		{"dirty on target", true, target, true},
-		{"dirty elsewhere", true, 2, false},
-		{"clean", false, 2, false},
-	}
-	for _, op := range []Operation{CPURead, CPUWrite, DMARead, DMAWrite} {
-		c := target
-		if op == DMARead || op == DMAWrite {
-			c = arch.NoCachePage
-		}
-		for _, tc := range cases {
-			for _, nd := range []bool{true, false} {
-				w := newMockWorld(mapping(0x101, target), mapping(0x102, 2))
-				ctl := NewController(w, w)
-				st := PageState{CacheDirty: tc.dirty}
-				st.Mapped.Set(tc.at)
-				got := ctl.CacheControl(5, &st, c, op, Options{NeedData: nd})
-				want := tc.dirty && (c == arch.NoCachePage || !tc.cpuHit)
-				if got != want {
-					t.Errorf("%v, %s, need_data %t: displaced = %t, want %t", op, tc.name, nd, got, want)
-				}
-				if removed := len(w.flushes)+len(w.purges) > 0; removed != want {
-					t.Errorf("%v, %s, need_data %t: stanza 2 removed a page: %t, displacement reported: %t",
-						op, tc.name, nd, removed, got)
-				}
-			}
-		}
-	}
-}
-
 func TestMappingString(t *testing.T) {
 	m := mapping(0x42, 7)
 	if m.String() == "" {

@@ -227,8 +227,8 @@ func TestVariantPIOnlyDMACreatesWork(t *testing.T) {
 }
 
 // TestCMUBackendMatchesTable2 proves the base WriteBackVI variant — the
-// table of the CMU backend and of HYB's invalidate mode — is Table 2
-// verbatim: same Transition for every operation × state × role.
+// table of the CMU backend — is Table 2 verbatim: same Transition for
+// every operation × state × role.
 func TestCMUBackendMatchesTable2(t *testing.T) {
 	for _, op := range Operations {
 		for _, s := range States {

@@ -63,7 +63,6 @@ func (p *Pmap) Access(space arch.SpaceID, vpn arch.VPN, acc machine.Access, newM
 	if !p.feat.LazyUnmap {
 		p.eagerResolveStale(pp, f)
 	}
-	p.hybridApplyPending()
 	return nil
 }
 
@@ -95,7 +94,6 @@ func (p *Pmap) ModifyFault(space arch.SpaceID, vpn arch.VPN) error {
 	if !p.feat.LazyUnmap {
 		p.eagerResolveStale(pp, f)
 	}
-	p.hybridApplyPending()
 	return nil
 }
 

@@ -10,8 +10,8 @@ import (
 
 // aliasPingPong alternates writes between two unaligned aliases of one
 // frame — every write is a consistency fault whose CacheControl run
-// flushes or purges the sibling color, the workload the peer backends
-// exist to improve.
+// flushes or purges the sibling color, the workload the peer backend
+// exists to improve.
 func aliasPingPong(t *testing.T, r *rig, writes int) {
 	t.Helper()
 	f, _ := r.p.AllocFrame(arch.NoCachePage)
@@ -59,6 +59,38 @@ func TestRLTAssistsUnalignedAliases(t *testing.T) {
 	if got := r.m.Clock.Cycles(); got >= baseCycles {
 		t.Errorf("RLT run cost %d cycles, configuration F cost %d — the assist saved nothing", got, baseCycles)
 	}
+}
+
+// TestRLTDMAReadIsASoftwareFlush: a device reads memory, not the cache,
+// so an RLT cannot re-bind its way out of a DMA-read. Preparing a DMA
+// read of a dirty frame with live synonyms is a metered software flush
+// charged to the flush category, never an RLT assist.
+func TestRLTDMAReadIsASoftwareFlush(t *testing.T) {
+	r := newRig(t, policy.RLT().Features)
+	aliasPingPong(t, r, 6)
+	r.write(t, 1, 0x10, 0, 77) // dirty the frame again through one alias
+	f, _ := r.p.Translate(1, 0x10)
+	if !r.p.phys[f].inRLT || !r.p.PageState(f).CacheDirty {
+		t.Fatalf("frame in the RLT %t, dirty %t: want a dirty synonym frame", r.p.phys[f].inRLT, r.p.PageState(f).CacheDirty)
+	}
+	before, flushCycles, rltCycles := r.p.Stats(), r.m.Clock.CyclesIn(sim.CatFlush), r.m.Clock.CyclesIn(sim.CatRLT)
+	r.p.PrepareDMARead(f)
+	after := r.p.Stats()
+	if after.DFlushPages != before.DFlushPages+1 || after.DMAReadFlushes != before.DMAReadFlushes+1 {
+		t.Errorf("DMA-read prep: %d page flushes, %d DMA-read flushes, want 1 and 1",
+			after.DFlushPages-before.DFlushPages, after.DMAReadFlushes-before.DMAReadFlushes)
+	}
+	if after.RLTAssists != before.RLTAssists || r.m.Clock.CyclesIn(sim.CatRLT) != rltCycles {
+		t.Errorf("DMA-read prep counted %d RLT assists: a device-driven flush is never assisted",
+			after.RLTAssists-before.RLTAssists)
+	}
+	if r.m.Clock.CyclesIn(sim.CatFlush) == flushCycles {
+		t.Error("DMA-read prep charged no flush cycles")
+	}
+	if out := r.m.DMARead(r.m.Geom.FrameBase(f), 1); out[0] != 77 {
+		t.Fatalf("device read %d, want 77", out[0])
+	}
+	r.checkOracle(t)
 }
 
 // TestRLTDropOnSynonymCollapse: removing one of the two aliases drops
@@ -113,48 +145,8 @@ func TestRLTCapacityEviction(t *testing.T) {
 	r.checkOracle(t)
 }
 
-// TestHybridWriteRunSwitchAndRevert: the write-run heuristic must
-// switch the ping-ponged page to update (uncached) mode after the
-// threshold, making subsequent alias writes fault-free; collapsing the
-// synonym must revert the page to cached invalidate mode.
-func TestHybridWriteRunSwitchAndRevert(t *testing.T) {
-	r := newRig(t, policy.Hybrid().Features)
-	aliasPingPong(t, r, 40)
-	s := r.p.Stats()
-	if s.HybridUpdateSwitches == 0 {
-		t.Fatal("write-run heuristic never switched to update mode")
-	}
-	if s.DFlushPages+s.DPurgePages >= 40 {
-		t.Errorf("%d flushes+purges under hybrid — the switch did not stop the maintenance storm",
-			s.DFlushPages+s.DPurgePages)
-	}
-	f, ok := r.p.Translate(1, 0x10)
-	if !ok {
-		t.Fatal("alias translation lost")
-	}
-	if !r.p.phys[f].uncached {
-		t.Fatal("switched page is not in update (uncached) mode")
-	}
-
-	// Synonym collapse: the lone survivor reverts to cached mode.
-	r.p.Remove(1, 0x11)
-	if got := r.p.Stats().HybridReverts; got == 0 {
-		t.Fatal("synonym collapse did not revert the page to cached mode")
-	}
-	if r.p.phys[f].uncached {
-		t.Fatal("page still uncached after revert")
-	}
-	// The survivor still reads the last written value, cached again.
-	if got := r.read(t, 1, 0x10, 0); got != 39 {
-		t.Fatalf("post-revert read = %d, want 39", got)
-	}
-	r.checkOracle(t)
-}
-
 // TestBackendStateSurvivesClone: a cloned pmap carries its own backend
-// state. RLT contents carry over and are not shared with the parent; a
-// hybrid page cloned in the middle of a write run reaches update mode at
-// the threshold on the fork only.
+// state. RLT contents carry over and are not shared with the parent.
 func TestBackendStateSurvivesClone(t *testing.T) {
 	t.Run("RLT", func(t *testing.T) {
 		r := newRig(t, policy.RLT().Features)
@@ -171,36 +163,5 @@ func TestBackendStateSurvivesClone(t *testing.T) {
 		if len(r.p.rlt) == len(p2.rlt) {
 			t.Fatal("clone and parent share RLT state")
 		}
-	})
-	t.Run("HYB", func(t *testing.T) {
-		r := newRig(t, policy.Hybrid().Features)
-		f, _ := r.p.AllocFrame(arch.NoCachePage)
-		r.p.Enter(1, 0x10, f, arch.ProtReadWrite, KindUser)
-		r.p.Enter(1, 0x11, f, arch.ProtReadWrite, KindUser)
-		// Every write after the first displaces the other alias's dirty
-		// data: one displacement short of the threshold.
-		for i := 0; i < hybridWriteRunThreshold; i++ {
-			r.write(t, 1, arch.VPN(0x10+i&1), 0, uint64(i))
-		}
-		if got := r.p.phys[f].hybridAlt; got != hybridWriteRunThreshold-1 {
-			t.Fatalf("write run at %d displacements before the clone, want %d", got, hybridWriteRunThreshold-1)
-		}
-		m2 := r.m.Clone()
-		fork := &rig{m: m2, p: r.p.Clone(m2), al: r.al}
-		m2.SetFaultHandler(fork)
-		fork.write(t, 1, arch.VPN(0x10+hybridWriteRunThreshold&1), 0, 99)
-		if !fork.p.phys[f].uncached || fork.p.Stats().HybridUpdateSwitches != 1 {
-			t.Fatalf("fork: uncached %t after %d switches, want update mode after 1",
-				fork.p.phys[f].uncached, fork.p.Stats().HybridUpdateSwitches)
-		}
-		if pp := r.p.phys[f]; pp.uncached || pp.hybridAlt != hybridWriteRunThreshold-1 || r.p.Stats().HybridUpdateSwitches != 0 {
-			t.Fatalf("the fork's write run reached the parent: uncached %t, %d displacements, %d switches",
-				pp.uncached, pp.hybridAlt, r.p.Stats().HybridUpdateSwitches)
-		}
-		if got := fork.read(t, 1, 0x10, 0); got != 99 {
-			t.Fatalf("fork reads %d through the other alias, want 99", got)
-		}
-		fork.checkOracle(t)
-		r.checkOracle(t)
 	})
 }

@@ -43,10 +43,10 @@ func (p *Pmap) Enter(space arch.SpaceID, vpn arch.VPN, f arch.PFN, maxProt arch.
 			p.sunEnter(pp, f, e)
 		}
 	}
-	// A frame currently bypassing the cache (Sun unaligned aliases,
-	// hybrid update mode) extends its uncached-ness to every new
-	// mapping, windows included. (sunEnter already marks its own new
-	// mapping; re-marking is idempotent.)
+	// A frame currently bypassing the cache (Sun unaligned aliases)
+	// extends its uncached-ness to every new mapping, windows included.
+	// (sunEnter already marks its own new mapping; re-marking is
+	// idempotent.)
 	if pp.uncached {
 		e.uncached = true
 	}
@@ -84,12 +84,6 @@ func (p *Pmap) sunEnter(pp *physPage, f arch.PFN, e *pte) {
 	if !unaligned {
 		return
 	}
-	p.uncacheFrame(pp, f)
-}
-
-// uncacheFrame cleans frame f out of the data cache and makes the frame
-// and every translation of it bypass the cache.
-func (p *Pmap) uncacheFrame(pp *physPage, f arch.PFN) {
 	p.cleanFrame(pp, f, true)
 	pp.uncached = true
 	for _, m := range pp.mappings {
@@ -150,13 +144,11 @@ func (p *Pmap) Remove(space arch.SpaceID, vpn arch.VPN) {
 	pp.lastVPN = vpn
 	pp.hasLast = true
 
-	// Backend bookkeeping at synonym collapse: the RLT entry is dropped
-	// (a single mapping needs no reverse lookup) and a hybrid page's
-	// write-run evidence — and update mode, if entered — is reset.
+	// At synonym collapse the RLT entry is dropped: a single mapping
+	// needs no reverse lookup.
 	if len(pp.mappings) < 2 {
 		p.rltDrop(f)
 	}
-	p.hybridReevaluate(pp, f)
 
 	if p.feat.LazyUnmap || pp.uncached {
 		return
@@ -245,7 +237,6 @@ func (p *Pmap) FreeFrame(f arch.PFN) {
 		panic(fmt.Sprintf("pmap: freeing frame %d with %d live mappings", f, len(pp.mappings)))
 	}
 	pp.uncached = false
-	pp.hybridAlt = 0
 	p.rltDrop(f)
 	if !p.feat.LazyUnmap {
 		// needData=false: the page is being recycled; its dirty data

@@ -159,12 +159,8 @@ type physPage struct {
 	lastVPN arch.VPN
 	hasLast bool
 
-	uncached bool // Sun variant / hybrid update mode: frame is non-cacheable
+	uncached bool // Sun variant: frame is non-cacheable
 	inRLT    bool // the RLT backend holds an entry for this frame
-
-	// hybridAlt counts dirty-page displacements by differently-colored
-	// CPU accesses (the HYBRID backend's write-run evidence).
-	hybridAlt uint32
 }
 
 // Stats counts the events the paper's Table 4 reports.
@@ -194,9 +190,11 @@ type Stats struct {
 	RLTInserts   uint64 // synonym pages given an RLT entry
 	RLTEvictions uint64 // capacity evictions forcing a software clean
 
-	// HYBRID backend counters.
-	HybridUpdateSwitches uint64 // pages switched to update (uncached) mode
-	HybridReverts        uint64 // pages reverted to invalidate (cached) mode
+	// The counters of a deleted backend (HYBRID): always zero. They stay
+	// only so the JSON of a Result (vcachesim -json, the benchmark's
+	// recorded result digests) keeps its bytes; nothing reads them.
+	HybridUpdateSwitches uint64
+	HybridReverts        uint64
 }
 
 // Pmap is the machine-dependent VM layer. It is not safe for concurrent
@@ -233,12 +231,10 @@ type Pmap struct {
 	accessIsNew bool
 	rltCPUOp    bool
 
-	// Backend runtime state (backend.go). rlt is the reverse-lookup
-	// table occupancy under the RLT backend, FIFO over frames with live
-	// synonyms, each of which has physPage.inRLT set; hybridPending
-	// queues the update-mode switches CacheControl runs have earned.
-	rlt           []arch.PFN
-	hybridPending []arch.PFN
+	// rlt is the reverse-lookup table occupancy under the RLT backend
+	// (backend.go), FIFO over frames with live synonyms, each of which
+	// has physPage.inRLT set.
+	rlt []arch.PFN
 }
 
 // New creates the pmap over machine m with frame allocator alloc and the
@@ -275,16 +271,11 @@ func (p *Pmap) SetCoverage(cv *core.Coverage) { p.cov = cv }
 // control runs the CacheControl algorithm for frame f; every pmap call
 // goes through here. newMapping attributes the purges it issues to a
 // new mapping (the Section 5.1 breakdown), and cpuOp marks its flushes
-// and purges as driven by a CPU access, which an RLT may assist. Under
-// HYBRID a CPU operation that displaced the page's dirty data is one
-// alternation of the page's writer.
+// and purges as driven by a CPU access, which an RLT may assist.
 func (p *Pmap) control(f arch.PFN, c arch.CachePage, op core.Operation, opts core.Options, newMapping, cpuOp bool) {
 	p.accessIsNew, p.rltCPUOp = newMapping, cpuOp
-	displaced := p.ctl.CacheControl(f, &p.phys[f].state, c, op, opts)
+	p.ctl.CacheControl(f, &p.phys[f].state, c, op, opts)
 	p.accessIsNew, p.rltCPUOp = false, false
-	if displaced && p.feat.Backend == policy.BackendHybrid && (op == core.CPURead || op == core.CPUWrite) {
-		p.hybridDirtyDisplaced(f)
-	}
 }
 
 // observe records the Table 2 cells one consistency-algorithm

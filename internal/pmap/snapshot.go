@@ -20,19 +20,18 @@ import (
 // snapshot or a sibling.
 func (p *Pmap) Clone(m2 *machine.Machine) *Pmap {
 	p2 := &Pmap{
-		geom:          p.geom,
-		m:             m2,
-		alloc:         p.alloc.Clone(),
-		feat:          p.feat,
-		pt:            p.pt.clone(),
-		phys:          slices.Clone(p.phys),
-		windows:       &windowPool{ncolors: p.windows.ncolors, free: mem.CloneLists(p.windows.free)},
-		prepCursor:    p.prepCursor,
-		dColors:       p.dColors,
-		iColors:       p.iColors,
-		stats:         p.stats,
-		rlt:           slices.Clone(p.rlt),
-		hybridPending: slices.Clone(p.hybridPending),
+		geom:       p.geom,
+		m:          m2,
+		alloc:      p.alloc.Clone(),
+		feat:       p.feat,
+		pt:         p.pt.clone(),
+		phys:       slices.Clone(p.phys),
+		windows:    &windowPool{ncolors: p.windows.ncolors, free: mem.CloneLists(p.windows.free)},
+		prepCursor: p.prepCursor,
+		dColors:    p.dColors,
+		iColors:    p.iColors,
+		stats:      p.stats,
+		rlt:        slices.Clone(p.rlt),
 	}
 	mem.CopyLists(p2.phys, func(pp *physPage) *[]core.Mapping { return &pp.mappings })
 	p2.ctl = p.ctl.Clone(p2, p2)

@@ -61,9 +61,8 @@ func (v Variant) String() string {
 // orthogonal to Variant: a Variant approximates another system's use of
 // the paper's software scheme, a Backend swaps the scheme itself. Every
 // backend runs the same Figure 1 state machine, so memory and cache
-// contents are the same under all of them; the peer backends differ in
-// cycle attribution and per-page mode, whose runtime is
-// internal/pmap/backend.go.
+// contents are the same under all of them; the peer backend differs in
+// cycle attribution, whose runtime is internal/pmap/backend.go.
 //
 //   - CMU — the paper's software scheme: lazy flush/purge driven by the
 //     Table 2 state machine.
@@ -71,10 +70,6 @@ func (v Variant) String() string {
 //     table (arXiv 2108.00444): a remap to a synonym address hits the
 //     table and re-binds the line instead of software flushing or
 //     purging it. Its table is core's RLTVIVT variant.
-//   - HYBRID — update/invalidate transitions selected per page by a
-//     write-run heuristic (arXiv 1502.00101). Its invalidate mode is
-//     Table 2 verbatim; an update-mode page is uncached, so it has no
-//     line to transition.
 type Backend uint8
 
 const (
@@ -83,8 +78,6 @@ const (
 	BackendCMU Backend = iota
 	// BackendRLT is the reverse-lookup synonym-table VIVT backend.
 	BackendRLT
-	// BackendHybrid is the per-page update/invalidate hybrid backend.
-	BackendHybrid
 	// NumBackends is the number of backends.
 	NumBackends
 )
@@ -95,8 +88,6 @@ func (b Backend) String() string {
 		return "CMU"
 	case BackendRLT:
 		return "RLT-VIVT"
-	case BackendHybrid:
-		return "HYBRID"
 	default:
 		return fmt.Sprintf("Backend(%d)", uint8(b))
 	}
@@ -136,7 +127,7 @@ type Features struct {
 	Variant Variant
 
 	// Backend selects the consistency-management scheme: BackendCMU
-	// for every paper configuration, a peer backend for RLT and HYB.
+	// for every paper configuration, BackendRLT for RLT.
 	Backend Backend
 }
 
@@ -148,8 +139,6 @@ func (f Features) Aliases() string {
 		return "uncached"
 	case f.Backend == BackendRLT:
 		return "rlt"
-	case f.Backend == BackendHybrid:
-		return "adaptive"
 	}
 	return "yes"
 }
@@ -278,7 +267,7 @@ func Table5Systems() []Config {
 }
 
 // Peer consistency backends: alternative synonym-management schemes
-// reported side-by-side with A–F and the Table 5 systems. Both run the
+// reported side-by-side with A–F and the Table 5 systems. Each runs the
 // full F feature set so differences in the tables isolate the backend,
 // not the software optimizations.
 
@@ -293,21 +282,10 @@ func RLT() Config {
 	return c
 }
 
-// Hybrid selects update/invalidate transitions per page by a write-run
-// heuristic (arXiv 1502.00101): pages whose synonyms alternate writers
-// switch to update mode (uncached, memory always current) and revert
-// when the synonym set collapses.
-func Hybrid() Config {
-	c := ConfigF()
-	c.Label, c.Name = "HYB", "hybrid update/invalidate (write-run)"
-	c.Features.Backend = BackendHybrid
-	return c
-}
-
 // PeerBackends returns the non-CMU consistency backends as selectable
 // configurations.
 func PeerBackends() []Config {
-	return []Config{RLT(), Hybrid()}
+	return []Config{RLT()}
 }
 
 // All returns every selectable configuration: the lettered A–F series,

@@ -336,10 +336,10 @@ func TestWordCountPastMaxIntFails(t *testing.T) {
 }
 
 // TestClosurePeerBackends proves the record→replay→re-export closure
-// for the peer consistency backends: a run recorded under RLT-VIVT or
-// the hybrid update/invalidate policy replays to a DeepEqual Result
-// and a byte-identical re-exported trace — including the backend's own
-// counters and cycle categories.
+// for the peer consistency backend: a run recorded under RLT-VIVT
+// replays to a DeepEqual Result and a byte-identical re-exported trace
+// — including the backend's own counters and cycle categories. A
+// recording whose origin names the deleted HYB backend fails to replay.
 func TestClosurePeerBackends(t *testing.T) {
 	workloads := []string{"stress-42"}
 	if !testing.Short() {
@@ -364,6 +364,22 @@ func TestClosurePeerBackends(t *testing.T) {
 			})
 		}
 	}
+	t.Run("HYB/rejected", func(t *testing.T) {
+		w, err := workload.ByName("stress-42")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ex, err := Record(context.Background(), harness.Spec{Workload: w, Config: policy.RLT(), Scale: workload.Small(), TraceN: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := *ex.Origin
+		o.Config = "HYB"
+		ex.Origin = &o
+		if _, _, err := Replay(context.Background(), ex); err == nil || !strings.Contains(err.Error(), "unknown configuration") {
+			t.Fatalf("replay of a HYB recording: %v, want an unknown-configuration error", err)
+		}
+	})
 }
 
 // TestParseRejectsUnknownConfig pins the hard-error-at-parse-time
@@ -373,18 +389,16 @@ func TestClosurePeerBackends(t *testing.T) {
 // — and never fall back silently to some other configuration.
 func TestParseRejectsUnknownConfig(t *testing.T) {
 	ev := []trace.Event{{Kind: trace.EvOp, Note: "sync"}}
-	for _, label := range []string{"ZZZ", "rlt", "f"} { // unknown; labels are case-sensitive
+	for _, label := range []string{"ZZZ", "rlt", "f", "HYB"} { // unknown (HYB is deleted); labels are case-sensitive
 		o := &trace.Origin{Workload: "x", Config: label}
 		if _, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev}); err == nil {
 			t.Errorf("Parse accepted unknown config label %q", label)
 		}
 	}
-	// The new backend labels themselves parse.
-	for _, label := range []string{"RLT", "HYB"} {
-		o := &trace.Origin{Workload: "x", Config: label}
-		if _, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev}); err != nil {
-			t.Errorf("Parse rejected backend label %q: %v", label, err)
-		}
+	// The peer backend label itself parses.
+	o := &trace.Origin{Workload: "x", Config: "RLT"}
+	if _, err := Parse(trace.Export{Origin: o, Retained: 1, Events: ev}); err != nil {
+		t.Errorf("Parse rejected backend label RLT: %v", err)
 	}
 }
 

@@ -97,8 +97,9 @@ func TestTable5Formatting(t *testing.T) {
 func TestMicroFormatting(t *testing.T) {
 	a := workload.AliasMicroResult{Aligned: true, Writes: 1000, Seconds: 0.001}
 	u := workload.AliasMicroResult{Aligned: false, Writes: 1000, Seconds: 1.0, Faults: 2000}
-	out := Micro(a, u)
-	for _, want := range []string{"aligned", "unaligned", "1000x", "slowdown"} {
+	sun := workload.AliasMicroResult{Config: policy.Sun(), Writes: 1000, Seconds: 0.01, Faults: 4}
+	out := Micro(a, u, sun)
+	for _, want := range []string{"aligned", "unaligned", "\n  Sun ", "1000x", "slowdown"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Micro missing %q:\n%s", want, out)
 		}

@@ -327,6 +327,7 @@ func TestInvalidRequests(t *testing.T) {
 	}{
 		{"unknown workload", RunRequest{Workload: "nope", Config: "F"}},
 		{"unknown config", RunRequest{Workload: "kernel-build", Config: "Z"}},
+		{"deleted backend label", RunRequest{Workload: "kernel-build", Config: "HYB"}},
 		{"negative scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: -1}},
 		{"bad cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: -2}},
 		{"cpus past the limit", RunRequest{Workload: "kernel-build", Config: "F", Scale: 0.01, CPUs: 65}},

@@ -156,13 +156,16 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 }
 
-// TestResolvePeerBackendLabels: the peer backend configurations are
-// reachable through the service's config label, and resolve to content
-// keys distinct from each other and from configuration F — a cached F
-// result must never answer an RLT request.
+// TestResolvePeerBackendLabels: the peer backend configuration is
+// reachable through the service's config label, and resolves to a
+// content key distinct from configuration F's — a cached F result must
+// never answer an RLT request. The deleted HYB label is unknown.
 func TestResolvePeerBackendLabels(t *testing.T) {
+	if _, err := Resolve(RunRequest{Workload: "kernel-build", Config: "HYB"}); err == nil || !strings.Contains(err.Error(), "unknown config") {
+		t.Errorf("Resolve(HYB) = %v, want an unknown-configuration error", err)
+	}
 	keys := make(map[string]string)
-	for _, label := range []string{"F", "RLT", "HYB"} {
+	for _, label := range []string{"F", "RLT"} {
 		r, err := Resolve(RunRequest{Workload: "kernel-build", Config: label})
 		if err != nil {
 			t.Fatalf("Resolve(%s): %v", label, err)
@@ -191,7 +194,7 @@ func TestOriginRoundTrip(t *testing.T) {
 	var specs []harness.Spec
 	for _, req := range []RunRequest{
 		{Workload: "kernel-build", Config: "F", Timing: &sim.TimingOverride{LinePurgeHit: &seven}},
-		{Workload: "afs-bench", Config: "HYB", Scale: 0.1, CPUs: 4, Frames: 2048},
+		{Workload: "afs-bench", Config: "RLT", Scale: 0.1, CPUs: 4, Frames: 2048},
 		{Workload: "afs-bench", Config: "F", Scale: 0.2, Timing: &sim.TimingOverride{LineFlushHit: &one, LinePurgeHit: &one}},
 		{Workload: "stress-7", Config: "RLT", CPUs: 2, Timing: &sim.TimingOverride{ICachePagePurge: &one}},
 	} {

@@ -52,7 +52,7 @@ func Policies() []Policy { return policy.Configs() }
 func Table5Policies() []Policy { return policy.Table5Systems() }
 
 // PolicyByLabel resolves any label vcachesim and the service accept:
-// "A".."F", the Table 5 systems and the peer backends "RLT" and "HYB".
+// "A".."F", the Table 5 systems and the peer backend "RLT".
 func PolicyByLabel(label string) (Policy, error) { return policy.ByLabel(label) }
 
 // Kernel is the simulated operating system (see internal/kernel).

@@ -14,7 +14,7 @@ func TestPolicyLookup(t *testing.T) {
 	if len(Policies()) != 6 || len(Table5Policies()) != 5 {
 		t.Fatal("policy list sizes wrong")
 	}
-	for _, label := range []string{"A", "F", "Sun", "Tut", "CMU", "RLT", "HYB"} {
+	for _, label := range []string{"A", "F", "Sun", "Tut", "CMU", "RLT"} {
 		p, err := PolicyByLabel(label)
 		if err != nil || p.Label != label {
 			t.Errorf("PolicyByLabel(%q) = %v, %v", label, p.Label, err)
