@@ -112,3 +112,41 @@ func BenchmarkSnoop(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBulkPage times one page zero-fill ("zero") and one page copy
+// ("copy"), word 0 through the full path and the tail through the bulk
+// pass, as the machine layer performs them. The destination alternates
+// between two frames of one color, so every set of its cache page holds
+// a dirty line of the other frame: each line misses and writes its
+// victim back. The copy's source page stays resident.
+func BenchmarkBulkPage(b *testing.B) {
+	geom := arch.HP720()
+	dva := arch.VA(3 * geom.PageSize)
+	dpa := [2]arch.PA{geom.FrameBase(3), geom.FrameBase(5)}
+	b.Run("zero", func(b *testing.B) {
+		c, _, _ := testRig(b, Config{Name: "d"})
+		for _, pa := range dpa {
+			c.Write(dva, pa, 0)
+			c.BulkZeroTail(nil, dva, pa)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Write(dva, dpa[i&1], 0)
+			c.BulkZeroTail(nil, dva, dpa[i&1])
+		}
+	})
+	b.Run("copy", func(b *testing.B) {
+		c, _, _ := testRig(b, Config{Name: "d"})
+		sva, spa := arch.VA(geom.PageSize), geom.FrameBase(1)
+		copyPage := func(pa arch.PA) {
+			c.Write(dva, pa, c.Read(sva, spa))
+			c.BulkCopyTail(nil, sva, spa, dva, pa)
+		}
+		copyPage(dpa[0])
+		copyPage(dpa[1])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copyPage(dpa[i&1])
+		}
+	})
+}

@@ -2,27 +2,26 @@ package cache
 
 import (
 	"vcache/internal/arch"
+	"vcache/internal/mem"
 	"vcache/internal/oracle"
+	"vcache/internal/sim"
 )
 
-// Bulk page operations: the line-granular fast paths behind the pmap's
-// ZeroPage/CopyPage word loops. Each line of the tail is one access call
-// covering that line's words, so the hit/miss/write-back decisions, the
-// event counts, the cycle charges, the memory mutations and their order,
-// and the relative LRU ordering of every line in the cache are exactly
-// those of the word-at-a-time Read/Write sequence.
-//
-// They are only equivalent for a write-back cache whose set index is a
-// pure function of the virtual address (the VIPT configuration the paper
-// targets): write-through stores every word to memory, and physical
-// indexing can land a copy's source and destination in the same sets,
-// where the word-interleaved reference order evicts line-by-line in ways
-// a bulk pass cannot reproduce. CanBulk gates on exactly those
-// conditions; the caller additionally guarantees (and the machine layer
-// re-checks) that a copy's source and destination windows have distinct
-// cache colors. The oracle o (nil when off) sees every word as the word
-// loop would: a copy's frames differ, so observing then recording a
-// line keeps the loop's order.
+// Bulk page operations: the page-granular fast paths behind the pmap's
+// ZeroPage/CopyPage word loops. A tail is one pass over its page's sets
+// (a copy runs the whole source pass, then the whole destination pass)
+// with one stats update, cycle charge and oracle call per page. It is
+// the word-at-a-time Read/Write sequence in every decision, count, cycle
+// total, memory mutation and its order, and relative LRU order, on a
+// write-back cache indexed by virtual address (CanBulk: write-through
+// stores every word to memory, and physical indexing can put a copy's
+// pages in one set) when a copy's pages have distinct colors and frames
+// (the caller checks). The copy's order is then exact: in one cache page
+// the set fixes a line's offset within the page, so the memory line at
+// offset j of any frame is touched only by line j's source fill and its
+// source- and destination-victim write-backs, in that order both ways;
+// the passes' sets are disjoint; and the frames differ, so the oracle
+// sees each frame's words in the same order.
 
 // CanBulk reports whether this cache's bulk page operations are
 // observably identical to the word-at-a-time reference sequence.
@@ -30,52 +29,95 @@ func (c *Cache) CanBulk() bool {
 	return c.cfg.Policy == WriteBack && c.cfg.Indexing == VirtualIndex && !c.cfg.ReadOnly
 }
 
-// BulkZeroTail performs the stores of a page zero-fill for words
-// 1..words-1 of the page at (va, pa). Word 0 must already have gone
-// through the full Write path (resolving faults and ensuring the first
-// line is resident), which is why the tail starts mid-line.
-func (c *Cache) BulkZeroTail(o *oracle.Oracle, va arch.VA, pa arch.PA, words uint64) {
-	wpl := c.geom.WordsPerLine()
-	for w := uint64(1); w < words; {
-		lineStart := w &^ (wpl - 1)
-		end := min(lineStart+wpl, words)
-		off := w * arch.WordSize
-		// For a full line the fill data is dead — every word is about
-		// to be overwritten — so the memory read is skipped. A partial
-		// line keeps the words the per-word fill would have brought in.
-		// (Unreachable for a full page — word 0 keeps the first line
-		// resident — kept for exactness on any caller.)
-		i := c.access(va+arch.VA(off), pa+arch.PA(off), end-w, true, w != lineStart, 0)
-		clear(c.data[i : i+int(end-w)])
-		if o != nil {
-			o.RecordWrites(pa+arch.PA(off), c.data[i:i+int(end-w)])
-		}
-		w = end
-	}
+// BulkZeroTail performs the stores of a page zero-fill for words 1..n-1
+// of the page at (va, pa), n = WordsPerPage. Word 0 must already have
+// gone through the full Write path (resolving faults and leaving the
+// first line resident), which is why the tail starts mid-line.
+func (c *Cache) BulkZeroTail(o *oracle.Oracle, va arch.VA, pa arch.PA) {
+	p := c.page(va, pa)
+	misses, wbs := c.pass(va, pa, true, 1, p)
+	clear(p[1:])
+	o.RecordWrites(pa+arch.WordSize, p[1:])
+	c.settle(p, 1, misses, wbs)
 }
 
 // BulkCopyTail performs the read/write pairs of a page copy for words
-// 1..words-1: source page at (sva, spa), destination at (dva, dpa).
-// Word 0 of both pages must already have gone through the full
-// Read/Write path. The source and destination must select disjoint sets
-// (distinct cache colors) — the caller verifies this.
-func (c *Cache) BulkCopyTail(o *oracle.Oracle, sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA, words uint64) {
+// 1..n-1 from the page at (sva, spa) to the one at (dva, dpa), word 0 of
+// both having gone through the full Read/Write path. The caller verifies
+// that the pages have distinct cache colors and frames.
+func (c *Cache) BulkCopyTail(o *oracle.Oracle, sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA) {
+	s := c.page(sva, spa)
+	sm, sw := c.pass(sva, spa, false, 2, s)
+	dm, dw := c.pass(dva, dpa, true, 2, s)
+	if c.lru == nil {
+		copy(c.page(dva, dpa)[1:], s[1:])
+	}
+	o.ObserveWords(oracle.CPURead, spa+arch.WordSize, s[1:])
+	o.RecordWrites(dpa+arch.WordSize, s[1:])
+	c.settle(s, 2, sm+dm, sw+dw)
+}
+
+// page returns the words of the page at (va, pa), va page-aligned: when
+// direct mapped, its lines, which lie next to each other in data; else a
+// zeroed pooled page that pass moves the lines' words through.
+func (c *Cache) page(va arch.VA, pa arch.PA) []uint64 {
+	if c.lru == nil {
+		return c.data[c.setIndex(va, pa)<<c.wordShift:][:c.geom.WordsPerPage()]
+	}
+	return mem.NewPage(int(c.geom.WordsPerPage()), nil)
+}
+
+// pass performs the tail's accesses to the page at (va, pa), one per
+// line in set order: stores when write is set, else loads (a copy's
+// source, the only fills that read memory: line 0, which a store covers
+// in part, is resident after word 0). It returns the misses and dirty
+// victims written back. A set-associative line moves its words here, a
+// load into p, a store out of p, and gets the per-line order's stamp:
+// tick + stride·W for the line's k words ending at word W, less k for a
+// copy's load.
+func (c *Cache) pass(va arch.VA, pa arch.PA, write bool, stride uint64, p []uint64) (misses, wbs uint64) {
 	wpl := c.geom.WordsPerLine()
-	for w := uint64(1); w < words; {
-		lineStart := w &^ (wpl - 1)
-		end := min(lineStart+wpl, words)
-		off := w * arch.WordSize
-		// Source line: a miss may write back a dirty victim and must
-		// genuinely fill from memory — the data is live. Disjoint sets
-		// mean the destination access cannot evict it, so src stays
-		// valid across the copy below.
-		src := c.access(sva+arch.VA(off), spa+arch.PA(off), end-w, false, true, 0)
-		dst := c.access(dva+arch.VA(off), dpa+arch.PA(off), end-w, true, w != lineStart, c.data[src])
-		copy(c.data[dst:dst+int(end-w)], c.data[src:src+int(end-w)])
-		if o != nil {
-			o.ObserveWords(oracle.CPURead, spa+arch.PA(off), c.data[src:src+int(end-w)])
-			o.RecordWrites(dpa+arch.PA(off), c.data[src:src+int(end-w)])
+	si, tag := c.setIndex(va, pa), c.lineTag(pa)
+	for end := wpl; end <= uint64(len(p)); end, si, tag = end+wpl, si+1, tag+arch.PA(c.geom.LineSize) {
+		k := min(wpl, end-1) // line 0's tail starts at word 1
+		if k == 0 {
+			continue // one-word lines: line 0 is word 0 alone
 		}
-		w = end
+		i := c.lookup(si, tag)
+		if i < 0 {
+			misses++
+			i = c.victim(si)
+			if c.fill(i, tag, !write) {
+				wbs++
+			}
+		}
+		if write {
+			c.tags[i] |= dirtyBit
+		}
+		if c.lru != nil && write {
+			c.lru[i] = c.tick + stride*(end-1)
+			copy(c.words(i)[wpl-k:], p[end-k:end])
+		} else if c.lru != nil {
+			c.lru[i] = c.tick + stride*(end-1) - k
+			copy(p[end-k:end], c.words(i)[wpl-k:])
+		}
+	}
+	return misses, wbs
+}
+
+// settle accounts at once a tail of stride accesses per word of page p
+// (a copy reads and writes each word): the stats, the one CatAccess
+// charge and the tick the stamps ran to. A pooled page goes back.
+func (c *Cache) settle(p []uint64, stride, misses, wbs uint64) {
+	words := uint64(len(p)) - 1
+	c.stats.Writes += words
+	c.stats.Reads += (stride - 1) * words
+	c.stats.Hits += stride*words - misses
+	c.stats.Misses += misses
+	t := c.clock.Timing()
+	c.clock.Charge(sim.CatAccess, wbs*t.WriteBack+misses*t.CacheMissFill+stride*words*t.CacheHit)
+	if c.lru != nil {
+		c.tick += stride * words
+		mem.FreePage(p)
 	}
 }

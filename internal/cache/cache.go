@@ -244,10 +244,13 @@ func (c *Cache) lookup(si uint64, tag arch.PA) int {
 	return -1
 }
 
-// victim picks the replacement line in set si: an invalid way if any,
-// otherwise the least recently used. Only a set-associative cache calls
-// it; a direct-mapped set has one line.
+// victim picks the replacement line in set si: the set's one line when
+// direct mapped, else an invalid way if any, otherwise the least
+// recently used.
 func (c *Cache) victim(si uint64) int {
+	if c.lru == nil {
+		return int(si)
+	}
 	lo := int(si) * c.ways
 	v := lo
 	for i := lo; i < lo+c.ways; i++ {
@@ -262,21 +265,20 @@ func (c *Cache) victim(si uint64) int {
 }
 
 // fill installs the line tagged tag in line i, writing back the victim
-// if it is dirty, and charges the miss fill. This write-back is where a
-// stale dirty line can clobber newer data in memory — the hazard the
-// consistency algorithm must prevent from ever being observed. The fill
-// data is read from memory only when load is set: a bulk store that
-// overwrites the whole line skips the dead read (but not its charge).
-func (c *Cache) fill(i int, tag arch.PA, load bool) {
-	if c.tags[i] != 0 && c.drop(i, true) {
-		c.clock.Charge(sim.CatAccess, c.clock.Timing().WriteBack)
-	}
+// if it is dirty, and reports whether it did; the caller charges the
+// miss fill and the write-back. This write-back is where a stale dirty
+// line can clobber newer data in memory — the hazard the consistency
+// algorithm must prevent from ever being observed. The fill data is read
+// from memory only when load is set: a bulk store that overwrites the
+// whole line skips the dead read (but not its charge).
+func (c *Cache) fill(i int, tag arch.PA, load bool) bool {
+	wb := c.tags[i] != 0 && c.drop(i, true)
 	c.resident[c.frameOf(tag)]++
 	c.tags[i] = tag | validBit
 	if load {
 		c.mem.ReadLine(tag, c.words(i))
 	}
-	c.clock.Charge(sim.CatAccess, c.clock.Timing().CacheMissFill)
+	return wb
 }
 
 // drop invalidates the valid line i, writing it back first if flush is
@@ -299,27 +301,26 @@ type Line int
 
 // access performs k CPU accesses of one kind to the line holding
 // (va, pa): loads, or stores when write is set, the first of which
-// stores v at pa (Store performs the others). It is the one place a CPU
-// access is accounted, and it charges exactly what k word-by-word Read
-// or Write calls to that line charge: k reads or writes, k CacheHit
-// charges, one miss and its fill (then k-1 hits) or k hits, k ticks and
-// the final LRU stamp (set-associative only), and for stores the dirty
-// bit or, write-through, the count and charge of k memory stores. k is
-// at least 1. The fill reads memory only when load is set: a bulk store
-// that overwrites the whole line skips the dead read (but not its
-// charge). It returns the index in data of pa's word.
-func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write, load bool, v uint64) int {
+// stores v at pa (Store performs the others). Every CPU access but the
+// bulk page tails' is accounted here, exactly as k word-by-word Read or
+// Write calls to that line are: k reads or writes, k CacheHit charges,
+// one miss and its fill (then k-1 hits) or k hits, k ticks and the
+// final LRU stamp (set-associative only), and for stores the dirty bit
+// or, write-through, the count and charge of k memory stores. k is at
+// least 1. It returns the index in data of pa's word.
+func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write bool, v uint64) int {
 	si, tag := c.setIndex(va, pa), c.lineTag(pa)
+	t := c.clock.Timing()
+	charge := t.CacheHit * k
 	i := c.lookup(si, tag)
 	if i < 0 {
 		c.stats.Misses++
 		c.stats.Hits += k - 1
-		if c.lru == nil {
-			i = int(si)
-		} else {
-			i = c.victim(si)
+		i = c.victim(si)
+		charge += t.CacheMissFill
+		if c.fill(i, tag, true) {
+			charge += t.WriteBack
 		}
-		c.fill(i, tag, load)
 	} else {
 		c.stats.Hits += k
 	}
@@ -327,8 +328,6 @@ func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write, load bool, v uin
 		c.tick += k
 		c.lru[i] = c.tick
 	}
-	t := c.clock.Timing()
-	charge := t.CacheHit * k
 	w := c.word(i, pa)
 	switch {
 	case !write:
@@ -356,7 +355,7 @@ func (c *Cache) access(va arch.VA, pa arch.PA, k uint64, write, load bool, v uin
 // pa; the caller then stores each further word with Store, or loads
 // each word of a load run with Load, in run order.
 func (c *Cache) AccessLine(va arch.VA, pa arch.PA, k uint64, write bool, v uint64) Line {
-	return Line(c.access(va, pa, k, write, true, v))
+	return Line(c.access(va, pa, k, write, v))
 }
 
 // slot returns the index in data of pa's word, pa in l's line.
@@ -379,11 +378,11 @@ func (c *Cache) Store(l Line, pa arch.PA, v uint64) {
 // pa has already been produced by the TLB; the cache checks its physical
 // tag against it exactly as the hardware does.
 func (c *Cache) Read(va arch.VA, pa arch.PA) uint64 {
-	return c.data[c.access(va, pa, 1, false, true, 0)]
+	return c.data[c.access(va, pa, 1, false, 0)]
 }
 
 // Write performs a CPU store of v at (va, pa).
-func (c *Cache) Write(va arch.VA, pa arch.PA, v uint64) { c.access(va, pa, 1, true, true, v) }
+func (c *Cache) Write(va arch.VA, pa arch.PA, v uint64) { c.access(va, pa, 1, true, v) }
 
 // FlushLine removes the line containing (va, pa) from the cache, writing
 // it back first if dirty. It reports whether the line was present.

@@ -19,20 +19,18 @@ import (
 //     word left resident — so TouchRepeat accounts their TLB hits in
 //     one step.
 //
-// The tail then goes a cache line at a time: each line is one call of
-// the cache's line-access primitive (through the Bulk*Tail methods, or
-// AccessLine for Strided), which charges exactly what that line's
-// word-by-word accesses charge. BulkZeroPage and BulkCopyPage also move
-// the tail's data a line at a time, handing the oracle each line's
-// words, so they are observation-identical to the word loop — same
-// Result bytes, oracle checks, cache/TLB statistics and memory images —
-// only when their guards hold: a write-back virtually indexed data
-// cache (cache.CanBulk) and cacheable translations. Strided keeps every
-// word's oracle call and next() value and loads or stores each word
-// through the cache (write-through included), so it needs neither
-// guard. When a guard fails the word loop finishes the job, so the cache
-// variants keep the exact slow path; DisableFastPaths turns all three
-// off.
+// BulkZeroPage and BulkCopyPage hand the tail to the cache's page
+// passes (BulkZeroTail, BulkCopyTail), which charge exactly what its
+// word-by-word accesses charge and are observation-identical to the word
+// loop — same Result bytes, oracle checks, cache/TLB statistics and
+// memory images — only when their guards hold: a write-back virtually
+// indexed data cache (cache.CanBulk) and cacheable translations. Strided
+// goes a line at a time through AccessLine, which charges what that
+// line's word-by-word accesses charge; it keeps every word's oracle call
+// and next() value and loads or stores each word through the cache
+// (write-through included), so it needs neither guard. When a guard
+// fails the word loop finishes the job, so the cache variants keep the
+// exact slow path; DisableFastPaths turns all three off.
 //
 // On a multiprocessor the reference loop snoops every peer once per
 // word. The tails snoop once per *line*, and only the peers whose data
@@ -95,7 +93,7 @@ func (m *Machine) BulkZeroPage(space arch.SpaceID, base arch.VA) (uint64, error)
 	// take one probe per held peer each.
 	line, lines := m.Geom.LineSize, m.Geom.PageSize/m.Geom.LineSize-1
 	m.snoop(m.peers(pa), base+arch.VA(line), pa+arch.PA(line), lines, true)
-	cpu.DCache.BulkZeroTail(m.Oracle, base, pa, words)
+	cpu.DCache.BulkZeroTail(m.Oracle, base, pa)
 	return words, nil
 }
 
@@ -155,7 +153,7 @@ func (m *Machine) BulkCopyPage(sspace arch.SpaceID, sbase arch.VA, dspace arch.S
 	line, lines := m.Geom.LineSize, m.Geom.PageSize/m.Geom.LineSize-1
 	m.snoop(m.peers(spa), sbase+arch.VA(line), spa+arch.PA(line), lines, false)
 	m.snoop(m.peers(dpa), dbase+arch.VA(line), dpa+arch.PA(line), lines, true)
-	cpu.DCache.BulkCopyTail(m.Oracle, sbase, spa, dbase, dpa, words)
+	cpu.DCache.BulkCopyTail(m.Oracle, sbase, spa, dbase, dpa)
 	return words, nil
 }
 

@@ -379,7 +379,10 @@ func TestStridedMatchesWordLoop(t *testing.T) {
 // every source word and records every destination word, so the twins
 // must agree on the oracle's checks, violations and shadow too; the
 // stale-alias cases dirty the source frame through an unaligned alias,
-// so the violation lists compared are not empty.
+// so the violation lists compared are not empty. In the dest-color
+// cases that alias sits at the destination's color, so the destination
+// pass writes back source lines the source pass has already read: the
+// cache runs the whole source pass first, and these pin that ordering.
 func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 	words := uint64(512)
 	type copyCase struct {
@@ -397,8 +400,21 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 		// another color, and CPU 0 dirties lines through it last: the
 		// copy then reads words the oracle flags as stale.
 		srcAlias arch.VPN
+		// evictSrc, with srcAlias, then evicts the source lines the
+		// alias dirtied from CPU 0's cache and, at two ways, leaves the
+		// alias its set's least recently used line: the copy fills
+		// those source lines from memory, and when the alias sits at
+		// the destination's color, evicts it onto them afterwards.
+		evictSrc bool
 	}
 	aliasSrc := spaceWalker{{1, srcVPN + 1}: {PFN: 20, Prot: arch.ProtReadWrite}}
+	// Page 144 has the destination's color (16) and 224 the source's
+	// (32; 0 of 32 at two ways, as have 32 and 96).
+	const dstColorAlias, srcConflictVPN arch.VPN = 144, 224
+	aliasDst := spaceWalker{
+		{1, dstColorAlias}:  {PFN: 20, Prot: arch.ProtReadWrite},
+		{1, srcConflictVPN}: {PFN: 33, Prot: arch.ProtReadWrite},
+	}
 	cases := []copyCase{
 		{name: "cross-space", cpus: 1, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN, wantBulk: words},
 		{name: "same-space", cpus: 1, ways: 1, sspace: 1, svpn: srcVPN, dvpn: dstVPN,
@@ -422,6 +438,12 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 			extra: aliasSrc, srcAlias: srcVPN + 1, wantBulk: words},
 		{name: "stale-alias-source-2cpu", cpus: 2, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
 			extra: aliasSrc, srcAlias: srcVPN + 1, wantBulk: words},
+		{name: "stale-alias-source-dest-color", cpus: 1, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
+			extra: aliasDst, srcAlias: dstColorAlias, evictSrc: true, wantBulk: words},
+		{name: "stale-alias-source-dest-color-2way", cpus: 1, ways: 2, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
+			extra: aliasDst, srcAlias: dstColorAlias, evictSrc: true, wantBulk: words},
+		{name: "stale-alias-source-dest-color-2cpu", cpus: 2, ways: 1, sspace: 0, svpn: srcVPN, dvpn: dstVPN,
+			extra: aliasDst, srcAlias: dstColorAlias, evictSrc: true, wantBulk: words},
 	}
 	for _, cc := range cases {
 		t.Run(cc.name, func(t *testing.T) {
@@ -451,6 +473,12 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 						if cc.srcAlias != 0 {
 							for l := uint64(2); l < 128; l += 7 {
 								ops = append(ops, primeOp{0, 1, cc.srcAlias, l*wpl + 1, true})
+								if cc.evictSrc {
+									ops = append(ops, primeOp{0, 1, sameColVPN, l * wpl, false}, primeOp{0, 1, srcConflictVPN, l * wpl, false})
+								}
+								if cc.evictSrc && cc.ways > 1 {
+									ops = append(ops, primeOp{0, 1, victimVPN, l * wpl, false})
+								}
 							}
 						}
 						prime(t, m, ops)
@@ -491,12 +519,16 @@ func TestBulkCopyPageMatchesWordLoop(t *testing.T) {
 
 // TestBulkZeroPageWithOracle: with the oracle on, BulkZeroPage performs
 // the whole page and matches the word loop on every observable, the
-// oracle's shadow included, on one CPU and with a peer holding dirty
-// lines of the frame.
+// oracle's shadow included, on one CPU, with a peer holding dirty lines
+// of the frame, and on a two-way cache.
 func TestBulkZeroPageWithOracle(t *testing.T) {
-	for _, cpus := range []int{1, 2} {
-		t.Run(fmt.Sprintf("%dcpu", cpus), func(t *testing.T) {
-			tc := twinConfig{cpus: cpus, ways: 1, oracle: true}
+	for _, tc := range []twinConfig{{cpus: 1, ways: 1}, {cpus: 2, ways: 1}, {cpus: 1, ways: 2}} {
+		name := fmt.Sprintf("%dcpu", tc.cpus)
+		if tc.ways > 1 {
+			name += fmt.Sprintf("-%dway", tc.ways)
+		}
+		t.Run(name, func(t *testing.T) {
+			tc.oracle = true
 			run := func(noFast bool) observation {
 				m := buildTwin(t, tc, noFast, userTable(nil), nil, nil)
 				primeRun(t, m)
