@@ -25,7 +25,7 @@ const (
 	bootByteBudget = 800_000
 	forkByteBudget = 800_000
 	// A second warm kernel-build × F run (full scale, oracle on) through
-	// harness.ExecTimedPool allocated 10,896,632 B when every run made
+	// harness.Exec allocated 10,896,632 B when every run made
 	// fresh pages, and 2,722,792 B once finished runs hand their pages to
 	// the page pool (4.8 MB under -race, whose sync.Pool drops a quarter
 	// of the pages put in it).
@@ -77,7 +77,7 @@ func TestBootAndForkByteBudget(t *testing.T) {
 	spec := harness.Spec{Workload: workload.KernelBuild(), Config: cfg, Scale: workload.Full()}
 	pool := harness.NewSnapshotPool(1)
 	var runErr error
-	exec := func() { _, _, _, runErr = harness.ExecTimedPool(context.Background(), spec, pool) }
+	exec := func() { _, _, _, runErr = harness.Exec(context.Background(), spec, pool) }
 	exec()
 	warm := allocBytes(exec)
 	if runErr != nil {

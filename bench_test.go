@@ -16,6 +16,7 @@
 package vcache
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -38,7 +39,7 @@ func runWorkload(b *testing.B, w workload.Workload, cfg policy.Config, kcfg kern
 	b.Helper()
 	var last workload.Result
 	for i := 0; i < b.N; i++ {
-		r, _, err := harness.Exec(harness.Spec{Workload: w, Config: cfg, Scale: benchScale, Kernel: &kcfg})
+		r, _, _, err := harness.Exec(context.Background(), harness.Spec{Workload: w, Config: cfg, Scale: benchScale, Kernel: &kcfg}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func BenchmarkMatrixFanout(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := harness.Results(harness.Run(plan, workers)); err != nil {
+				if _, err := harness.Results((&harness.Runner{Workers: workers}).Run(context.Background(), plan)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -63,6 +63,47 @@ func printedTable4(t *testing.T, out []byte, bench string) map[string]table4Row 
 	return rows
 }
 
+// table1Row is one program row of Table 1.
+type table1Row struct {
+	gain       int // percent, as printed
+	oldConsist uint64
+	newConsist uint64 // page flushes plus page purges
+}
+
+// printedTable1 parses Table 1 out of the tables output, keyed by
+// program name.
+func printedTable1(t *testing.T, out []byte) map[string]table1Row {
+	t.Helper()
+	_, block, ok := strings.Cut(string(out), "\nProgram ")
+	if !ok {
+		t.Fatal("no Table 1 block")
+	}
+	block, _, _ = strings.Cut(block, "\n\n")
+	rows := map[string]table1Row{}
+	for _, line := range strings.Split(block, "\n")[2:] {
+		// program, elapsed old and new, gain, flushes old and new,
+		// purges old and new.
+		f := strings.Fields(line)
+		if len(f) != 8 {
+			t.Fatalf("Table 1 row %q: want 8 columns", line)
+		}
+		var n [4]uint64
+		for i := range n {
+			v, err := strconv.ParseUint(f[4+i], 10, 64)
+			if err != nil {
+				t.Fatalf("Table 1 row %q: %v", line, err)
+			}
+			n[i] = v
+		}
+		gain, err := strconv.Atoi(strings.TrimSuffix(f[3], "%"))
+		if err != nil {
+			t.Fatalf("Table 1 row %q: %v", line, err)
+		}
+		rows[f[0]] = table1Row{gain: gain, oldConsist: n[0] + n[2], newConsist: n[1] + n[3]}
+	}
+	return rows
+}
+
 // microRow is one row of the §2.5 microbenchmark block.
 type microRow struct {
 	writes  int
@@ -98,12 +139,32 @@ func printedMicro(t *testing.T, out []byte) map[string]microRow {
 	return rows
 }
 
-// TestPaperClaims states the paper's Table 4 and §2.5 claims
-// (EXPERIMENTS E4–E7) as assertions on the full-scale tables run that
+// TestPaperClaims states the paper's Table 1, Table 4 and §2.5 claims
+// (EXPERIMENTS E1 and E4–E7) as assertions on the full-scale tables run that
 // the full golden also checks, so a change that updates the goldens on
 // purpose must still keep them.
 func TestPaperClaims(t *testing.T) {
 	out := fullTables(t)
+
+	// E1: the new system gains 5–10% on every program, kernel-build
+	// most (unlike the paper, where afs gains most), and flushes plus
+	// purges fall at least 4.5× everywhere.
+	t1 := printedTable1(t, out)
+	if len(t1) != 3 {
+		t.Fatalf("Table 1 has %d programs, want 3", len(t1))
+	}
+	for name, r := range t1 {
+		if r.gain < 5 || r.gain > 10 {
+			t.Errorf("Table 1 %s: gain %d%%, want 5–10%%", name, r.gain)
+		}
+		if name != "kernel-build" && r.gain >= t1["kernel-build"].gain {
+			t.Errorf("Table 1 %s: gain %d%%, want below kernel-build's %d%%", name, r.gain, t1["kernel-build"].gain)
+		}
+		if 2*r.oldConsist < 9*r.newConsist {
+			t.Errorf("Table 1 %s: flushes + purges %d → %d, want at least 4.5× fewer", name, r.oldConsist, r.newConsist)
+		}
+	}
+
 	for _, bench := range []string{"afs-bench", "latex-paper", "kernel-build"} {
 		rows := printedTable4(t, out, bench)
 		// Under F every remaining page flush has a cause no software

@@ -121,9 +121,9 @@ func main() {
 	}
 
 	if *sweep {
-		fmt.Print(must(report.RunMemorySweepContext(ctx, runner, scale)))
+		fmt.Print(must(report.RunMemorySweep(ctx, runner, scale)))
 		fmt.Println()
-		fmt.Print(must(report.RunPurgeCostSweepContext(ctx, runner, scale)))
+		fmt.Print(must(report.RunPurgeCostSweep(ctx, runner, scale)))
 		return
 	}
 
@@ -186,7 +186,7 @@ func withKernel(plan harness.Plan, kc *kernel.Config) harness.Plan {
 
 func table1(ctx context.Context, r *harness.Runner, scale workload.Scale, kc *kernel.Config) string {
 	plan := withKernel(harness.Matrix(workload.Benchmarks(), []policy.Config{policy.Old(), policy.New()}, scale), kc)
-	results := mustResults(r.RunContext(ctx, plan))
+	results := mustResults(r.Run(ctx, plan))
 	var pairs [][2]workload.Result
 	for i := 0; i < len(results); i += 2 {
 		pairs = append(pairs, [2]workload.Result{results[i], results[i+1]})
@@ -209,7 +209,7 @@ func table4(ctx context.Context, r *harness.Runner, scale workload.Scale, kc *ke
 		plan = append(plan, harness.Spec{Workload: w, Config: cfg, Scale: scale})
 	}
 	plan = withKernel(plan, kc)
-	results := mustResults(r.RunContext(ctx, plan))
+	results := mustResults(r.Run(ctx, plan))
 	var names []string
 	var grouped [][]workload.Result
 	per := len(configs)
@@ -229,7 +229,7 @@ func table5(ctx context.Context, r *harness.Runner, kc *kernel.Config) string {
 		plan = append(plan, harness.Spec{Workload: workload.Stress(42, 1500), Config: cfg, Scale: workload.Full()})
 	}
 	plan = withKernel(plan, kc)
-	results := mustResults(r.RunContext(ctx, plan))
+	results := mustResults(r.Run(ctx, plan))
 	measured := make(map[string]workload.Result)
 	for i, cfg := range systems {
 		measured[cfg.Label] = results[i]
@@ -257,7 +257,7 @@ func tableMP(ctx context.Context, r *harness.Runner, scale workload.Scale) strin
 			})
 		}
 	}
-	results := mustResults(r.RunContext(ctx, plan))
+	results := mustResults(r.Run(ctx, plan))
 	per := len(policy.Configs())
 	var grouped [][]workload.Result
 	for i := range cpuCounts {
@@ -299,7 +299,7 @@ func analysis51(ctx context.Context, r *harness.Runner, scale workload.Scale, kc
 			harness.Spec{Workload: w, Config: policy.New(), Scale: scale, Kernel: kc},
 			harness.Spec{Workload: w, Config: policy.New(), Scale: scale, Kernel: &fast})
 	}
-	results := mustResults(r.RunContext(ctx, plan))
+	results := mustResults(r.Run(ctx, plan))
 	var normal, fastRes []workload.Result
 	for i := 0; i < len(results); i += 2 {
 		normal = append(normal, results[i])

@@ -184,7 +184,7 @@ func main() {
 	if *warm {
 		pool = harness.NewSnapshotPool(1)
 	}
-	r, recorder, ph, err := harness.ExecTimedPool(context.Background(), spec, pool)
+	r, recorder, ph, err := harness.Exec(context.Background(), spec, pool)
 	if err != nil {
 		fail(err)
 	}

@@ -11,6 +11,7 @@ package vcache
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -52,7 +53,7 @@ func runWith(t *testing.T, s harness.Spec, oracle, fast bool) harness.Result {
 	kc.Machine.WithOracle = oracle
 	kc.Machine.DisableFastPaths = !fast
 	s.Kernel = &kc
-	r, _, err := harness.Exec(s)
+	r, _, _, err := harness.Exec(context.Background(), s, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", s.Label(), err)
 	}
@@ -122,7 +123,7 @@ func TestFastPathsTraceIdentical(t *testing.T) {
 					s.Kernel = &kc
 					s.TraceN = 1 << 15
 					s.RecordOps = true
-					_, rec, err := harness.Exec(s)
+					_, rec, _, err := harness.Exec(context.Background(), s, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", s.Label(), err)
 					}

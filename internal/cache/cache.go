@@ -195,9 +195,6 @@ func (c *Cache) Clone(m *mem.Memory, clock *sim.Clock) *Cache {
 	return &c2
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

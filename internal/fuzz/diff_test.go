@@ -28,7 +28,7 @@ func runPaths(pr *replay.Program, fast bool) (harness.Result, error) {
 	}
 	spec.TraceN, spec.RecordOps = 0, false
 	spec.Kernel.Machine.DisableFastPaths = !fast
-	res, _, err := harness.Exec(spec)
+	res, _, _, err := harness.Exec(context.Background(), spec, nil)
 	return res, err
 }
 

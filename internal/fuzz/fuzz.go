@@ -93,7 +93,7 @@ func runProgram(ctx context.Context, pr *replay.Program) (harness.Result, *core.
 	spec.TraceN = 0
 	spec.RecordOps = false
 	spec.Coverage = cov
-	res, _, err := harness.ExecContext(ctx, spec)
+	res, _, _, err := harness.Exec(ctx, spec, nil)
 	if err != nil {
 		return harness.Result{}, nil, err
 	}
@@ -110,7 +110,7 @@ func Witness(ctx context.Context, pr *replay.Program) (trace.Export, error) {
 	}
 	spec.TraceN = 1 << 16
 	spec.RecordOps = true
-	_, rec, err := harness.ExecContext(ctx, spec)
+	_, rec, _, err := harness.Exec(ctx, spec, nil)
 	if err != nil {
 		return trace.Export{}, err
 	}

@@ -18,7 +18,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	plan := harness.Matrix(workload.Benchmarks(), []policy.Config{policy.New()}, workload.Small())
-	outs := harness.RunWithContext(ctx, plan, 4)
+	outs := (&harness.Runner{Workers: 4}).Run(ctx, plan)
 	if len(outs) != len(plan) {
 		t.Fatalf("got %d outcomes, want %d", len(outs), len(plan))
 	}
@@ -39,37 +39,49 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 // TestExecContextCancelsMidRun: cancelling the context while the timed
 // phase is inside the kernel aborts the run at the next syscall boundary
 // — the cooperative cancellation the service's run deadlines rely on.
-// The workload cancels its own context partway through, so the test is
+// It holds cold and warm: the first pooled run already times a fork of
+// the image it booted, so the fork must carry the interrupt too. The
+// workload cancels its own context partway through, so the test is
 // fully deterministic.
 func TestExecContextCancelsMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	steps := 0
-	w := harness.Workload{
-		Name: "self-cancelling",
-		Run: func(k *kernel.Kernel, s harness.Scale) error {
-			p, err := k.Spawn(nil, 0, 8)
-			if err != nil {
-				return err
+	for _, tc := range []struct {
+		name string
+		pool *harness.SnapshotPool
+	}{{"cold", nil}, {"warm", harness.NewSnapshotPool(1)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			steps := 0
+			w := harness.Workload{
+				Name: "self-cancelling",
+				Run: func(k *kernel.Kernel, s harness.Scale) error {
+					p, err := k.Spawn(nil, 0, 8)
+					if err != nil {
+						return err
+					}
+					for i := 0; i < 100; i++ {
+						if i == 5 {
+							cancel()
+						}
+						if err := k.TouchHeap(p, uint64(i%8), 4); err != nil {
+							return err
+						}
+						steps++
+					}
+					return nil
+				},
 			}
-			for i := 0; i < 100; i++ {
-				if i == 5 {
-					cancel()
-				}
-				if err := k.TouchHeap(p, uint64(i%8), 4); err != nil {
-					return err
-				}
-				steps++
+			_, _, ph, err := harness.Exec(ctx, harness.Spec{Workload: w, Config: policy.New(), Scale: workload.Small()}, tc.pool)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-run cancel: error %v, want context.Canceled", err)
 			}
-			return nil
-		},
-	}
-	_, _, err := harness.ExecContext(ctx, harness.Spec{Workload: w, Config: policy.New(), Scale: workload.Small()})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run cancel: error %v, want context.Canceled", err)
-	}
-	if steps != 5 {
-		t.Fatalf("workload took %d steps after cancellation point, want exactly 5", steps)
+			if steps != 5 {
+				t.Fatalf("workload took %d steps after cancellation point, want exactly 5", steps)
+			}
+			if warm := ph.Restore > 0; warm != (tc.pool != nil) {
+				t.Fatalf("phases %v: timed phase ran on a fork = %v, want %v", ph, warm, tc.pool != nil)
+			}
+		})
 	}
 }
 
@@ -97,7 +109,7 @@ func TestRunContextCancelSkipsRemaining(t *testing.T) {
 			Scale:  workload.Small(),
 		})
 	}
-	outs := (&harness.Runner{Workers: 1}).RunContext(ctx, plan)
+	outs := (&harness.Runner{Workers: 1}).Run(ctx, plan)
 	if !ran[0] {
 		t.Fatal("first entry never ran")
 	}
@@ -148,7 +160,7 @@ func TestRunContextCancelledLargePlanSettles(t *testing.T) {
 		// Hooks are serialized by the runner, so plain increments are safe.
 		OnDone: func(o harness.Outcome) { done++; doneFor[o.Index]++ },
 	}
-	outs := r.RunContext(ctx, plan)
+	outs := r.Run(ctx, plan)
 	if len(outs) != n {
 		t.Fatalf("got %d outcomes, want %d", len(outs), n)
 	}
@@ -205,7 +217,7 @@ func TestRunContextMidPlanCancelOutcomes(t *testing.T) {
 		Workers: 4,
 		OnDone:  func(o harness.Outcome) { doneFor[o.Index]++ },
 	}
-	outs := r.RunContext(ctx, plan)
+	outs := r.Run(ctx, plan)
 	cancelled := 0
 	for i, o := range outs {
 		if o.Index != i {

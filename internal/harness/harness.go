@@ -12,9 +12,9 @@
 // mutable package-level state, parallel execution is byte-identical to
 // serial execution.
 //
-// The single-run core (Exec) is what workload.Run/RunDefault/RunTraced
-// wrap; the plan layer is what cmd/tables, the sweep drivers, and the
-// test matrices submit to.
+// Exec is the one way to perform a single run; Runner.Run is the one way
+// to perform a Plan, and it is what cmd/tables, the sweep drivers, the
+// service and the test matrices submit to.
 package harness
 
 import (
@@ -220,7 +220,7 @@ func (s Spec) Origin() trace.Origin {
 // instead), Run the timed phase, and Collect the final counter snapshot.
 //
 // Spans are host time and therefore nondeterministic; they are carried
-// next to the Result (in Outcome.Phases and the ExecTimed return), never
+// next to the Result (in Outcome.Phases and Exec's return), never
 // inside it, so Result keeps its byte-identical determinism guarantee
 // under DeepEqual and JSON comparison.
 type Phases struct {
@@ -238,32 +238,6 @@ func (p Phases) Total() time.Duration {
 
 func (p Phases) String() string {
 	return fmt.Sprintf("boot=%v setup=%v restore=%v run=%v collect=%v", p.Boot, p.Setup, p.Restore, p.Run, p.Collect)
-}
-
-// Exec performs one run: boot a fresh system, perform setup, reset every
-// counter, run the timed phase, and collect the result. The returned
-// recorder is non-nil only when the Spec requested tracing.
-func Exec(s Spec) (Result, *trace.Recorder, error) {
-	return ExecContext(context.Background(), s)
-}
-
-// ExecContext is Exec under a context. Cancelling (or timing out) the
-// context aborts the run cooperatively: the kernel polls ctx.Err at
-// every syscall and process-operation boundary, so an in-flight setup or
-// timed phase stops within one operation and the error — satisfying
-// errors.Is(err, ctx.Err()) — propagates out exactly like a workload
-// failure.
-func ExecContext(ctx context.Context, s Spec) (Result, *trace.Recorder, error) {
-	r, rec, _, err := ExecTimed(ctx, s)
-	return r, rec, err
-}
-
-// ExecTimed is ExecContext with the wall-clock phase breakdown of the
-// run. On failure the returned Phases still covers the phases that did
-// execute, so an operator can see where a run died spending its time.
-// ExecTimed always cold-boots; ExecTimedPool adds the warm path.
-func ExecTimed(ctx context.Context, s Spec) (Result, *trace.Recorder, Phases, error) {
-	return ExecTimedPool(ctx, s, nil)
 }
 
 // boot builds the system and runs the workload's setup phase, leaving

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -29,11 +30,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("matrix has %d entries, want %d", len(plan), len(benchmarks)*len(configs))
 	}
 
-	serial, err := harness.Results(harness.Run(plan, 1))
+	serial, err := harness.Results((&harness.Runner{Workers: 1}).Run(context.Background(), plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := harness.Results(harness.Run(plan, 8))
+	parallel, err := harness.Results((&harness.Runner{Workers: 8}).Run(context.Background(), plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestPlanOrderIndependentOfCompletionOrder(t *testing.T) {
 		{Workload: workload.Stress(3, 40), Config: policy.New(), Scale: workload.Full()},
 		{Workload: workload.Stress(4, 20), Config: policy.Old(), Scale: workload.Full()},
 	}
-	outs := harness.Run(plan, 3)
+	outs := (&harness.Runner{Workers: 3}).Run(context.Background(), plan)
 	for i, o := range outs {
 		if o.Index != i {
 			t.Errorf("outcome %d carries index %d", i, o.Index)
@@ -97,7 +98,7 @@ func TestPanicBecomesRunError(t *testing.T) {
 		{Workload: boom, Config: policy.New(), Scale: workload.Small()},
 		{Workload: workload.Stress(2, 30), Config: policy.Old(), Scale: workload.Full()},
 	}
-	outs := harness.Run(plan, 3)
+	outs := (&harness.Runner{Workers: 3}).Run(context.Background(), plan)
 
 	for _, i := range []int{0, 2} {
 		if outs[i].Err != nil {
@@ -139,7 +140,7 @@ func TestErrorBecomesRunError(t *testing.T) {
 		Name: "bad",
 		Run:  func(k *kernel.Kernel, s harness.Scale) error { return sentinel },
 	}
-	outs := harness.Run(harness.Plan{{Workload: bad, Config: policy.New(), Scale: workload.Small()}}, 1)
+	outs := (&harness.Runner{Workers: 1}).Run(context.Background(), harness.Plan{{Workload: bad, Config: policy.New(), Scale: workload.Small()}})
 	if !errors.Is(outs[0].Err, sentinel) {
 		t.Errorf("outcome error %v does not unwrap to the workload error", outs[0].Err)
 	}
@@ -166,7 +167,7 @@ func TestSetupExcludedFromMeasurement(t *testing.T) {
 		},
 		// No timed phase at all.
 	}
-	r, _, err := harness.Exec(harness.Spec{Workload: w, Config: policy.New(), Scale: workload.Small()})
+	r, _, _, err := harness.Exec(context.Background(), harness.Spec{Workload: w, Config: policy.New(), Scale: workload.Small()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestSpecOverrides(t *testing.T) {
 		Scale:    harness.Scale{Name: "tiny", Factor: 0.05},
 		Kernel:   &kc,
 	}
-	r, _, err := harness.Exec(spec)
+	r, _, _, err := harness.Exec(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestTracePlumbing(t *testing.T) {
 		{Workload: workload.Stress(9, 60), Config: policy.New(), Scale: workload.Full(), TraceN: 32},
 		{Workload: workload.Stress(9, 60), Config: policy.New(), Scale: workload.Full()},
 	}
-	outs := harness.Run(plan, 2)
+	outs := (&harness.Runner{Workers: 2}).Run(context.Background(), plan)
 	if outs[0].Err != nil || outs[1].Err != nil {
 		t.Fatalf("runs failed: %v / %v", outs[0].Err, outs[1].Err)
 	}
@@ -237,7 +238,7 @@ func TestProgressHooks(t *testing.T) {
 		OnStart: func(i int, s harness.Spec) { events = append(events, fmt.Sprintf("start %d", i)) },
 		OnDone:  func(o harness.Outcome) { events = append(events, fmt.Sprintf("done %d", o.Index)) },
 	}
-	if _, err := harness.Results(r.Run(plan)); err != nil {
+	if _, err := harness.Results(r.Run(context.Background(), plan)); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2*len(plan) {

@@ -119,7 +119,7 @@ func TestSnapshotPoolBuildSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			r, _, ph, err := ExecTimedPool(context.Background(), s, pool)
+			r, _, ph, err := Exec(context.Background(), s, pool)
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)
 				return
@@ -172,7 +172,7 @@ func TestSnapshotPoolBuilderFailureHandoff(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := ExecTimedPool(context.Background(), s, pool)
+		_, _, _, err := Exec(context.Background(), s, pool)
 		done <- err
 	}()
 	// Give the executor time to miss and join as a waiter, then settle

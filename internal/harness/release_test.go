@@ -26,7 +26,7 @@ func TestConcurrentWarmRunsRecyclePages(t *testing.T) {
 	s := harness.Spec{Workload: workload.KernelBuild(), Config: cfg, Scale: harness.Scale{Name: "test", Factor: 0.2}}
 	cold := s
 	cold.DisableSnapshots = true
-	want, _, err := harness.Exec(cold)
+	want, _, _, err := harness.Exec(context.Background(), cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestConcurrentWarmRunsRecyclePages(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range runs {
-				got, _, _, err := harness.ExecTimedPool(context.Background(), s, pool)
+				got, _, _, err := harness.Exec(context.Background(), s, pool)
 				if err != nil {
 					t.Errorf("goroutine %d run %d: %v", g, i, err)
 					return

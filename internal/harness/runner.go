@@ -81,7 +81,7 @@ type Runner struct {
 	OnDone  func(o Outcome)
 	// Snapshots, when set, is the warm-boot pool: each entry boots once
 	// per (config, workload, scale) key and later entries fork the
-	// pooled post-setup image instead of re-booting (see ExecTimedPool).
+	// pooled post-setup image instead of re-booting (see Exec).
 	// Safe to share across concurrent workers and runners. Nil means
 	// every run cold-boots.
 	Snapshots *SnapshotPool
@@ -92,17 +92,14 @@ type Runner struct {
 // Run executes every entry of the plan and returns the outcomes in plan
 // order. It never returns early: an entry that fails or panics yields an
 // Outcome with a *RunError while its siblings run to completion.
-func (r *Runner) Run(p Plan) []Outcome {
-	return r.RunContext(context.Background(), p)
-}
-
-// RunContext is Run under a context. Cancelling the context aborts the
-// plan: entries not yet started are skipped, and in-flight runs stop
-// cooperatively at their next kernel operation (see ExecContext). Every
-// affected entry still yields an Outcome, in plan order, whose *RunError
-// wraps the context's error — the caller can tell a cancelled entry from
-// a genuinely failed one with errors.Is(err, ctx.Err()).
-func (r *Runner) RunContext(ctx context.Context, p Plan) []Outcome {
+//
+// Cancelling ctx aborts the plan: entries not yet started are skipped,
+// and in-flight runs stop cooperatively at their next kernel operation
+// (see Exec). Every affected entry still yields an Outcome, in plan
+// order, whose *RunError wraps the context's error — the caller can tell
+// a cancelled entry from a genuinely failed one with
+// errors.Is(err, ctx.Err()).
+func (r *Runner) Run(ctx context.Context, p Plan) []Outcome {
 	out := make([]Outcome, len(p))
 	workers := r.Workers
 	if workers <= 0 {
@@ -183,7 +180,7 @@ func (r *Runner) runOne(ctx context.Context, i int, s Spec) Outcome {
 				o.Err = &RunError{Index: i, Spec: s, PanicValue: v, Stack: string(debug.Stack())}
 			}
 		}()
-		res, rec, ph, err := ExecTimedPool(ctx, s, r.Snapshots)
+		res, rec, ph, err := Exec(ctx, s, r.Snapshots)
 		o.Phases = ph
 		if err != nil {
 			o.Err = &RunError{Index: i, Spec: s, Err: err}
@@ -200,18 +197,6 @@ func (r *Runner) runOne(ctx context.Context, i int, s Spec) Outcome {
 		r.hookMu.Unlock()
 	}
 	return o
-}
-
-// Run executes a plan with the given fan-out and returns the outcomes in
-// plan order (a one-shot Runner).
-func Run(p Plan, workers int) []Outcome {
-	return (&Runner{Workers: workers}).Run(p)
-}
-
-// RunWithContext executes a plan with the given fan-out under a context
-// (a one-shot Runner; see Runner.RunContext for cancellation semantics).
-func RunWithContext(ctx context.Context, p Plan, workers int) []Outcome {
-	return (&Runner{Workers: workers}).RunContext(ctx, p)
 }
 
 // Results unpacks outcomes into results, in plan order. It returns the

@@ -205,21 +205,33 @@ func (p *SnapshotPool) Stats() SnapshotPoolStats {
 	}
 }
 
-// ExecTimedPool is ExecTimed with a warm-boot path: when pool is
-// non-nil and the Spec allows snapshots, the run forks a pooled
-// post-setup machine image (Restore phase) instead of booting and
-// setting up from scratch (Boot + Setup phases). The first run of a
-// (config, workload, scale) combination boots cold, snapshots the
-// post-setup state, and pools it; every later run forks it in O(dirtied
-// pages). Results are byte-identical either way — the fork protocol
-// copies every piece of machine state the workload can observe — which
-// TestSnapshotForkIdentity proves against the DisableSnapshots
+// Exec performs one run: boot a fresh system, perform setup, reset every
+// counter, run the timed phase, and collect the result. The returned
+// recorder is non-nil only when the Spec requested tracing, and Phases
+// is the run's wall-clock breakdown; on failure Phases still covers the
+// phases that did execute, so an operator can see where a run died
+// spending its time.
+//
+// Cancelling (or timing out) ctx aborts the run cooperatively, cold or
+// warm: the kernel polls ctx.Err at every syscall and process-operation
+// boundary, so an in-flight setup or timed phase stops within one
+// operation and the error — satisfying errors.Is(err, ctx.Err()) —
+// propagates out exactly like a workload failure.
+//
+// A nil pool (or a Spec with DisableSnapshots) cold-boots. Otherwise the
+// run forks a pooled post-setup machine image (Restore phase) instead of
+// booting and setting up from scratch (Boot + Setup phases). The first
+// run of a (config, workload, scale) combination boots cold, snapshots
+// the post-setup state, and pools it; every later run forks it in
+// O(dirtied pages). Results are byte-identical either way — the fork
+// protocol copies every piece of machine state the workload can observe
+// — which TestSnapshotForkIdentity proves against the DisableSnapshots
 // reference path.
 //
 // Every run, cold or warm, releases its kernel when measure returns (see
 // kernel.Release), so the next run draws its pages from the page pool; a
 // Workload must not keep the kernel past its Run.
-func ExecTimedPool(ctx context.Context, s Spec, pool *SnapshotPool) (Result, *trace.Recorder, Phases, error) {
+func Exec(ctx context.Context, s Spec, pool *SnapshotPool) (Result, *trace.Recorder, Phases, error) {
 	var ph Phases
 	if err := ctx.Err(); err != nil {
 		return Result{}, nil, ph, fmt.Errorf("%s/%s: %w", s.Workload.Name, s.Config.Label, err)

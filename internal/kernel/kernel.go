@@ -172,7 +172,7 @@ func (k *Kernel) Geometry() arch.Geometry { return k.M.Geom }
 // process-operation boundary. When poll returns a non-nil error the
 // current operation aborts with it, which propagates out through the
 // workload to the harness — the mechanism behind context cancellation
-// of in-flight runs (harness.ExecContext installs ctx.Err here).
+// of in-flight runs (harness.Exec installs ctx.Err here).
 // A nil poll removes the hook.
 func (k *Kernel) SetInterrupt(poll func() error) { k.interrupt = poll }
 

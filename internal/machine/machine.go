@@ -335,9 +335,6 @@ func (m *Machine) SetFaultHandler(h FaultHandler) { m.handler = h }
 // data-movement history of a run.
 func (m *Machine) SetTracer(r *trace.Recorder) { m.tracer = r }
 
-// Tracer returns the attached recorder, if any.
-func (m *Machine) Tracer() *trace.Recorder { return m.tracer }
-
 // emitDMA records one device transfer.
 func (m *Machine) emitDMA(pa arch.PA, words int, dir string) {
 	if m.tracer == nil {

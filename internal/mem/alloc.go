@@ -78,9 +78,6 @@ func (a *Allocator) Free() int { return a.nfree }
 // Total returns the number of allocatable frames.
 func (a *Allocator) Total() int { return a.total }
 
-// Policy returns the allocator's policy.
-func (a *Allocator) Policy() AllocPolicy { return a.policy }
-
 // Alloc hands out a frame. wantColor is the data-cache color of the
 // virtual page the frame is about to be mapped at; under ColoredLists the
 // allocator prefers a frame whose previous mapping had the same color.

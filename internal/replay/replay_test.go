@@ -252,7 +252,7 @@ func TestMinimizedSubsetReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.TraceN = 1 << 12
-	res, _, err := harness.Exec(spec)
+	res, _, _, err := harness.Exec(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestUnboundReferenceFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := harness.Exec(spec); err == nil {
+	if _, _, _, err := harness.Exec(context.Background(), spec, nil); err == nil {
 		t.Fatal("replay of a dangling pid reference succeeded")
 	}
 }
@@ -303,7 +303,7 @@ func TestHeapPageOutOfRangeFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := harness.Exec(spec); err == nil || !strings.Contains(err.Error(), "out of range") {
+		if _, _, _, err := harness.Exec(context.Background(), spec, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("%q: got %v, want an out-of-range error", op, err)
 		}
 	}
@@ -329,7 +329,7 @@ func TestWordCountPastMaxIntFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := harness.Exec(spec); err == nil || !strings.Contains(err.Error(), "out of range") {
+		if _, _, _, err := harness.Exec(context.Background(), spec, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("%q: got %v, want an out-of-range error", op, err)
 		}
 	}

@@ -19,7 +19,7 @@ func Record(ctx context.Context, spec harness.Spec) (harness.Result, trace.Expor
 		return harness.Result{}, trace.Export{}, fmt.Errorf("replay: Record needs TraceN > 0")
 	}
 	spec.RecordOps = true
-	res, rec, err := harness.ExecContext(ctx, spec)
+	res, rec, _, err := harness.Exec(ctx, spec, nil)
 	if err != nil {
 		return harness.Result{}, trace.Export{}, err
 	}
@@ -37,7 +37,7 @@ func Replay(ctx context.Context, ex trace.Export) (harness.Result, trace.Export,
 	if err != nil {
 		return harness.Result{}, trace.Export{}, err
 	}
-	res, rec, err := harness.ExecContext(ctx, spec)
+	res, rec, _, err := harness.Exec(ctx, spec, nil)
 	if err != nil {
 		return harness.Result{}, trace.Export{}, err
 	}

@@ -34,13 +34,9 @@ var MemorySweepFrames = []int{384, 512, 768, 1024, 1536, 2048, 4096}
 
 // RunMemorySweep runs the memory-size series (kernel-build under A and F
 // at each memory size) through the runner and renders it.
-func RunMemorySweep(r *harness.Runner, scale workload.Scale) (string, error) {
-	return RunMemorySweepContext(context.Background(), r, scale)
-}
-
-// RunMemorySweepContext is RunMemorySweep under a context: cancellation
-// aborts the remaining series points (see harness.Runner.RunContext).
-func RunMemorySweepContext(ctx context.Context, r *harness.Runner, scale workload.Scale) (string, error) {
+// Cancelling ctx aborts the remaining series points (see
+// harness.Runner.Run).
+func RunMemorySweep(ctx context.Context, r *harness.Runner, scale workload.Scale) (string, error) {
 	var plan harness.Plan
 	for _, frames := range MemorySweepFrames {
 		for _, cfg := range []policy.Config{policy.Old(), policy.New()} {
@@ -49,7 +45,7 @@ func RunMemorySweepContext(ctx context.Context, r *harness.Runner, scale workloa
 			plan = append(plan, harness.Spec{Workload: workload.KernelBuild(), Config: cfg, Scale: scale, Kernel: &kc})
 		}
 	}
-	results, err := harness.Results(r.RunContext(ctx, plan))
+	results, err := harness.Results(r.Run(ctx, plan))
 	if err != nil {
 		return "", err
 	}
@@ -71,12 +67,8 @@ var PurgeCostSweepCosts = []uint64{0, 1, 2, 4, 7, 14, 28}
 
 // RunPurgeCostSweep runs the purge-cost series (kernel-build under F at
 // each per-line purge cost) through the runner and renders it.
-func RunPurgeCostSweep(r *harness.Runner, scale workload.Scale) (string, error) {
-	return RunPurgeCostSweepContext(context.Background(), r, scale)
-}
-
-// RunPurgeCostSweepContext is RunPurgeCostSweep under a context.
-func RunPurgeCostSweepContext(ctx context.Context, r *harness.Runner, scale workload.Scale) (string, error) {
+// Cancelling ctx aborts the remaining series points.
+func RunPurgeCostSweep(ctx context.Context, r *harness.Runner, scale workload.Scale) (string, error) {
 	var plan harness.Plan
 	for _, cost := range PurgeCostSweepCosts {
 		cfg := policy.New()
@@ -88,7 +80,7 @@ func RunPurgeCostSweepContext(ctx context.Context, r *harness.Runner, scale work
 		}
 		plan = append(plan, harness.Spec{Workload: workload.KernelBuild(), Config: cfg, Scale: scale, Kernel: &kc})
 	}
-	results, err := harness.Results(r.RunContext(ctx, plan))
+	results, err := harness.Results(r.Run(ctx, plan))
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -25,25 +26,17 @@ func TestSweepGoldenRendering(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		golden string
-		run    func(r *harness.Runner) (string, error)
+		run    func(ctx context.Context, r *harness.Runner, s workload.Scale) (string, error)
 	}{
-		{
-			name:   "memory sweep",
-			golden: "memory_sweep.golden",
-			run:    func(r *harness.Runner) (string, error) { return RunMemorySweep(r, goldenScale) },
-		},
-		{
-			name:   "purge-cost sweep",
-			golden: "purge_cost_sweep.golden",
-			run:    func(r *harness.Runner) (string, error) { return RunPurgeCostSweep(r, goldenScale) },
-		},
+		{name: "memory sweep", golden: "memory_sweep.golden", run: RunMemorySweep},
+		{name: "purge-cost sweep", golden: "purge_cost_sweep.golden", run: RunPurgeCostSweep},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := tc.run(&harness.Runner{Workers: 1})
+			serial, err := tc.run(context.Background(), &harness.Runner{Workers: 1}, goldenScale)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := tc.run(&harness.Runner{Workers: 8})
+			parallel, err := tc.run(context.Background(), &harness.Runner{Workers: 8}, goldenScale)
 			if err != nil {
 				t.Fatal(err)
 			}

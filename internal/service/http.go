@@ -56,7 +56,7 @@ func writeJSONError(w http.ResponseWriter, status int, format string, args ...an
 	_ = json.NewEncoder(w).Encode(httpError{Error: fmt.Sprintf(format, args...)})
 }
 
-// statusOf maps a Submit error onto an HTTP status.
+// statusOf maps a submit error onto an HTTP status.
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):

@@ -198,18 +198,13 @@ const (
 	OutcomeShared = "shared"
 )
 
-// Submit satisfies one resolved request: cache lookup, then singleflight
+// submit satisfies one resolved request: cache lookup, then singleflight
 // attach-or-execute. The returned body is byte-identical across every
-// request with the same key. ctx bounds only this caller's wait — a
-// backing run it triggered keeps running (and populates the cache) even
-// if this caller gives up.
-func (s *Service) Submit(ctx context.Context, r *Resolved) (body []byte, outcome string, err error) {
-	body, outcome, _, err = s.submit(ctx, r)
-	return body, outcome, err
-}
-
-// submit is Submit plus the backing run's phase breakdown (nil when the
-// request was served from the cache or the run never executed).
+// request with the same key, and phases is the backing run's breakdown
+// (nil when the request was served from the cache or the run never
+// executed). ctx bounds only this caller's wait — a backing run it
+// triggered keeps running (and populates the cache) even if this caller
+// gives up.
 //
 // A traced request (Spec.TraceN > 0) skips the result cache — the cached
 // body carries no events — and singleflights under a trace-qualified
@@ -289,7 +284,7 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 	runCtx, cancel := context.WithTimeout(s.base, s.cfg.RunTimeout)
 	defer cancel()
 	start := time.Now()
-	out := s.runner.RunContext(runCtx, harness.Plan{r.Spec})[0]
+	out := s.runner.Run(runCtx, harness.Plan{r.Spec})[0]
 	elapsed := time.Since(start)
 	if out.Err != nil {
 		// A run cancelled by the server-side RunTimeout is capacity

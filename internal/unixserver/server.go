@@ -108,9 +108,6 @@ func (s *Server) Clone(sys2 *vm.System, m2 *machine.Machine, maps *vm.CloneMaps)
 	return s2
 }
 
-// Space returns the server's address space.
-func (s *Server) Space() *vm.Space { return s.space }
-
 // Stats returns a snapshot of the counters.
 func (s *Server) Stats() Stats { return s.stats }
 

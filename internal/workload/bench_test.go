@@ -62,7 +62,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 }
 
 // BenchmarkWarmRun times one whole warm run of kernel-build under F (Full
-// scale) through harness.ExecTimedPool — fork the pooled image, run,
+// scale) through harness.Exec — fork the pooled image, run,
 // collect, and release the run's pages to the page pool — with the
 // oracle off and on. B/op is what a run allocates while the pool holds
 // the pages of the run before it.
@@ -81,7 +81,7 @@ func BenchmarkWarmRun(b *testing.B) {
 			s := harness.Spec{Workload: KernelBuild(), Config: cfg, Scale: Full(), Kernel: &kc}
 			pool := harness.NewSnapshotPool(1)
 			run := func() {
-				if _, _, _, err := harness.ExecTimedPool(context.Background(), s, pool); err != nil {
+				if _, _, _, err := harness.Exec(context.Background(), s, pool); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,7 +32,7 @@ func TestAlternateGeometries(t *testing.T) {
 				kc := kernel.DefaultConfig(cfg)
 				kc.Machine.Geometry = gg.g
 				kc.Machine.Frames = 2048
-				r, err := Run(Stress(13, 250), cfg, Full(), kc)
+				r, err := runOnce(Stress(13, 250), cfg, Full(), &kc)
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.Label, err)
 				}
@@ -53,12 +53,12 @@ func TestAlternateGeometries(t *testing.T) {
 func TestSmallCacheBenchmark(t *testing.T) {
 	kc := kernel.DefaultConfig(policy.New())
 	kc.Machine.Geometry = arch.Geometry{PageSize: 4096, LineSize: 32, DCacheSize: 64 * 1024, ICacheSize: 32 * 1024}
-	rNew, err := Run(KernelBuild(), policy.New(), Small(), kc)
+	rNew, err := runOnce(KernelBuild(), policy.New(), Small(), &kc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kcOld := kc
-	rOld, err := Run(KernelBuild(), policy.Old(), Small(), kcOld)
+	rOld, err := runOnce(KernelBuild(), policy.Old(), Small(), &kcOld)
 	if err != nil {
 		t.Fatal(err)
 	}

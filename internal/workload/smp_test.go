@@ -23,7 +23,7 @@ func TestMultiprocessor(t *testing.T) {
 			// Stress: processes land on different CPUs (pid round
 			// robin), the server on CPU 0; IPC and shared channels
 			// cross CPUs constantly.
-			r, err := Run(Stress(21, 400), cfg, Full(), kc)
+			r, err := runOnce(Stress(21, 400), cfg, Full(), &kc)
 			if err != nil {
 				t.Fatalf("%d CPUs, %s: %v", cpus, cfg.Label, err)
 			}
@@ -41,7 +41,7 @@ func TestMultiprocessorBenchmarks(t *testing.T) {
 	run := func(cfg policy.Config) Result {
 		kc := kernel.DefaultConfig(cfg)
 		kc.Machine.CPUs = 2
-		r, err := Run(KernelBuild(), cfg, Small(), kc)
+		r, err := runOnce(KernelBuild(), cfg, Small(), &kc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestMPFastPathIdentity(t *testing.T) {
 							kc.Machine.WithOracle = oracle
 							kc.Machine.DisableFastPaths = disable
 							kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
-							res, err := Run(r.w, cfg, r.scale, kc)
+							res, err := runOnce(r.w, cfg, r.scale, &kc)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -116,7 +116,7 @@ func TestMultiprocessorPaging(t *testing.T) {
 	kc.Machine.CPUs = 2
 	kc.Machine.Frames = 256
 	kc.FS.Buffers = 32
-	r, err := Run(Stress(33, 500), policy.New(), Full(), kc)
+	r, err := runOnce(Stress(33, 500), policy.New(), Full(), &kc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // both depend on.
 func TestStressSeedDeterminism(t *testing.T) {
 	run := func(seed uint64) Result {
-		r, err := RunDefault(Stress(seed, 400), policy.New(), Small())
+		r, err := runOnce(Stress(seed, 400), policy.New(), Small(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"vcache/internal/cache"
@@ -43,7 +44,7 @@ func TestVariantArchitectures(t *testing.T) {
 			})
 		}
 	}
-	results, err := harness.Results(harness.Run(plan, 4))
+	results, err := harness.Results((&harness.Runner{Workers: 4}).Run(context.Background(), plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestVariantArchitectures(t *testing.T) {
 func TestWriteThroughSimplification(t *testing.T) {
 	kc := kernel.DefaultConfig(policy.New())
 	kc.Machine.DCachePolicy = cache.WriteThrough
-	r, err := Run(KernelBuild(), policy.New(), Small(), kc)
+	r, err := runOnce(KernelBuild(), policy.New(), Small(), &kc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestWriteThroughSimplification(t *testing.T) {
 // runs produce identical cycle counts and operation counts.
 func TestDeterminism(t *testing.T) {
 	run := func() Result {
-		r, err := RunDefault(KernelBuild(), policy.New(), Small())
+		r, err := runOnce(KernelBuild(), policy.New(), Small(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,11 +101,11 @@ func TestDeterminism(t *testing.T) {
 
 // TestScaleMonotone: larger scale factors do more work.
 func TestScaleMonotone(t *testing.T) {
-	small, err := RunDefault(AFSBench(), policy.New(), Scale{Factor: 0.1})
+	small, err := runOnce(AFSBench(), policy.New(), Scale{Factor: 0.1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunDefault(AFSBench(), policy.New(), Scale{Factor: 0.4})
+	big, err := runOnce(AFSBench(), policy.New(), Scale{Factor: 0.4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

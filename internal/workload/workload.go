@@ -17,11 +17,10 @@
 // fall from configuration A to F) can be compared against the paper's
 // tables.
 //
-// Execution lives in internal/harness: Run, RunDefault, and RunTraced
-// are thin wrappers over harness.Exec, and the experiment drivers
-// (cmd/tables, the sweep drivers, the test matrices) submit harness
-// Plans built from these workloads instead of calling them one at a
-// time.
+// Execution lives in internal/harness: a single run goes through
+// harness.Exec, and the experiment drivers (cmd/tables, the sweep
+// drivers, the test matrices) submit harness Plans built from these
+// workloads to Runner.Run instead of running them one at a time.
 package workload
 
 import (
@@ -30,9 +29,6 @@ import (
 	"strings"
 
 	"vcache/internal/harness"
-	"vcache/internal/kernel"
-	"vcache/internal/policy"
-	"vcache/internal/trace"
 )
 
 // Scale sizes a workload. Tests use Small for speed; the table harness
@@ -75,33 +71,4 @@ func ByName(name string) (Workload, error) {
 		return Stress(seed, 1500), nil
 	}
 	return Workload{}, fmt.Errorf("workload: unknown benchmark %q", name)
-}
-
-// Run boots a fresh system under cfg, performs setup, resets every
-// counter, runs the timed phase, and collects the result.
-func Run(w Workload, cfg policy.Config, s Scale, kcfg kernel.Config) (Result, error) {
-	r, _, err := harness.Exec(harness.Spec{Workload: w, Config: cfg, Scale: s, Kernel: &kcfg})
-	return r, err
-}
-
-// RunDefault runs with the standard HP 720 system configuration.
-func RunDefault(w Workload, cfg policy.Config, s Scale) (Result, error) {
-	r, _, err := harness.Exec(harness.Spec{Workload: w, Config: cfg, Scale: s})
-	return r, err
-}
-
-// Collect snapshots every counter into a Result.
-func Collect(name string, cfg policy.Config, k *kernel.Kernel) Result {
-	return harness.Collect(name, cfg, k)
-}
-
-// RunTraced is Run with an optional trace recorder attached to the pmap
-// for the timed phase. traceN <= 0 disables tracing; otherwise the
-// recorder keeping the last traceN events is returned through rec.
-func RunTraced(w Workload, cfg policy.Config, s Scale, kcfg kernel.Config, traceN int, rec **trace.Recorder) (Result, error) {
-	r, tr, err := harness.Exec(harness.Spec{Workload: w, Config: cfg, Scale: s, Kernel: &kcfg, TraceN: traceN})
-	if rec != nil && tr != nil {
-		*rec = tr
-	}
-	return r, err
 }

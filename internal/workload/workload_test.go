@@ -1,11 +1,19 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"vcache/internal/harness"
+	"vcache/internal/kernel"
 	"vcache/internal/policy"
 )
+
+// runOnce performs one cold run of w; a nil kc means the default system.
+func runOnce(w Workload, cfg policy.Config, s Scale, kc *kernel.Config) (Result, error) {
+	r, _, _, err := harness.Exec(context.Background(), harness.Spec{Workload: w, Config: cfg, Scale: s, Kernel: kc}, nil)
+	return r, err
+}
 
 // TestBenchmarksAllConfigs runs each paper benchmark at small scale
 // under every lettered configuration — the whole matrix submitted as one
@@ -16,7 +24,7 @@ import (
 func TestBenchmarksAllConfigs(t *testing.T) {
 	benchmarks := Benchmarks()
 	configs := policy.Configs()
-	all, err := harness.Results(harness.Run(harness.Matrix(benchmarks, configs, Small()), 4))
+	all, err := harness.Results((&harness.Runner{Workers: 4}).Run(context.Background(), harness.Matrix(benchmarks, configs, Small())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestStressAllConfigs(t *testing.T) {
 			})
 		}
 	}
-	if _, err := harness.Results(harness.Run(plan, 4)); err != nil {
+	if _, err := harness.Results((&harness.Runner{Workers: 4}).Run(context.Background(), plan)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,7 +35,7 @@ func snapshotSpecs() []harness.Spec {
 func runCold(t *testing.T, s harness.Spec) harness.Result {
 	t.Helper()
 	s.DisableSnapshots = true
-	r, _, _, err := harness.ExecTimedPool(context.Background(), s, harness.NewSnapshotPool(1))
+	r, _, _, err := harness.Exec(context.Background(), s, harness.NewSnapshotPool(1))
 	if err != nil {
 		t.Fatalf("%s cold: %v", s.Label(), err)
 	}
@@ -46,7 +46,7 @@ func runCold(t *testing.T, s harness.Spec) harness.Result {
 // phase breakdown.
 func runWarm(t *testing.T, s harness.Spec, pool *harness.SnapshotPool) (harness.Result, harness.Phases) {
 	t.Helper()
-	r, _, ph, err := harness.ExecTimedPool(context.Background(), s, pool)
+	r, _, ph, err := harness.Exec(context.Background(), s, pool)
 	if err != nil {
 		t.Fatalf("%s warm: %v", s.Label(), err)
 	}
@@ -112,7 +112,7 @@ func TestConcurrentForksShareSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, _, _, err := harness.ExecTimedPool(context.Background(), s, pool)
+			r, _, _, err := harness.Exec(context.Background(), s, pool)
 			if err != nil {
 				t.Errorf("fork %d: %v", i, err)
 				return
@@ -146,7 +146,7 @@ func TestTraceDoesNotLeakAcrossForks(t *testing.T) {
 
 	traced := s
 	traced.TraceN = 64
-	res, rec, _, err := harness.ExecTimedPool(context.Background(), traced, pool)
+	res, rec, _, err := harness.Exec(context.Background(), traced, pool)
 	if err != nil {
 		t.Fatalf("traced warm run: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestTraceDoesNotLeakAcrossForks(t *testing.T) {
 
 	// An untraced sibling forked from the same image: no recorder, and
 	// the identical result.
-	res2, rec2, ph2, err := harness.ExecTimedPool(context.Background(), s, pool)
+	res2, rec2, ph2, err := harness.Exec(context.Background(), s, pool)
 	if err != nil {
 		t.Fatalf("untraced warm run: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestTraceDoesNotLeakAcrossForks(t *testing.T) {
 
 	// A second traced fork records its own events from scratch — the
 	// ring holds only this fork's history, not the earlier sibling's.
-	res3, rec3, _, err := harness.ExecTimedPool(context.Background(), traced, pool)
+	res3, rec3, _, err := harness.Exec(context.Background(), traced, pool)
 	if err != nil {
 		t.Fatalf("second traced warm run: %v", err)
 	}

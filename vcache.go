@@ -27,7 +27,10 @@
 package vcache
 
 import (
+	"context"
+
 	"vcache/internal/cache"
+	"vcache/internal/harness"
 	"vcache/internal/kernel"
 	"vcache/internal/policy"
 	"vcache/internal/report"
@@ -138,7 +141,7 @@ func (s *System) Seconds() float64 { return s.k.M.Clock.Seconds() }
 
 // Collect snapshots every counter of the system into a Result.
 func (s *System) Collect(label string) Result {
-	return workload.Collect(label, s.k.Cfg.Policy, s.k)
+	return harness.Collect(label, s.k.Cfg.Policy, s.k)
 }
 
 // BenchmarkNames lists the paper's three benchmarks.
@@ -162,7 +165,8 @@ func RunBenchmark(name string, p Policy, scale float64, opts ...Option) (Result,
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return workload.Run(w, p, workload.Scale{Name: "api", Factor: scale}, cfg)
+	r, _, _, err := harness.Exec(context.Background(), harness.Spec{Workload: w, Config: p, Scale: workload.Scale{Name: "api", Factor: scale}, Kernel: &cfg}, nil)
+	return r, err
 }
 
 // RunStress runs the randomized torture workload (seeded, fully
@@ -172,7 +176,8 @@ func RunStress(seed uint64, steps int, p Policy, opts ...Option) (Result, error)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return workload.Run(workload.Stress(seed, steps), p, workload.Full(), cfg)
+	r, _, _, err := harness.Exec(context.Background(), harness.Spec{Workload: workload.Stress(seed, steps), Config: p, Scale: workload.Full(), Kernel: &cfg}, nil)
+	return r, err
 }
 
 // RunAliasMicro runs the Section 2.5 contrived benchmark: `writes`
