@@ -33,7 +33,7 @@ func printedTable4(t *testing.T, out []byte, bench string) map[string]table4Row 
 		if len(f) < 14 || f[0] == "backend" {
 			continue
 		}
-		// The 13 columns after the truncated name: elapsed, mapping,
+		// The 13 columns after the name: elapsed, mapping,
 		// consistency and modify faults, flush count and cycles, purge
 		// count and cycles, icache purge count and cycles, DMA-read
 		// flushes, DMA-write purges, d→i copies.

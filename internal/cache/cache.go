@@ -458,30 +458,32 @@ func (c *Cache) dropFrame(lo, hi uint64, f arch.PFN, flush bool) uint64 {
 }
 
 // FlushPage removes from cache page cp every line belonging to physical
-// frame f, writing dirty lines back. This is the page-granularity flush
-// the pmap layer uses (the set of lines a virtual page maps onto). Each
-// set of the page is charged a hit or a miss, so the total follows from
+// frame f, writing dirty lines back, and returns the operation's cycles.
+// This is the page-granularity flush the pmap layer uses (the set of
+// lines a virtual page maps onto); the pmap charges the cycles, so one
+// layer decides which category a consistency operation's cost lands in.
+// Each set of the page costs a hit or a miss, so the total follows from
 // the number of lines dropped without visiting every set.
-func (c *Cache) FlushPage(cp arch.CachePage, f arch.PFN) {
+func (c *Cache) FlushPage(cp arch.CachePage, f arch.PFN) uint64 {
 	c.stats.PageFlushes++
 	t := c.clock.Timing()
 	lo, hi := c.pageSets(cp, f)
 	hits := c.dropFrame(lo, hi, f, true)
-	c.clock.Charge(sim.CatFlush, hits*t.LineFlushHit+(hi-lo-hits)*t.LineFlushMiss)
+	return hits*t.LineFlushHit + (hi-lo-hits)*t.LineFlushMiss
 }
 
 // PurgePage removes from cache page cp every line belonging to physical
-// frame f without writing anything back.
-func (c *Cache) PurgePage(cp arch.CachePage, f arch.PFN) {
+// frame f without writing anything back, and returns the operation's
+// cycles for the pmap to charge.
+func (c *Cache) PurgePage(cp arch.CachePage, f arch.PFN) uint64 {
 	c.stats.PagePurges++
 	t := c.clock.Timing()
 	lo, hi := c.pageSets(cp, f)
 	hits := c.dropFrame(lo, hi, f, false)
 	if c.cfg.ConstantPagePurge {
-		c.clock.Charge(sim.CatPurge, t.ICachePagePurge)
-		return
+		return t.ICachePagePurge
 	}
-	c.clock.Charge(sim.CatPurge, hits*t.LinePurgeHit+(hi-lo-hits)*t.LinePurgeMiss)
+	return hits*t.LinePurgeHit + (hi-lo-hits)*t.LinePurgeMiss
 }
 
 // PurgeAll empties the whole cache without write-back (power-up state:

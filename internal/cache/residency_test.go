@@ -255,12 +255,12 @@ func runResidencyDifferential(t *testing.T, cfg Config, seed uint64, ops int) {
 		case k == 8:
 			op = "flush-page"
 			cp, f := arch.CachePage(rnd.Intn(colors)), frames[rnd.Intn(len(frames))]
-			got.c.FlushPage(cp, f)
+			got.clock.Charge(sim.CatFlush, got.c.FlushPage(cp, f))
 			refFlushPage(want.c, cp, f)
 		case k == 9:
 			op = "purge-page"
 			cp, f := arch.CachePage(rnd.Intn(colors)), frames[rnd.Intn(len(frames))]
-			got.c.PurgePage(cp, f)
+			got.clock.Charge(sim.CatPurge, got.c.PurgePage(cp, f))
 			refPurgePage(want.c, cp, f)
 		case k == 10:
 			op = "snoop-read"

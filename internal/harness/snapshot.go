@@ -1,16 +1,16 @@
 package harness
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"vcache/internal/kernel"
+	"vcache/internal/memo"
 	"vcache/internal/trace"
 )
 
@@ -40,55 +40,29 @@ func (s Spec) SnapshotKey() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// SnapshotPoolStats is an atomic view of the pool's counters.
+// SnapshotPoolStats is a point-in-time view of the pool's counters: the
+// image cache's hits, misses, evictions, entries and bytes, and Builds.
 type SnapshotPoolStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
+	memo.Stats
 	// Builds counts cold image builds actually started: with the per-key
 	// build singleflight, N concurrent misses on one key cost one build,
 	// so under contention Builds stays well below Misses.
-	Builds  uint64
-	Entries int
-	Bytes   int64
-}
-
-type snapshotEntry struct {
-	key   string
-	snap  *kernel.Snapshot
-	bytes int64
+	Builds uint64
 }
 
 // SnapshotPool is an LRU cache of frozen machine images, keyed by
-// SnapshotKey. It is safe for concurrent use: lookups and insertions are
-// serialized, while forking from a retrieved (frozen) snapshot needs no
-// lock at all — that is the point of freezing.
+// SnapshotKey, with a per-key build singleflight. It is safe for
+// concurrent use: lookups and insertions are serialized, while forking
+// from a retrieved (frozen) snapshot needs no lock at all — that is the
+// point of freezing.
 type SnapshotPool struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List               // front = most recently used
-	byKey map[string]*list.Element // -> *snapshotEntry
-
+	images *memo.Cache[*kernel.Snapshot]
 	// building is the per-key build singleflight: the first executor to
 	// miss on a key becomes its builder; executors missing while the
 	// build is in flight wait on it instead of each paying a full cold
 	// boot + setup (the snapshot-pool dogpile).
-	building map[string]*snapshotBuild
-
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	builds    uint64
-	bytes     int64
-}
-
-// snapshotBuild is one in-flight cold build. snap and err are written
-// exactly once, before done is closed; waiters block on done first, so
-// the close is the publication barrier.
-type snapshotBuild struct {
-	done chan struct{}
-	snap *kernel.Snapshot
-	err  error
+	building memo.Flight[*kernel.Snapshot]
+	builds   atomic.Uint64
 }
 
 // NewSnapshotPool returns a pool holding up to capacity images; a
@@ -98,94 +72,37 @@ func NewSnapshotPool(capacity int) *SnapshotPool {
 	if capacity <= 0 {
 		return nil
 	}
-	return &SnapshotPool{
-		cap:      capacity,
-		ll:       list.New(),
-		byKey:    make(map[string]*list.Element),
-		building: make(map[string]*snapshotBuild),
-	}
+	return &SnapshotPool{images: memo.NewCache(capacity, (*kernel.Snapshot).Bytes)}
 }
 
-// get returns the pooled image for key, counting a hit or miss.
+// get returns the pooled image for key, or nil, counting a hit or miss.
 func (p *SnapshotPool) get(key string) *kernel.Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		p.hits++
-		p.ll.MoveToFront(el)
-		return el.Value.(*snapshotEntry).snap
-	}
-	p.misses++
-	return nil
+	snap, _ := p.images.Get(key)
+	return snap
 }
 
-// peek is get without hit/miss accounting, for re-checks inside the
-// build-singleflight loop (a waiter that saw its builder fail re-checks
-// the pool before taking over the build; that look is bookkeeping, not
-// a new demand signal).
-func (p *SnapshotPool) peek(key string) *kernel.Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		p.ll.MoveToFront(el)
-		return el.Value.(*snapshotEntry).snap
-	}
-	return nil
-}
+// put inserts (or replaces) the image for key. Two executors racing on
+// the same miss may both boot and put; the later insert replaces the
+// earlier, and both forks remain valid — a frozen image never changes
+// under its forks.
+func (p *SnapshotPool) put(key string, snap *kernel.Snapshot) { p.images.Put(key, snap) }
 
-// join returns the in-flight build for key, creating one if absent.
-// owner reports whether this caller created it — the owner must boot
-// the image and settle the build with finish; everyone else waits on
-// build.done.
-func (p *SnapshotPool) join(key string) (b *snapshotBuild, owner bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b, ok := p.building[key]; ok {
-		return b, false
+// join returns the in-flight build for key, starting one (and counting
+// a build) if there is none; owner reports whether this caller must
+// boot the image and settle the build with finish.
+func (p *SnapshotPool) join(key string) (b *memo.Call[*kernel.Snapshot], owner bool) {
+	b, owner = p.building.Join(key)
+	if owner {
+		p.builds.Add(1)
 	}
-	b = &snapshotBuild{done: make(chan struct{})}
-	p.building[key] = b
-	p.builds++
-	return b, true
+	return b, owner
 }
 
 // finish publishes the build outcome and releases the key. A successful
-// image is put in the pool before finish runs, so after the key leaves
-// the building map a fresh miss on it always finds the pooled image.
-func (p *SnapshotPool) finish(key string, b *snapshotBuild, snap *kernel.Snapshot, err error) {
-	b.snap, b.err = snap, err
-	p.mu.Lock()
-	delete(p.building, key)
-	p.mu.Unlock()
-	close(b.done)
-}
-
-// put inserts (or replaces) the image for key, evicting least recently
-// used images beyond capacity. Two executors racing on the same miss may
-// both boot and put; the later insert replaces the earlier, and both
-// forks remain valid — a frozen image never changes under its forks.
-func (p *SnapshotPool) put(key string, snap *kernel.Snapshot) {
-	bytes := snap.Bytes()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		e := el.Value.(*snapshotEntry)
-		p.bytes += bytes - e.bytes
-		e.snap = snap
-		e.bytes = bytes
-		p.ll.MoveToFront(el)
-		return
-	}
-	p.byKey[key] = p.ll.PushFront(&snapshotEntry{key: key, snap: snap, bytes: bytes})
-	p.bytes += bytes
-	for p.cap > 0 && p.ll.Len() > p.cap {
-		el := p.ll.Back()
-		e := el.Value.(*snapshotEntry)
-		p.ll.Remove(el)
-		delete(p.byKey, e.key)
-		p.bytes -= e.bytes
-		p.evictions++
-	}
+// image is put in the pool before finish runs, so after the key is
+// released a fresh miss on it always finds the pooled image.
+func (p *SnapshotPool) finish(key string, b *memo.Call[*kernel.Snapshot], snap *kernel.Snapshot, err error) {
+	p.building.Finish(key, b, snap, err)
 }
 
 // Stats returns the pool counters. A nil pool reports zeros.
@@ -193,16 +110,7 @@ func (p *SnapshotPool) Stats() SnapshotPoolStats {
 	if p == nil {
 		return SnapshotPoolStats{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return SnapshotPoolStats{
-		Hits:      p.hits,
-		Misses:    p.misses,
-		Evictions: p.evictions,
-		Builds:    p.builds,
-		Entries:   p.ll.Len(),
-		Bytes:     p.bytes,
-	}
+	return SnapshotPoolStats{Stats: p.images.Stats(), Builds: p.builds.Load()}
 }
 
 // Exec performs one run: boot a fresh system, perform setup, reset every
@@ -265,15 +173,17 @@ func Exec(ctx context.Context, s Spec, pool *SnapshotPool) (Result, *trace.Recor
 			// loop; the next join makes this executor the builder, and
 			// its own boot reports its own error.
 			select {
-			case <-b.done:
+			case <-b.Done():
 			case <-ctx.Done():
 				return Result{}, nil, ph, fmt.Errorf("%s/%s: %w", s.Workload.Name, s.Config.Label, ctx.Err())
 			}
-			if b.err == nil {
-				snap = b.snap
+			if b.Err == nil {
+				snap = b.Val
 				break
 			}
-			snap = pool.peek(key)
+			// The hand-off re-check is bookkeeping, not a new demand: it
+			// counts neither a hit nor a miss.
+			snap, _ = pool.images.Peek(key)
 		}
 		start := time.Now()
 		k = snap.Fork()

@@ -419,26 +419,32 @@ func (m *Machine) snoop(set uint64, va arch.VA, pa arch.PA, n uint64, invalidate
 // shootdowns a multiprocessor kernel performs; on one CPU they reduce to
 // the plain operations).
 
-// FlushDPage flushes frame f's lines from data-cache page cp on every CPU.
-func (m *Machine) FlushDPage(cp arch.CachePage, f arch.PFN) {
+// FlushDPage flushes frame f's lines from data-cache page cp on every
+// CPU and returns the cycles summed over the CPUs, uncharged: the pmap
+// charges them.
+func (m *Machine) FlushDPage(cp arch.CachePage, f arch.PFN) (cycles uint64) {
 	for i := range m.cpus {
-		m.cpus[i].DCache.FlushPage(cp, f)
+		cycles += m.cpus[i].DCache.FlushPage(cp, f)
 	}
+	return cycles
 }
 
-// PurgeDPage purges frame f's lines from data-cache page cp on every CPU.
-func (m *Machine) PurgeDPage(cp arch.CachePage, f arch.PFN) {
+// PurgeDPage purges frame f's lines from data-cache page cp on every CPU
+// and returns the cycles summed over the CPUs, uncharged.
+func (m *Machine) PurgeDPage(cp arch.CachePage, f arch.PFN) (cycles uint64) {
 	for i := range m.cpus {
-		m.cpus[i].DCache.PurgePage(cp, f)
+		cycles += m.cpus[i].DCache.PurgePage(cp, f)
 	}
+	return cycles
 }
 
 // PurgeIPage purges frame f's lines from instruction-cache page cp on
-// every CPU.
-func (m *Machine) PurgeIPage(cp arch.CachePage, f arch.PFN) {
+// every CPU and returns the cycles summed over the CPUs, uncharged.
+func (m *Machine) PurgeIPage(cp arch.CachePage, f arch.PFN) (cycles uint64) {
 	for i := range m.cpus {
-		m.cpus[i].ICache.PurgePage(cp, f)
+		cycles += m.cpus[i].ICache.PurgePage(cp, f)
 	}
+	return cycles
 }
 
 // InvalidateTLB drops (space, vpn) from every CPU's TLB.

@@ -18,8 +18,8 @@ import (
 // and the fast-path identity proofs meaningful across backends: a
 // consistency operation that hardware would satisfy by re-binding the
 // line's tag is still *performed* (the state machine and the data need
-// the same end state), but its cycles are refunded and replaced by one
-// RLT lookup charge (sim.CatRLT). The pmap's one entry to the
+// the same end state), but its cycles are never charged: one RLT lookup
+// (sim.CatRLT) is charged in their place. The pmap's one entry to the
 // algorithm, control (pmap.go), marks the flushes and purges an RLT may
 // assist.
 
@@ -54,25 +54,19 @@ func (p *Pmap) rltAssisted(f arch.PFN) bool {
 	return p.feat.Backend == policy.BackendRLT && p.rltCPUOp && p.phys[f].inRLT
 }
 
-// rltAssist performs the functional flush/purge and converts its cost
-// into one reverse-lookup assist: the cycles the software operation
-// charged are refunded and a single RLT lookup is charged to
-// sim.CatRLT. Memory, cache, and consistency state end exactly as
-// under the software scheme; only the attribution differs.
+// rltAssist performs the functional flush/purge and charges one
+// reverse-lookup assist to sim.CatRLT instead of the operation's own
+// cycles, which hardware would not spend. Memory, cache, and
+// consistency state end exactly as under the software scheme; only the
+// cost differs.
 func (p *Pmap) rltAssist(c arch.CachePage, f arch.PFN, flush bool) {
-	cat := sim.CatPurge
 	kind := trace.EvPurge
 	if flush {
-		cat = sim.CatFlush
 		kind = trace.EvFlush
-	}
-	before := p.m.Clock.CyclesIn(cat)
-	if flush {
 		p.m.FlushDPage(c, f)
 	} else {
 		p.m.PurgeDPage(c, f)
 	}
-	p.m.Clock.Refund(cat, p.m.Clock.CyclesIn(cat)-before)
 	p.m.Clock.Charge(sim.CatRLT, p.m.Clock.Timing().RLTAssist)
 	p.stats.RLTAssists++
 	p.emit(kind, f, c, "rlt")
@@ -111,18 +105,11 @@ func (p *Pmap) rltDrop(f arch.PFN) {
 // rltEvict handles a capacity eviction: the victim's synonym lines can
 // no longer be re-bound in hardware, so software must clean the frame
 // now. The flush/purge work is real (the total cycle count keeps it)
-// but is re-attributed to sim.CatRLTEvict so the tables show the cost
-// of undersizing the structure.
+// but is charged to sim.CatRLTEvict so the tables show the cost of
+// undersizing the structure.
 func (p *Pmap) rltEvict(f arch.PFN) {
-	pp := &p.phys[f]
-	fb := p.m.Clock.CyclesIn(sim.CatFlush)
-	pb := p.m.Clock.CyclesIn(sim.CatPurge)
-	p.cleanFrame(pp, f, true)
-	if d := p.m.Clock.CyclesIn(sim.CatFlush) - fb; d > 0 {
-		p.m.Clock.Move(sim.CatFlush, sim.CatRLTEvict, d)
-	}
-	if d := p.m.Clock.CyclesIn(sim.CatPurge) - pb; d > 0 {
-		p.m.Clock.Move(sim.CatPurge, sim.CatRLTEvict, d)
-	}
+	p.rltEvicting = true
+	p.cleanFrame(&p.phys[f], f, true)
+	p.rltEvicting = false
 	p.stats.RLTEvictions++
 }

@@ -116,22 +116,10 @@ func TestRLTDropOnSynonymCollapse(t *testing.T) {
 
 // TestRLTCapacityEviction: more simultaneous synonym frames than the
 // table holds forces FIFO evictions, each cleaning the victim frame
-// and re-attributing the cleanup cycles to the rlt-evict category.
+// and attributing the cleanup cycles to the rlt-evict category.
 func TestRLTCapacityEviction(t *testing.T) {
 	r := newRig(t, policy.RLT().Features)
-	for i := 0; i < rltCapacity+8; i++ {
-		f, err := r.p.AllocFrame(arch.NoCachePage)
-		if err != nil {
-			t.Fatalf("out of frames at %d: %v", i, err)
-		}
-		v1 := arch.VPN(0x100 + 2*i)
-		v2 := arch.VPN(0x1000 + 2*i + 1) // different color: a real synonym
-		r.p.Enter(1, v1, f, arch.ProtReadWrite, KindUser)
-		r.p.Enter(1, v2, f, arch.ProtReadWrite, KindUser)
-		// Dirty the frame through one alias so an eviction has real
-		// write-back work to do.
-		r.write(t, 1, v1, 0, uint64(i))
-	}
+	rltEvictionScenario(t, r)
 	s := r.p.Stats()
 	if s.RLTEvictions == 0 {
 		t.Fatalf("%d synonym frames in a %d-entry RLT caused no evictions", rltCapacity+8, rltCapacity)
@@ -140,9 +128,8 @@ func TestRLTCapacityEviction(t *testing.T) {
 		t.Fatalf("RLT holds %d entries, capacity %d", got, rltCapacity)
 	}
 	if r.m.Clock.CyclesIn(sim.CatRLTEvict) == 0 {
-		t.Error("evictions re-attributed no cycles to rlt-evict")
+		t.Error("evictions attributed no cycles to rlt-evict")
 	}
-	r.checkOracle(t)
 }
 
 // TestBackendStateSurvivesClone: a cloned pmap carries its own backend
@@ -164,4 +151,87 @@ func TestBackendStateSurvivesClone(t *testing.T) {
 			t.Fatal("clone and parent share RLT state")
 		}
 	})
+}
+
+// rltLedger is the exact cycle record of a run: every clock category,
+// the total, and the pmap's metered flush/purge cycles.
+type rltLedger struct {
+	ByCat                                    [sim.CatRLTEvict + 1]uint64
+	Total                                    uint64
+	DFlushCycles, DPurgeCycles, IPurgeCycles uint64
+	Assists, Evictions                       uint64
+}
+
+func ledgerOf(r *rig) rltLedger {
+	var l rltLedger
+	for c := sim.CatAccess; c <= sim.CatRLTEvict; c++ {
+		l.ByCat[c] = r.m.Clock.CyclesIn(c)
+	}
+	s := r.p.Stats()
+	l.Total = r.m.Clock.Cycles()
+	l.DFlushCycles, l.DPurgeCycles, l.IPurgeCycles = s.DFlushCycles, s.DPurgeCycles, s.IPurgeCycles
+	l.Assists, l.Evictions = s.RLTAssists, s.RLTEvictions
+	return l
+}
+
+// rltEvictionScenario enters more simultaneous synonym frames than the
+// RLT holds, dirtying each through one alias and, for every other
+// frame, reading it back through the other, so the table evicts both
+// dirty frames (flushes) and frames cached at two colors (purges).
+func rltEvictionScenario(t *testing.T, r *rig) {
+	t.Helper()
+	for i := 0; i < rltCapacity+8; i++ {
+		f, err := r.p.AllocFrame(arch.NoCachePage)
+		if err != nil {
+			t.Fatalf("out of frames at %d: %v", i, err)
+		}
+		v1 := arch.VPN(0x100 + 2*i)
+		v2 := arch.VPN(0x1000 + 2*i + 1) // different color: a real synonym
+		r.p.Enter(1, v1, f, arch.ProtReadWrite, KindUser)
+		r.p.Enter(1, v2, f, arch.ProtReadWrite, KindUser)
+		r.write(t, 1, v1, 0, uint64(i))
+		if i%2 == 1 {
+			if got := r.read(t, 1, v2, 0); got != uint64(i) {
+				t.Fatalf("frame %d read %d through its synonym, want %d", i, got, i)
+			}
+		}
+	}
+	r.checkOracle(t)
+}
+
+// TestRLTExactCycles pins the exact per-category cycles, total, and
+// metered flush/purge cycles of an assist run and of capacity-eviction
+// runs on one and two CPUs, with the software scheme's run beside them:
+// which category an operation's cost lands in, and how much, is part of
+// every table the RLT backend prints.
+func TestRLTExactCycles(t *testing.T) {
+	software := newRig(t, policy.ConfigF().Features)
+	aliasPingPong(t, software, 40)
+	assist := newRig(t, policy.RLT().Features)
+	aliasPingPong(t, assist, 40)
+	evict := newRig(t, policy.RLT().Features)
+	rltEvictionScenario(t, evict)
+	evict2 := newRigCPUs(t, policy.RLT().Features, 2)
+	rltEvictionScenario(t, evict2)
+	for _, tc := range []struct {
+		name      string
+		got, want rltLedger
+	}{
+		{"software", ledgerOf(software), rltLedger{
+			ByCat: [...]uint64{3372, 5360, 4992, 9020, 0, 0, 0, 0}, Total: 22744,
+			DFlushCycles: 5360, DPurgeCycles: 4992}},
+		{"assist", ledgerOf(assist), rltLedger{
+			ByCat: [...]uint64{3372, 0, 0, 9020, 0, 0, 474, 0}, Total: 12866,
+			Assists: 79}},
+		{"evict", ledgerOf(evict), rltLedger{
+			ByCat: [...]uint64{9148, 0, 0, 23760, 0, 0, 216, 1536}, Total: 34660,
+			DFlushCycles: 512, DPurgeCycles: 1024, Assists: 36, Evictions: 8}},
+		{"evict-2cpu", ledgerOf(evict2), rltLedger{
+			ByCat: [...]uint64{9148, 0, 0, 23760, 0, 0, 216, 3072}, Total: 36196,
+			DFlushCycles: 1024, DPurgeCycles: 2048, Assists: 36, Evictions: 8}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, tc.got, tc.want)
+		}
+	}
 }

@@ -230,6 +230,10 @@ type Pmap struct {
 	// false outside control.
 	accessIsNew bool
 	rltCPUOp    bool
+	// rltEvicting is set while an RLT capacity eviction cleans its
+	// victim frame, so the clean's flushes and purges charge
+	// sim.CatRLTEvict (backend.go).
+	rltEvicting bool
 
 	// rlt is the reverse-lookup table occupancy under the RLT backend
 	// (backend.go), FIFO over frames with live synonyms, each of which
@@ -349,6 +353,17 @@ func (p *Pmap) icolor(vpn arch.VPN) arch.CachePage {
 	return arch.CachePage(uint64(vpn) % p.iColors)
 }
 
+// charge charges a consistency operation's cycles once: to cat, or to
+// sim.CatRLTEvict while an RLT capacity eviction cleans its victim. The
+// pmap is the one layer that issues cache flushes and purges, and so
+// the one that charges them.
+func (p *Pmap) charge(cat sim.Category, cycles uint64) {
+	if p.rltEvicting {
+		cat = sim.CatRLTEvict
+	}
+	p.m.Clock.Charge(cat, cycles)
+}
+
 // FlushCachePage implements core.Hardware: flush frame f's lines from
 // data-cache page c, metering cycles. Under the RLT backend a
 // CPU-driven flush of a covered frame becomes a reverse-lookup assist
@@ -358,10 +373,10 @@ func (p *Pmap) FlushCachePage(c arch.CachePage, f arch.PFN) {
 		p.rltAssist(c, f, true)
 		return
 	}
-	before := p.m.Clock.Cycles()
-	p.m.FlushDPage(c, f)
+	cycles := p.m.FlushDPage(c, f)
+	p.charge(sim.CatFlush, cycles)
 	p.stats.DFlushPages++
-	p.stats.DFlushCycles += p.m.Clock.Cycles() - before
+	p.stats.DFlushCycles += cycles
 	p.emit(trace.EvFlush, f, c, "")
 }
 
@@ -373,10 +388,10 @@ func (p *Pmap) PurgeCachePage(c arch.CachePage, f arch.PFN) {
 		p.rltAssist(c, f, false)
 		return
 	}
-	before := p.m.Clock.Cycles()
-	p.m.PurgeDPage(c, f)
+	cycles := p.m.PurgeDPage(c, f)
+	p.charge(sim.CatPurge, cycles)
 	p.stats.DPurgePages++
-	p.stats.DPurgeCycles += p.m.Clock.Cycles() - before
+	p.stats.DPurgeCycles += cycles
 	if p.accessIsNew {
 		p.stats.NewMappingPurges++
 		p.emit(trace.EvPurge, f, c, "new-mapping")
@@ -387,10 +402,10 @@ func (p *Pmap) PurgeCachePage(c arch.CachePage, f arch.PFN) {
 
 // purgeICachePage purges frame f's lines from instruction-cache page c.
 func (p *Pmap) purgeICachePage(c arch.CachePage, f arch.PFN) {
-	before := p.m.Clock.Cycles()
-	p.m.PurgeIPage(c, f)
+	cycles := p.m.PurgeIPage(c, f)
+	p.charge(sim.CatPurge, cycles)
 	p.stats.IPurgePages++
-	p.stats.IPurgeCycles += p.m.Clock.Cycles() - before
+	p.stats.IPurgeCycles += cycles
 	p.emit(trace.EvIPurge, f, c, "")
 }
 

@@ -34,8 +34,15 @@ func (r *rig) HandleFault(f machine.Fault) error {
 
 func newRig(t *testing.T, feat policy.Features) *rig {
 	t.Helper()
+	return newRigCPUs(t, feat, 1)
+}
+
+// newRigCPUs is newRig on a machine of the given CPU count.
+func newRigCPUs(t *testing.T, feat policy.Features, cpus int) *rig {
+	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Frames = 256
+	cfg.CPUs = cpus
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ package report
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"vcache/internal/core"
 	"vcache/internal/policy"
@@ -157,38 +158,52 @@ func Table4(benchNames []string, results [][]workload.Result) string {
 	b.WriteString("(simulated 50 MHz HP 9000/720)\n\n")
 	for wi, name := range benchNames {
 		b.WriteString(name + "\n")
-		row(&b, fmt.Sprintf("  %-24s", "configuration"),
-			fmt.Sprintf("%8s", "elapsed"),
-			fmt.Sprintf("%7s", "mapping"), fmt.Sprintf("%7s", "consis"), fmt.Sprintf("%7s", "modify"),
-			fmt.Sprintf("%14s", "dcache flush"), fmt.Sprintf("%14s", "dcache purge"),
-			fmt.Sprintf("%14s", "icache purge"),
-			fmt.Sprintf("%7s", "DMA-rd"), fmt.Sprintf("%7s", "DMA-wr"), fmt.Sprintf("%6s", "d→i"))
-		row(&b, fmt.Sprintf("  %-24s", ""),
-			fmt.Sprintf("%8s", "(s)"),
-			fmt.Sprintf("%7s", "faults"), fmt.Sprintf("%7s", "faults"), fmt.Sprintf("%7s", "faults"),
-			fmt.Sprintf("%7s %6s", "count", "cyc/op"), fmt.Sprintf("%7s %6s", "count", "cyc/op"),
-			fmt.Sprintf("%7s %6s", "count", "cyc/op"),
-			fmt.Sprintf("%7s", "flush"), fmt.Sprintf("%7s", "purge"), fmt.Sprintf("%6s", "copy"))
-		for _, r := range results[wi] {
-			s := r.PM
-			row(&b, fmt.Sprintf("  %-3s %-20.20s", r.Config.Label, r.Config.Name),
-				fmt.Sprintf("%8.2f", r.Seconds),
-				fmt.Sprintf("%7d", s.MappingFaults),
-				fmt.Sprintf("%7d", s.ConsistencyFaults),
-				fmt.Sprintf("%7d", s.ModifyFaults),
-				fmt.Sprintf("%7d %6d", s.DFlushPages, avg(s.DFlushCycles, s.DFlushPages)),
-				fmt.Sprintf("%7d %6d", s.DPurgePages, avg(s.DPurgeCycles, s.DPurgePages)),
-				fmt.Sprintf("%7d %6d", s.IPurgePages, avg(s.IPurgeCycles, s.IPurgePages)),
-				fmt.Sprintf("%7d", s.DMAReadFlushes),
-				fmt.Sprintf("%7d", s.DMAWritePurges),
-				fmt.Sprintf("%6d", s.DToICopies))
-			if line := backendLine(r); line != "" {
-				b.WriteString(line)
-			}
-		}
+		configRows(&b, results[wi])
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// configRows renders the header and the per-configuration rows shared
+// by Table 4 and Table MP, each row followed by its backend sub-line if
+// it has one. The configuration column is as wide as its longest
+// "label name" cell, so every name prints whole.
+func configRows(b *strings.Builder, results []workload.Result) {
+	cells := make([]string, len(results))
+	w := len("configuration")
+	for i, r := range results {
+		cells[i] = fmt.Sprintf("%-3s %s", r.Config.Label, r.Config.Name)
+		w = max(w, utf8.RuneCountInString(cells[i]))
+	}
+	row(b, fmt.Sprintf("  %-*s", w, "configuration"),
+		fmt.Sprintf("%8s", "elapsed"),
+		fmt.Sprintf("%7s", "mapping"), fmt.Sprintf("%7s", "consis"), fmt.Sprintf("%7s", "modify"),
+		fmt.Sprintf("%14s", "dcache flush"), fmt.Sprintf("%14s", "dcache purge"),
+		fmt.Sprintf("%14s", "icache purge"),
+		fmt.Sprintf("%7s", "DMA-rd"), fmt.Sprintf("%7s", "DMA-wr"), fmt.Sprintf("%6s", "d→i"))
+	row(b, fmt.Sprintf("  %-*s", w, ""),
+		fmt.Sprintf("%8s", "(s)"),
+		fmt.Sprintf("%7s", "faults"), fmt.Sprintf("%7s", "faults"), fmt.Sprintf("%7s", "faults"),
+		fmt.Sprintf("%7s %6s", "count", "cyc/op"), fmt.Sprintf("%7s %6s", "count", "cyc/op"),
+		fmt.Sprintf("%7s %6s", "count", "cyc/op"),
+		fmt.Sprintf("%7s", "flush"), fmt.Sprintf("%7s", "purge"), fmt.Sprintf("%6s", "copy"))
+	for i, r := range results {
+		s := r.PM
+		row(b, fmt.Sprintf("  %-*s", w, cells[i]),
+			fmt.Sprintf("%8.2f", r.Seconds),
+			fmt.Sprintf("%7d", s.MappingFaults),
+			fmt.Sprintf("%7d", s.ConsistencyFaults),
+			fmt.Sprintf("%7d", s.ModifyFaults),
+			fmt.Sprintf("%7d %6d", s.DFlushPages, avg(s.DFlushCycles, s.DFlushPages)),
+			fmt.Sprintf("%7d %6d", s.DPurgePages, avg(s.DPurgeCycles, s.DPurgePages)),
+			fmt.Sprintf("%7d %6d", s.IPurgePages, avg(s.IPurgeCycles, s.IPurgePages)),
+			fmt.Sprintf("%7d", s.DMAReadFlushes),
+			fmt.Sprintf("%7d", s.DMAWritePurges),
+			fmt.Sprintf("%6d", s.DToICopies))
+		if line := backendLine(r); line != "" {
+			b.WriteString(line)
+		}
+	}
 }
 
 // backendLine renders the per-backend counter sub-line for a result run
@@ -218,32 +233,7 @@ func TableMP(bench string, cpuCounts []int, results [][]workload.Result) string 
 	b.WriteString("quantum preemption; 1-CPU rows are the Table 4 baseline)\n\n")
 	for ci, cpus := range cpuCounts {
 		fmt.Fprintf(&b, "%s, %d CPU(s)\n", bench, cpus)
-		row(&b, fmt.Sprintf("  %-24s", "configuration"),
-			fmt.Sprintf("%8s", "elapsed"),
-			fmt.Sprintf("%7s", "mapping"), fmt.Sprintf("%7s", "consis"), fmt.Sprintf("%7s", "modify"),
-			fmt.Sprintf("%14s", "dcache flush"), fmt.Sprintf("%14s", "dcache purge"),
-			fmt.Sprintf("%14s", "icache purge"),
-			fmt.Sprintf("%7s", "DMA-rd"), fmt.Sprintf("%7s", "DMA-wr"), fmt.Sprintf("%6s", "d→i"))
-		row(&b, fmt.Sprintf("  %-24s", ""),
-			fmt.Sprintf("%8s", "(s)"),
-			fmt.Sprintf("%7s", "faults"), fmt.Sprintf("%7s", "faults"), fmt.Sprintf("%7s", "faults"),
-			fmt.Sprintf("%7s %6s", "count", "cyc/op"), fmt.Sprintf("%7s %6s", "count", "cyc/op"),
-			fmt.Sprintf("%7s %6s", "count", "cyc/op"),
-			fmt.Sprintf("%7s", "flush"), fmt.Sprintf("%7s", "purge"), fmt.Sprintf("%6s", "copy"))
-		for _, r := range results[ci] {
-			s := r.PM
-			row(&b, fmt.Sprintf("  %-3s %-20.20s", r.Config.Label, r.Config.Name),
-				fmt.Sprintf("%8.2f", r.Seconds),
-				fmt.Sprintf("%7d", s.MappingFaults),
-				fmt.Sprintf("%7d", s.ConsistencyFaults),
-				fmt.Sprintf("%7d", s.ModifyFaults),
-				fmt.Sprintf("%7d %6d", s.DFlushPages, avg(s.DFlushCycles, s.DFlushPages)),
-				fmt.Sprintf("%7d %6d", s.DPurgePages, avg(s.DPurgeCycles, s.DPurgePages)),
-				fmt.Sprintf("%7d %6d", s.IPurgePages, avg(s.IPurgeCycles, s.IPurgePages)),
-				fmt.Sprintf("%7d", s.DMAReadFlushes),
-				fmt.Sprintf("%7d", s.DMAWritePurges),
-				fmt.Sprintf("%6d", s.DToICopies))
-		}
+		configRows(&b, results[ci])
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -75,7 +75,8 @@ func TestTable4Formatting(t *testing.T) {
 		fakeResult("kb", "B", 9, 4, 5),
 	}
 	out := Table4([]string{"kb"}, [][]workload.Result{rows})
-	for _, want := range []string{"kb", "elapsed", "consis", "d→i"} {
+	// Configuration names print whole, however long.
+	for _, want := range []string{"kb", "elapsed", "consis", "d→i", "A   old (eager, unaligned)  "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 4 missing %q:\n%s", want, out)
 		}

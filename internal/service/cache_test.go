@@ -1,90 +1,30 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
 
-// TestCacheEvictionAccounting walks the LRU across its eviction
-// boundary and checks that entry count, byte accounting, and the
-// eviction counter all stay consistent — including through an in-place
-// update that changes an entry's size.
-func TestCacheEvictionAccounting(t *testing.T) {
-	c := newResultCache(2)
-	body := func(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
-
-	c.put("a", body(10))
-	c.put("b", body(20))
-	if s := c.stats(); s.Entries != 2 || s.Bytes != 30 || s.Evictions != 0 {
-		t.Fatalf("before eviction: %+v", s)
-	}
-
-	// Third insert crosses the capacity boundary: "a" (LRU) goes.
-	c.put("c", body(40))
-	s := c.stats()
-	if s.Entries != 2 || s.Evictions != 1 {
-		t.Fatalf("after first eviction: %+v", s)
-	}
-	if s.Bytes != 60 {
-		t.Fatalf("bytes after evicting the 10-byte entry: got %d, want 60", s.Bytes)
-	}
-	if _, ok := c.get("a"); ok {
-		t.Fatal("evicted entry still retrievable")
-	}
-
-	// Touch "b" so it is MRU, then insert again: "c" must go, not "b".
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("entry b missing before second eviction")
-	}
-	c.put("d", body(5))
-	if _, ok := c.get("c"); ok {
-		t.Fatal("LRU order ignored: c survived while recently-used b should")
-	}
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("recently-used entry b was evicted")
-	}
-	s = c.stats()
-	if s.Entries != 2 || s.Evictions != 2 || s.Bytes != 25 {
-		t.Fatalf("after second eviction: %+v", s)
-	}
-
-	// An in-place update must adjust bytes by the size delta, not
-	// double-count, and must not evict.
-	c.put("b", body(2))
-	s = c.stats()
-	if s.Entries != 2 || s.Evictions != 2 || s.Bytes != 7 {
-		t.Fatalf("after in-place resize: %+v", s)
-	}
-}
-
 // TestCacheCapPinned pins the unbounded-growth fix: a zero or negative
-// capacity is not "no limit" but the default bound, both through the
-// service Config and through direct construction.
+// Config.CacheEntries is not "no limit" but the default bound, and the
+// service's result cache stops growing at it.
 func TestCacheCapPinned(t *testing.T) {
 	for _, capacity := range []int{0, -1, -512} {
-		c := newResultCache(capacity)
-		if c.cap != defaultCacheEntries {
-			t.Fatalf("newResultCache(%d).cap = %d, want the %d-entry default pin",
-				capacity, c.cap, defaultCacheEntries)
+		if cfg := (Config{CacheEntries: capacity}).withDefaults(); cfg.CacheEntries != defaultCacheEntries {
+			t.Fatalf("Config CacheEntries %d defaults to %d, want %d", capacity, cfg.CacheEntries, defaultCacheEntries)
 		}
 	}
 
 	// Overfill past the pinned bound and confirm eviction engages.
-	c := newResultCache(0)
+	c := New(Config{}).cache
 	for i := 0; i < defaultCacheEntries+16; i++ {
-		c.put(fmt.Sprintf("key-%d", i), []byte("v"))
+		c.Put(fmt.Sprintf("key-%d", i), []byte("v"))
 	}
-	s := c.stats()
+	s := c.Stats()
 	if s.Entries != defaultCacheEntries {
-		t.Fatalf("cap<=0 cache grew to %d entries, want pinned at %d", s.Entries, defaultCacheEntries)
+		t.Fatalf("default cache grew to %d entries, want pinned at %d", s.Entries, defaultCacheEntries)
 	}
 	if s.Evictions != 16 {
 		t.Fatalf("expected 16 evictions past the pin, got %d", s.Evictions)
-	}
-
-	// The service-level default agrees with the cache-level pin.
-	if cfg := (Config{}).withDefaults(); cfg.CacheEntries != defaultCacheEntries {
-		t.Fatalf("Config default CacheEntries = %d, want %d", cfg.CacheEntries, defaultCacheEntries)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"vcache/internal/harness"
+	"vcache/internal/memo"
 	"vcache/internal/trace"
 	"vcache/internal/workload"
 )
@@ -94,8 +95,7 @@ func (c Config) withDefaults() Config {
 	}
 	// A zero or negative cache capacity is pinned to the default rather
 	// than passed through: an unbounded result cache is never a valid
-	// configuration (newResultCache applies the same pin as a second
-	// line of defense for direct constructions).
+	// configuration, and memo.NewCache refuses one.
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = defaultCacheEntries
 	}
@@ -111,13 +111,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// defaultCacheEntries is the result cache's capacity when
+// Config.CacheEntries is <= 0.
+const defaultCacheEntries = 512
+
 // Service executes simulation requests on a shared harness runner behind
 // a content-addressed cache, singleflight dedup, and admission control.
 type Service struct {
 	cfg    Config
 	runner *harness.Runner
-	cache  *resultCache
-	flight *flightGroup
+	// cache is the content-addressed result store: resolved spec hash →
+	// rendered response body. Identical requests are byte-identical
+	// simulations (the harness determinism guarantee), so a cached body
+	// is authoritative for every future request with the same key.
+	cache *memo.Cache[[]byte]
+	// flight collapses concurrent requests for one key into one backing
+	// run; every request attaches to its outcome.
+	flight memo.Flight[flightResult]
 	// snapshots is the warm-boot pool shared by every backing run (nil
 	// when Config.SnapshotPool <= 0); its counters surface on /metrics.
 	snapshots *harness.SnapshotPool
@@ -154,8 +164,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:        cfg,
 		runner:     &harness.Runner{Workers: 1, Snapshots: pool},
-		cache:      newResultCache(cfg.CacheEntries),
-		flight:     newFlightGroup(),
+		cache:      memo.NewCache(cfg.CacheEntries, func(b []byte) int64 { return int64(len(b)) }),
 		snapshots:  pool,
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		base:       base,
@@ -185,8 +194,11 @@ type RunPhases struct {
 	Encode  time.Duration
 }
 
-func (p RunPhases) String() string {
-	return fmt.Sprintf("%v check=%v encode=%v", p.Harness, p.Check, p.Encode)
+// flightResult is what a backing run publishes to the requests attached
+// to it; phases is nil when the call was settled without running.
+type flightResult struct {
+	body   []byte
+	phases *RunPhases
 }
 
 // Outcome labels how a request was satisfied (the X-Vcache-Outcome
@@ -219,28 +231,22 @@ func (s *Service) submit(ctx context.Context, r *Resolved) (body []byte, outcome
 		flightKey = fmt.Sprintf("%s|trace=%d|record=%t", r.Key, r.Spec.TraceN, r.Spec.RecordOps)
 	}
 	if !traced {
-		if b, ok := s.cache.get(r.Key); ok {
+		if b, ok := s.cache.Get(r.Key); ok {
 			return b, OutcomeHit, nil, nil
 		}
 	}
-	c, owner := s.flight.join(flightKey)
+	c, owner := s.flight.Join(flightKey)
 	if !owner {
 		s.m.inc(&s.m.singleflightHits)
-		select {
-		case <-c.done:
-			return c.body, OutcomeShared, c.phases, c.err
-		case <-ctx.Done():
-			s.m.inc(&s.m.timeouts)
-			return nil, OutcomeShared, nil, fmt.Errorf("request deadline expired waiting for shared run: %w", ctx.Err())
-		}
+		return s.await(ctx, c, OutcomeShared, "shared run")
 	}
 	// Owner path. First re-check the cache: a previous owner may have
 	// completed between our cache miss and our join, and its result is
 	// always cached before its flight key is released — so a hit here is
 	// authoritative and no second backing run may start.
 	if !traced {
-		if b, ok := s.cache.recheck(r.Key); ok {
-			s.flight.finish(flightKey, c, b, nil)
+		if b, ok := s.cache.Recheck(r.Key); ok {
+			s.flight.Finish(flightKey, c, flightResult{body: b}, nil)
 			return b, OutcomeHit, nil, nil
 		}
 	}
@@ -251,28 +257,33 @@ func (s *Service) submit(ctx context.Context, r *Resolved) (body []byte, outcome
 	if s.draining {
 		s.mu.Unlock()
 		s.m.inc(&s.m.rejectedDraining)
-		s.flight.finish(flightKey, c, nil, ErrDraining)
+		s.flight.Finish(flightKey, c, flightResult{}, ErrDraining)
 		return nil, OutcomeMiss, nil, ErrDraining
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
 	go s.execute(r, flightKey, c)
+	return s.await(ctx, c, OutcomeMiss, "run")
+}
+
+// await returns the outcome of call c, or a deadline error if ctx ends
+// first; the call itself runs on regardless.
+func (s *Service) await(ctx context.Context, c *memo.Call[flightResult], outcome, what string) ([]byte, string, *RunPhases, error) {
 	select {
-	case <-c.done:
-		return c.body, OutcomeMiss, c.phases, c.err
+	case <-c.Done():
+		return c.Val.body, outcome, c.Val.phases, c.Err
 	case <-ctx.Done():
 		s.m.inc(&s.m.timeouts)
-		return nil, OutcomeMiss, nil, fmt.Errorf("request deadline expired waiting for run: %w", ctx.Err())
+		return nil, outcome, nil, fmt.Errorf("request deadline expired waiting for %s: %w", what, ctx.Err())
 	}
 }
 
-// execute is the detached backing-run executor: admission, simulation,
-// cache insert, publication. Exactly one executes per flight key at a
-// time.
-func (s *Service) execute(r *Resolved, flightKey string, c *call) {
+// execute is the detached backing-run executor: admission, then the
+// run, then publication. Exactly one executes per flight key at a time.
+func (s *Service) execute(r *Resolved, flightKey string, c *memo.Call[flightResult]) {
 	defer s.wg.Done()
 	if err := s.admit(); err != nil {
-		s.flight.finish(flightKey, c, nil, err)
+		s.flight.Finish(flightKey, c, flightResult{}, err)
 		return
 	}
 	s.inflight.Add(1)
@@ -280,6 +291,13 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 		s.inflight.Add(-1)
 		<-s.sem
 	}()
+	v, err := s.run(r)
+	s.flight.Finish(flightKey, c, v, err)
+}
+
+// run executes one admitted backing run: simulation, oracle check,
+// encode, cache insert.
+func (s *Service) run(r *Resolved) (flightResult, error) {
 	s.m.inc(&s.m.runsStarted)
 	runCtx, cancel := context.WithTimeout(s.base, s.cfg.RunTimeout)
 	defer cancel()
@@ -294,38 +312,27 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 		// context.Canceled and stays an ordinary run error.)
 		if errors.Is(out.Err, context.DeadlineExceeded) {
 			s.m.inc(&s.m.runTimeouts)
-			s.flight.finish(flightKey, c, nil,
-				fmt.Errorf("run exceeded the server-side run timeout %v: %w", s.cfg.RunTimeout, context.DeadlineExceeded))
-			return
+			return flightResult{}, fmt.Errorf("run exceeded the server-side run timeout %v: %w", s.cfg.RunTimeout, context.DeadlineExceeded)
 		}
-		s.m.inc(&s.m.runErrors)
-		s.flight.finish(flightKey, c, nil, out.Err)
-		return
+		return s.runError(out.Err)
 	}
 	phases := &RunPhases{Harness: out.Phases}
 	start = time.Now()
 	err := out.Result.CheckClean()
 	phases.Check = time.Since(start)
 	if err != nil {
-		s.m.inc(&s.m.runErrors)
-		s.flight.finish(flightKey, c, nil, err)
-		return
+		return s.runError(err)
 	}
 	start = time.Now()
 	cacheBody, err := json.Marshal(runBody{Key: r.Key, Result: out.Result})
 	if err != nil {
-		s.m.inc(&s.m.runErrors)
-		s.flight.finish(flightKey, c, nil, fmt.Errorf("encode result: %w", err))
-		return
+		return s.runError(fmt.Errorf("encode result: %w", err))
 	}
 	body := cacheBody
 	if r.Spec.TraceN > 0 {
 		exp := out.Trace.Export()
-		body, err = json.Marshal(runBody{Key: r.Key, Result: out.Result, Trace: &exp})
-		if err != nil {
-			s.m.inc(&s.m.runErrors)
-			s.flight.finish(flightKey, c, nil, fmt.Errorf("encode traced result: %w", err))
-			return
+		if body, err = json.Marshal(runBody{Key: r.Key, Result: out.Result, Trace: &exp}); err != nil {
+			return s.runError(fmt.Errorf("encode traced result: %w", err))
 		}
 	}
 	phases.Encode = time.Since(start)
@@ -340,10 +347,15 @@ func (s *Service) execute(r *Resolved, flightKey string, c *call) {
 	// untraced requests with byte-identical content. The run is counted
 	// after the put, so a request that sees it counted hits the cache,
 	// and before the finish, so a waiter that returns sees it counted.
-	s.cache.put(r.Key, cacheBody)
+	s.cache.Put(r.Key, cacheBody)
 	s.m.inc(&s.m.runsCompleted)
-	c.phases = phases
-	s.flight.finish(flightKey, c, body, nil)
+	return flightResult{body, phases}, nil
+}
+
+// runError counts a failed backing run and returns its outcome.
+func (s *Service) runError(err error) (flightResult, error) {
+	s.m.inc(&s.m.runErrors)
+	return flightResult{}, err
 }
 
 // admit acquires a run slot, waiting in the bounded queue if none is
@@ -406,7 +418,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // counter (individual counters are exact; cross-counter sums may be
 // mid-update by one during concurrent traffic).
 func (s *Service) Metrics() Snapshot {
-	cs := s.cache.stats()
+	cs := s.cache.Stats()
 	s.m.mu.Lock()
 	snap := Snapshot{
 		Requests:         s.m.requests,

@@ -122,24 +122,26 @@ func TestResolveAcceptsSizeLimits(t *testing.T) {
 	}
 }
 
+// TestResultCacheLRU: the service's result cache is an LRU of
+// Config.CacheEntries bodies, each accounted at its length in bytes.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("aa"))
-	c.put("b", []byte("bb"))
-	if _, ok := c.get("a"); !ok { // a is now most recently used
+	c := New(Config{CacheEntries: 2}).cache
+	c.Put("a", []byte("aa"))
+	c.Put("b", []byte("bb"))
+	if _, ok := c.Get("a"); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("cc")) // evicts b, the LRU entry
-	if _, ok := c.get("b"); ok {
+	c.Put("c", []byte("cc")) // evicts b, the LRU entry
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c missing")
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats = %+v, want 2 entries / 1 eviction", st)
 	}
@@ -150,8 +152,8 @@ func TestResultCacheLRU(t *testing.T) {
 		t.Fatalf("bytes = %d, want 4", st.Bytes)
 	}
 	// Overwrite keeps byte accounting straight.
-	c.put("a", []byte("aaaa"))
-	if st := c.stats(); st.Bytes != 6 {
+	c.Put("a", []byte("aaaa"))
+	if st := c.Stats(); st.Bytes != 6 {
 		t.Fatalf("bytes after overwrite = %d, want 6", st.Bytes)
 	}
 }

@@ -86,25 +86,6 @@ func (c *Clock) Charge(cat Category, n uint64) {
 	c.byCat[cat] += n
 }
 
-// Refund removes n cycles previously charged to cat from both the
-// category and the total. Used by consistency backends that model
-// hardware doing work software already charged for (the RLT assist
-// path: the functional flush/purge happens for correctness, then its
-// cost is refunded and replaced by the assist charge). The caller must
-// only refund what it just measured being charged.
-func (c *Clock) Refund(cat Category, n uint64) {
-	c.cycles -= n
-	c.byCat[cat] -= n
-}
-
-// Move re-attributes n cycles from one category to another; the total
-// is unchanged. Used when real work should be reported under the
-// structure that caused it (RLT capacity evictions).
-func (c *Clock) Move(from, to Category, n uint64) {
-	c.byCat[from] -= n
-	c.byCat[to] += n
-}
-
 // Cycles returns the total cycles elapsed.
 func (c *Clock) Cycles() uint64 { return c.cycles }
 
